@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .gen import Generator
-from .prop import Prop, always, implies, same_set, value_count_less
-from .searchtree import SearchTree, bind, value
+from .prop import Prop, always, as_tree, implies, same_set, value_count_less
+from .searchtree import bind, value
 from .runner import CONTRACT, PARAM, TestSpec
 
 
@@ -27,10 +27,6 @@ class RegistrationError(Exception):
 
 class ConfigError(Exception):
     """Bad runner configuration, e.g. an unreadable proof directory."""
-
-
-def _as_tree(x: Any) -> SearchTree:
-    return x if isinstance(x, SearchTree) else value(x)
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ def synthesize(entry: ContractEntry) -> list[TestSpec]:
 
         def satisfies_spec(x, _impl=entry.impl, _spec=spec_fn, _pre=pre):
             return implies(
-                _pre(x), lambda: same_set(_as_tree(_impl(x)), _as_tree(_spec(x)))
+                _pre(x), lambda: same_set(as_tree(_impl(x)), as_tree(_spec(x)))
             )
 
         specs.append(param(f"{entry.name}SatisfiesSpecification", satisfies_spec))
@@ -97,7 +93,7 @@ def synthesize(entry: ContractEntry) -> list[TestSpec]:
         def satisfies_post(x, _impl=entry.impl, _post=post_fn, _pre=pre):
             return implies(
                 _pre(x),
-                lambda: always(bind(_as_tree(_impl(x)), lambda y: value(_post(x, y)))),
+                lambda: always(bind(as_tree(_impl(x)), lambda y: value(_post(x, y)))),
             )
 
         specs.append(param(f"{entry.name}SatisfiesPostCondition", satisfies_post))
@@ -105,7 +101,7 @@ def synthesize(entry: ContractEntry) -> list[TestSpec]:
     if entry.det:
 
         def is_deterministic(x, _impl=entry.impl):
-            return value_count_less(_as_tree(_impl(x)), 2)
+            return value_count_less(as_tree(_impl(x)), 2)
 
         specs.append(param(f"{entry.name}IsDeterministic", is_deterministic))
 

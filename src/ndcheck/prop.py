@@ -12,10 +12,12 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .gen import Generator
-from .searchtree import SearchTree, Strategy, enumerate_tree, value
+from .searchtree import (
+    Enumeration, FailNode, SearchTree, Strategy, ValueNode, enumerate_tree, value,
+)
 from .values import canonical, render
 
 SATISFIED = "satisfied"
@@ -52,7 +54,6 @@ class EvalContext:
 
     strategy: Strategy = field(default_factory=Strategy)
     value_budget: int = 10_000
-    key_fn: Callable[[Any], Any] = canonical
     for_all_limit: int = 100
     scratch_dir: Path | None = None
 
@@ -88,29 +89,57 @@ BUDGET = "budget"
 LIMIT = "limit"
 
 
-def _distinct(t: SearchTree, ctx: EvalContext, need: int | None = None) -> tuple[list, str]:
-    """Draw de-duplicated values; stop after `need` distinct ones if given.
+class Distinct:
+    """One pass over a tree's distinct values: yields (canonical key, value)
+    for the first value of each key, at most cap of them (None: no cap).
 
-    Returns (values, end) where end is EXHAUSTED (tree fully enumerated),
-    LIMIT (stopped at need or at the value budget), or BUDGET (node budget
-    ran out first).
+    When iteration stops on its own, ``end`` is EXHAUSTED, LIMIT (cap
+    reached) or BUDGET (node budget ran out); None if the consumer stopped.
+    ``walk(tree, strategy)`` is the caller's own ``enumerate_tree``; a leaf
+    root needs no Enumeration, as a node budget is at least 1.
     """
-    cap = ctx.value_budget if need is None else min(need, ctx.value_budget)
-    enum = enumerate_tree(t, ctx.strategy)
-    seen = set()
-    out = []
-    if cap > 0:
+
+    __slots__ = ("_tree", "_strategy", "_walk", "_cap", "end")
+
+    def __init__(self, tree: SearchTree, strategy: Strategy,
+                 walk: Callable[[SearchTree, Strategy], Enumeration], cap: int | None = None):
+        self._tree, self._strategy, self._walk, self._cap = tree, strategy, walk, cap
+        self.end: str | None = None
+
+    def __iter__(self) -> Iterator[tuple[Any, Any]]:
+        tree, cap = self._tree, self._cap
+        if cap is not None and cap < 1:
+            self.end = LIMIT
+            return
+        if isinstance(tree, ValueNode):
+            v = tree.payload
+            yield canonical(v), v
+            self.end = LIMIT if cap == 1 else EXHAUSTED
+            return
+        if isinstance(tree, FailNode):
+            self.end = EXHAUSTED
+            return
+        enum = self._walk(tree, self._strategy)
+        seen: set = set()
         for v in enum:
-            k = ctx.key_fn(v)
+            k = canonical(v)
             if k in seen:
                 continue
             seen.add(k)
-            out.append(v)
-            if len(out) >= cap:
-                return out, LIMIT
-    else:
-        return out, LIMIT
-    return out, EXHAUSTED if enum.exhausted else BUDGET
+            yield k, v
+            if len(seen) == cap:
+                self.end = LIMIT
+                return
+        self.end = EXHAUSTED if enum.exhausted else BUDGET
+
+
+def _distinct(t: SearchTree, ctx: EvalContext, need: int | None = None) -> tuple[list, list, str]:
+    """(keys, values, end) of at most `need` distinct values, within the
+    value budget (which also ends the draw with LIMIT)."""
+    cap = ctx.value_budget if need is None else min(need, ctx.value_budget)
+    side = Distinct(t, ctx.strategy, enumerate_tree, cap)
+    pairs = list(side)
+    return [k for k, _ in pairs], [v for _, v in pairs], side.end
 
 
 def _render_side(vals: list, end: str) -> str:
@@ -137,18 +166,14 @@ def is_equal(l: TreeLike, r: TreeLike) -> Prop:
     lt, rt = as_tree(l), as_tree(r)
 
     def check(ctx: EvalContext) -> Outcome:
-        lvals, lend = _distinct(lt, ctx, need=2)
-        rvals, rend = _distinct(rt, ctx, need=2)
+        lkeys, lvals, lend = _distinct(lt, ctx, need=2)
+        rkeys, rvals, rend = _distinct(rt, ctx, need=2)
         # a side is decided once it exhausts or shows a second value
         if lend != EXHAUSTED and len(lvals) < 2:
             return _inconclusive("is_equal", "left", lend)
         if rend != EXHAUSTED and len(rvals) < 2:
             return _inconclusive("is_equal", "right", rend)
-        if (
-            len(lvals) == 1
-            and len(rvals) == 1
-            and canonical(lvals[0]) == canonical(rvals[0])
-        ):
+        if len(lkeys) == 1 and lkeys == rkeys:
             return _SAT
         return Outcome(FALSIFIED, results=_results(lvals, lend, rvals, rend))
 
@@ -161,15 +186,13 @@ def same_set(l: TreeLike, r: TreeLike) -> Prop:
     lt, rt = as_tree(l), as_tree(r)
 
     def check(ctx: EvalContext) -> Outcome:
-        lvals, lend = _distinct(lt, ctx)
+        lkeys, lvals, lend = _distinct(lt, ctx)
         if lend != EXHAUSTED:
             return _inconclusive("same_set", "left", lend)
-        rvals, rend = _distinct(rt, ctx)
+        rkeys, rvals, rend = _distinct(rt, ctx)
         if rend != EXHAUSTED:
             return _inconclusive("same_set", "right", rend)
-        lkeys = {canonical(v) for v in lvals}
-        rkeys = {canonical(v) for v in rvals}
-        if lkeys == rkeys:
+        if set(lkeys) == set(rkeys):
             return _SAT
         return Outcome(FALSIFIED, results=_results(lvals, lend, rvals, rend))
 
@@ -183,32 +206,25 @@ def reduces_to(l: TreeLike, r: TreeLike) -> Prop:
     lt, rt = as_tree(l), as_tree(r)
 
     def check(ctx: EvalContext) -> Outcome:
-        rvals, rend = _distinct(rt, ctx)
+        rkeys, rvals, rend = _distinct(rt, ctx)
         if rend != EXHAUSTED:
             return _inconclusive("reduces_to", "right", rend)
-        missing = {canonical(v): v for v in rvals}
+        missing = set(rkeys)
         if not missing:
             return _SAT
-        enum = enumerate_tree(lt, ctx.strategy)
-        seen = set()
+        left = Distinct(lt, ctx.strategy, enumerate_tree, ctx.value_budget)
         observed: list = []
-        for v in enum:
-            k = ctx.key_fn(v)
-            if k in seen:
-                continue
-            seen.add(k)
+        for k, v in left:
             observed.append(v)
-            missing.pop(k, None)
+            missing.discard(k)
             if not missing:
                 return _SAT
-            if len(seen) >= ctx.value_budget:
-                return _inconclusive("reduces_to", "left", LIMIT)
-        if enum.exhausted:
+        if left.end == EXHAUSTED:
             return Outcome(
                 FALSIFIED,
                 results=_results(observed, EXHAUSTED, rvals, EXHAUSTED),
             )
-        return _inconclusive("reduces_to", "left", BUDGET)
+        return _inconclusive("reduces_to", "left", left.end)
 
     return Prop("reduces_to", "right-side values all reachable", check)
 
@@ -218,7 +234,7 @@ def value_count(e: TreeLike, n: int) -> Prop:
     t = as_tree(e)
 
     def check(ctx: EvalContext) -> Outcome:
-        vals, end = _distinct(t, ctx, need=n + 1)
+        _, vals, end = _distinct(t, ctx, need=n + 1)
         if len(vals) > n:
             return Outcome(
                 FALSIFIED,
@@ -242,7 +258,7 @@ def value_count_less(e: TreeLike, n: int) -> Prop:
     t = as_tree(e)
 
     def check(ctx: EvalContext) -> Outcome:
-        vals, end = _distinct(t, ctx, need=n)
+        _, vals, end = _distinct(t, ctx, need=n)
         if len(vals) >= n:
             return Outcome(
                 FALSIFIED,
@@ -328,10 +344,9 @@ def for_all(
     """
 
     def source(ctx: EvalContext) -> Iterable:
-        if isinstance(values, Generator):
-            return _distinct_iter(values.tree, ctx)
-        if isinstance(values, SearchTree):
-            return _distinct_iter(values, ctx)
+        if isinstance(values, (Generator, SearchTree)):
+            tree = values.tree if isinstance(values, Generator) else values
+            return (v for _, v in Distinct(tree, ctx.strategy, enumerate_tree))
         if callable(values):
             return values()
         return values
@@ -354,16 +369,6 @@ def for_all(
         return Outcome(SATISFIED, labels=labels)
 
     return Prop("for_all", "holds for all listed values", check)
-
-
-def _distinct_iter(t: SearchTree, ctx: EvalContext):
-    seen = set()
-    for v in enumerate_tree(t, ctx.strategy):
-        k = ctx.key_fn(v)
-        if k in seen:
-            continue
-        seen.add(k)
-        yield v
 
 
 def returns(action: Callable[[Path], Any], expected: Any) -> Prop:

@@ -13,10 +13,12 @@ from typing import Any, Callable
 
 from .gen import BaseType, Generator
 from .prop import (
+    BUDGET,
     DROPPED,
     FALSIFIED,
     INCONCLUSIVE,
     SATISFIED,
+    Distinct,
     EvalContext,
     Prop,
 )
@@ -174,21 +176,11 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
     body per input, and account executed and dropped cases."""
     ctx = ctx or _context(cfg, None)
     assert spec.input_gen is not None and spec.body is not None
-    enum = enumerate_tree(spec.input_gen.tree, ctx.strategy)
-    seen: set = set()
+    inputs = Distinct(spec.input_gen.tree, ctx.strategy, enumerate_tree)
     labels: Counter = Counter()
     executed = 0
     dropped = 0
-    stream = iter(enum)
-    while executed < cfg.max_tests and dropped < cfg.drop_limit:
-        try:
-            raw = next(stream)
-        except StopIteration:
-            break
-        key = ctx.key_fn(raw)
-        if key in seen:
-            continue
-        seen.add(key)
+    for _, raw in inputs:
         try:
             prop = spec.body(*raw) if spec.arity > 1 else spec.body(raw)
             out = prop.check(ctx)
@@ -205,6 +197,8 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
         labels.update(out.labels)
         if out.status == DROPPED:
             dropped += 1
+            if dropped >= cfg.drop_limit:
+                break
             continue
         if out.status == FALSIFIED:
             executed += 1
@@ -231,9 +225,9 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
                 labels,
             )
         executed += 1
-    if executed >= cfg.max_tests:
-        return Verdict(PASSED, tests_executed=executed, tests_dropped=dropped), labels
-    if enum.budget_exceeded:
+        if executed >= cfg.max_tests:
+            return Verdict(PASSED, tests_executed=executed, tests_dropped=dropped), labels
+    if inputs.end == BUDGET:
         return (
             Verdict(
                 ERROR,

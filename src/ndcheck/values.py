@@ -12,46 +12,51 @@ import dataclasses
 import enum
 from typing import Any
 
-_SCALARS = (bool, int, float, str, bytes)
+_SCALARS = frozenset((bool, int, float, str, bytes))
+
+# per type: its dataclass field names, or None; probed once per type
+_FIELDS: dict[type, tuple[str, ...] | None] = {}
 
 
 def canonical(v: Any) -> Any:
-    """Hashable key such that canonical(a) == canonical(b) iff a == b.
+    """Hashable key such that canonical(a) == canonical(b) iff a and b have
+    the same type and are ==, recursively.
 
-    Scalars are tagged with their type so e.g. True and 1 stay distinct.
-    Containers are frozen recursively; frozen dataclasses are keyed by type
-    and field values (their fields may contain lists).
+    True and 1 key apart, as do 1 and 1.0; every float NaN keys alike.
+    Containers are frozen recursively (set and frozenset alike), dataclasses
+    keyed by type and fields; other hashable values (enum members) are their
+    own key, unhashable ones are keyed by type and repr.  Two Python frames
+    per nesting level keep ~490 levels within the default recursion limit.
     """
-    if v is None:
-        return None
     t = type(v)
     if t in _SCALARS:
-        return (t.__name__, v)
+        if t is float and v != v:
+            return (float, "nan")
+        return (t, v)
     if t is list or t is tuple:
-        return (t.__name__, tuple(canonical(x) for x in v))
+        return (t, tuple([canonical(x) for x in v]))
+    try:
+        names = _FIELDS[t]
+    except KeyError:
+        dc = dataclasses.is_dataclass(t)
+        names = _FIELDS[t] = tuple(f.name for f in dataclasses.fields(t)) if dc else None
+    if names is not None:
+        return (t, *[canonical(getattr(v, n)) for n in names])
     if t is dict:
-        return ("dict", frozenset((canonical(k), canonical(x)) for k, x in v.items()))
+        return (dict, frozenset([(canonical(k), canonical(x)) for k, x in v.items()]))
     if t is set or t is frozenset:
-        return ("set", frozenset(canonical(x) for x in v))
-    if dataclasses.is_dataclass(v) and not isinstance(v, type):
-        return (t.__qualname__,) + tuple(
-            canonical(getattr(v, f.name)) for f in dataclasses.fields(v)
-        )
+        return (frozenset, frozenset([canonical(x) for x in v]))
     try:
         hash(v)
         return v
     except TypeError:
-        return ("repr", repr(v))
+        return (t, "repr", repr(v))
 
 
 def render(v: Any) -> str:
     """Render a value the way it appears in reports: [1,2], "text", (a,b)."""
     if v is None:
         return "()"
-    if v is True:
-        return "True"
-    if v is False:
-        return "False"
     if isinstance(v, str):
         return '"%s"' % v
     if isinstance(v, list):

@@ -24,7 +24,7 @@ from ndcheck.prop import (
     value_count,
     value_count_less,
 )
-from ndcheck.searchtree import Strategy, choice, defer, fail, one_of, value
+from ndcheck.searchtree import Strategy, choice, defer, enumerate_tree, fail, one_of, value
 from ndcheck.values import canonical
 
 CTX = EvalContext()
@@ -50,8 +50,6 @@ def random_tree(rng, depth=0):
 
 
 def brute_set(tree):
-    from ndcheck.searchtree import enumerate_tree
-
     return {canonical(v) for v in enumerate_tree(tree, Strategy.bfs()).values()}
 
 
@@ -328,3 +326,61 @@ class TestEvalContext:
         p = same_set(one_of([3, 1, 3]), one_of([1, 3]))
         ctx = EvalContext(strategy=Strategy.rand_level_diag(seed=12))
         assert p.evaluate(ctx) == p.evaluate(ctx)
+
+
+LEAVES = [value(1), value([2, 1]), fail()]
+LEAF_CONTEXTS = [
+    EvalContext(strategy=Strategy(s.kind, s.seed, node_budget), value_budget=value_budget)
+    for s in STRATEGIES
+    for node_budget in (1, 100_000)
+    for value_budget in (1, 10_000)
+]
+
+
+def leaf_props(wrap):
+    """Every value-set operator over leaf roots, each root passed through wrap."""
+    props = []
+    for a in LEAVES:
+        props += [value_count(wrap(a), n) for n in range(3)]
+        props += [value_count_less(wrap(a), n) for n in range(3)]
+        for b in LEAVES + [choice(value(1), value(2))]:
+            props += [is_equal(wrap(a), wrap(b)), same_set(wrap(a), wrap(b))]
+            props += [reduces_to(wrap(a), wrap(b)), reduces_to(wrap(b), wrap(a))]
+    return props
+
+
+class TestLeafFastPath:
+    @pytest.mark.parametrize("ctx", LEAF_CONTEXTS)
+    def test_leaf_roots_decide_like_a_walked_tree(self, ctx):
+        """A value or fail root skips the Enumeration; the same tree behind a
+        deferred node is walked.  Every outcome must agree, budgets of 1
+        included."""
+        fast = leaf_props(lambda t: t)
+        walked = leaf_props(lambda t: defer(lambda: t))
+        for p, q in zip(fast, walked):
+            assert p.evaluate(ctx) == q.evaluate(ctx), p.kind
+
+    def test_plain_values_build_no_enumeration(self, monkeypatch):
+        walks = []
+        real = enumerate_tree
+        monkeypatch.setattr("ndcheck.prop.enumerate_tree", lambda t, s=None: walks.append(t) or real(t, s))
+        xs = [3, 1, 2]
+        assert is_equal(xs, xs).evaluate().status == SATISFIED
+        assert same_set(xs, xs).evaluate().status == SATISFIED
+        assert walks == []
+        assert same_set(one_of([1, 2]), one_of([2, 1])).evaluate().status == SATISFIED
+        assert len(walks) == 2
+
+    def test_each_value_is_keyed_once(self, monkeypatch):
+        keyed = []
+        monkeypatch.setattr("ndcheck.prop.canonical", lambda v: keyed.append(v) or canonical(v))
+        assert is_equal([1, 2], [1, 2]).evaluate().status == SATISFIED
+        assert len(keyed) == 2
+        keyed.clear()
+        bfs = EvalContext(strategy=Strategy.bfs())
+        assert reduces_to(one_of([1, 2]), 2).evaluate(bfs).status == SATISFIED
+        assert keyed == [2, 1, 2]  # the right side, then the left side up to its 2
+
+    def test_reduces_to_keys_both_sides_alike(self):
+        assert status(reduces_to(one_of([1, 2]), 11)) == FALSIFIED
+        assert status(reduces_to(one_of([1, 11]), 11)) == SATISFIED

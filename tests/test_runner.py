@@ -183,6 +183,28 @@ class TestRunParam:
                     assert verdict.kind == EXHAUSTED_V
 
 
+    def test_walks_and_keys_per_case(self, monkeypatch):
+        """Inputs are walked through the runner's enumerate_tree and keyed
+        once; a body comparing plain values walks nothing and keys each side
+        once."""
+        calls = {"input": 0, "prop": 0, "key": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr("ndcheck.runner.enumerate_tree", counting("input", enumerate_tree))
+        monkeypatch.setattr("ndcheck.prop.enumerate_tree", counting("prop", enumerate_tree))
+        monkeypatch.setattr("ndcheck.prop.canonical", counting("key", canonical))
+        spec = param_spec(Generator(nat_chain(), "Nat"), lambda n: is_equal(n, n))
+        verdict, _ = run_param(spec, RunConfig(max_tests=25))
+        assert verdict.kind == PASSED
+        assert calls == {"input": 1, "prop": 0, "key": 3 * 25}
+
+
 class TestPoly:
     def poly(self):
         by = {

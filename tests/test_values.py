@@ -1,0 +1,146 @@
+"""The keying contract of values.canonical: same type and ==, recursively."""
+
+import enum
+import math
+import sys
+import threading
+
+import pytest
+
+from ndcheck.corpus.trees import Leaf, Node, Succ, Zero
+from ndcheck.gen import Ordering
+from ndcheck.prop import SATISFIED, same_set, value_count
+from ndcheck.searchtree import one_of
+from ndcheck.values import canonical
+
+
+class Color(enum.IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+class Tagged(list):
+    """A list subclass: not keyed as a plain list."""
+
+
+class Unhashable:
+    __hash__ = None
+
+    def __init__(self, x):
+        self.x = x
+
+    def __eq__(self, other):
+        return isinstance(other, Unhashable) and self.x == other.x
+
+    def __repr__(self):
+        return f"Unhashable({self.x!r})"
+
+
+def tree(*ords):
+    return Node(tuple(Leaf(o) for o in ords))
+
+
+# (a, b, whether a and b must key alike)
+CONTRACT = [
+    (True, 1, False),
+    (False, 0, False),
+    (1, 1.0, False),
+    (0.0, -0.0, True),
+    (1, 1, True),
+    ("1", 1, False),
+    (b"a", "a", False),
+    (None, None, True),
+    (None, (), False),
+    (Color.RED, 1, False),
+    (Color.RED, Color.RED, True),
+    (Color.RED, Color.BLUE, False),
+    (Ordering.LT, Ordering.LT, True),
+    (Ordering.LT, Ordering.GT, False),
+    (Ordering.EQ, 1, False),
+    (Zero(), Zero(), True),
+    (Zero(), Succ(Zero()), False),
+    (Succ(Succ(Zero())), Succ(Succ(Zero())), True),
+    ([tree(Ordering.LT), Leaf(Ordering.EQ)], [tree(Ordering.LT), Leaf(Ordering.EQ)], True),
+    ([tree(Ordering.LT), Leaf(Ordering.EQ)], [tree(Ordering.GT), Leaf(Ordering.EQ)], False),
+    ([Leaf([1, 2])], [Leaf([1, 2])], True),
+    ([1, 2], (1, 2), False),
+    ([1, 2], [2, 1], False),
+    ([[1], []], [[1], []], True),
+    ({1: "a", 2: "b"}, {2: "b", 1: "a"}, True),
+    ({1: "a"}, {1: "b"}, False),
+    ({1: [1]}, {1: [1]}, True),
+    ({1, 2, 3}, {3, 1, 2}, True),
+    ({1, 2}, frozenset({2, 1}), True),
+    ({1, 2}, [1, 2], False),
+    (Tagged([1, 2]), Tagged([1, 2]), True),
+    (Tagged([1, 2]), Tagged([2, 1]), False),
+    (Tagged([1, 2]), [1, 2], False),
+    (Unhashable(1), Unhashable(1), True),
+    (Unhashable(1), Unhashable(2), False),
+    (bytearray(b"ab"), bytearray(b"ab"), True),
+    (bytearray(b"ab"), b"ab", False),
+]
+
+
+@pytest.mark.parametrize("a,b,same", CONTRACT, ids=[f"{a!r}-{b!r}" for a, b, _ in CONTRACT])
+def test_contract_table(a, b, same):
+    ka, kb = canonical(a), canonical(b)
+    hash(ka), hash(kb)
+    assert (ka == kb) is same
+
+
+def test_keys_are_stable_across_calls():
+    v = [tree(Ordering.GT, Ordering.LT), {1: {2}}, Unhashable([1])]
+    assert canonical(v) == canonical(v)
+
+
+class TestNaN:
+    def test_distinct_nan_objects_key_alike(self):
+        a, b = float("nan"), math.nan
+        assert a is not b
+        assert canonical(a) == canonical(b)
+        assert canonical([a, 1]) == canonical([b, 1])
+        assert canonical(a) != canonical(math.inf)
+
+    def test_value_set_holds_one_nan(self):
+        nans = one_of([float("nan"), float("nan"), float("nan")])
+        assert value_count(nans, 1).evaluate().status == SATISFIED
+        assert same_set(nans, float("nan")).evaluate().status == SATISFIED
+
+
+def succ_chain(depth):
+    n = Zero()
+    for _ in range(depth):
+        n = Succ(n)
+    return n
+
+
+def nested_list(depth):
+    xs: list = []
+    for _ in range(depth):
+        xs = [xs]
+    return xs
+
+
+@pytest.mark.parametrize("build", [succ_chain, nested_list])
+def test_490_levels_key_under_the_default_recursion_limit(build):
+    """Keying must stay at two Python frames per nesting level.
+
+    Runs on a fresh thread, whose stack starts empty, so the depth of the
+    test runner's own stack does not count.
+    """
+    assert sys.getrecursionlimit() == 1000
+    value = build(490)
+    result: list = []
+
+    def key():
+        try:
+            result.append(canonical(value) == canonical(build(490)))
+        except RecursionError as exc:
+            result.append(exc)
+
+    worker = threading.Thread(target=key)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert result == [True]
