@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
-from .searchtree import SearchTree, bind, choice, defer, one_of, value
+from .searchtree import OrNode, SearchTree, bind, choice, defer, one_of, value
 
 A = TypeVar("A")
 
@@ -149,16 +149,31 @@ _BUILTIN_FACTORIES.update(
 )
 
 
-def list_of(g: Generator[A]) -> Generator[list[A]]:
-    """Lists over a generator: nil, plus cons of an element and a generated tail."""
+def _unlink(drawn: tuple | None) -> list:
+    """The list of a linked (head, rest) chain, oldest head first."""
+    out = []
+    while drawn is not None:
+        h, drawn = drawn
+        out.append(h)
+    out.reverse()
+    return out
 
-    def rec() -> SearchTree[list[A]]:
-        return choice(
-            value([]),
-            bind(g.tree, lambda h: bind(defer(rec), lambda t: value([h] + t))),
+
+def list_of(g: Generator[A]) -> Generator[list[A]]:
+    """Lists over a generator: nil, plus cons of an element and a generated tail.
+
+    Each node carries the elements drawn above it as linked (head, rest)
+    pairs, and a list is built once, at its nil leaf, so drawing a list of
+    length L costs O(L).
+    """
+
+    def rec(drawn: tuple | None) -> SearchTree[list[A]]:
+        return OrNode(
+            lambda: value(_unlink(drawn)),
+            lambda: bind(g.tree, lambda h: rec((h, drawn))),
         )
 
-    return Generator(defer(rec), f"[{g.name}]")
+    return Generator(rec(None), f"[{g.name}]")
 
 
 def pair_of(g1: Generator, g2: Generator) -> Generator[tuple]:

@@ -4,6 +4,7 @@ drop limits, detects exhaustive domains, and produces structured reports.
 
 from __future__ import annotations
 
+import gc
 import json
 import tempfile
 from collections import Counter
@@ -177,10 +178,29 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
     ctx = ctx or _context(cfg, None)
     assert spec.input_gen is not None and spec.body is not None
     inputs = Distinct(spec.input_gen.tree, ctx.strategy, enumerate_tree)
+    cursor = iter(inputs)
     labels: Counter = Counter()
     executed = 0
     dropped = 0
-    for _, raw in inputs:
+    while True:
+        try:
+            _, raw = next(cursor)
+        except StopIteration:
+            break
+        except Exception as exc:  # noqa: BLE001 - a failing generator is a verdict too
+            # not rendered: the input itself may be what failed (too deep to key)
+            return (
+                Verdict(
+                    ERROR,
+                    tests_executed=executed,
+                    tests_dropped=dropped,
+                    message=(
+                        f"{type(exc).__name__}: {exc}"
+                        f" (while drawing input {executed + dropped + 1})"
+                    ),
+                ),
+                labels,
+            )
         try:
             prop = spec.body(*raw) if spec.arity > 1 else spec.body(raw)
             out = prop.check(ctx)
@@ -291,11 +311,19 @@ def run_suite(specs: list[TestSpec], cfg: RunConfig) -> TestReport:
     else:
         tmp = tempfile.TemporaryDirectory(prefix="ndcheck-")
         scratch = Path(tmp.name)
+    # Trees and enumerations make no reference cycles, so automatic cyclic
+    # GC would only rescan the memoised generator trees; a young collection
+    # after each spec frees the cycles a property body makes.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         ctx = _context(cfg, scratch)
         for spec in specs:
             entries.append(_run_spec(spec, cfg, ctx))
+            gc.collect(0)
     finally:
+        if gc_was_enabled:
+            gc.enable()
         if tmp is not None:
             tmp.cleanup()
     return TestReport(tuple(entries))

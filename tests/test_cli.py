@@ -1,5 +1,6 @@
 """Command-line behavior: selection, flags, exit codes, output formats."""
 
+import hashlib
 import json
 
 import pytest
@@ -134,3 +135,23 @@ class TestProofDir:
         code, _, err = run_cli(capsys, f"--proofdir={tmp_path}/nope", "Sort")
         assert code == 2
         assert "proof directory" in err
+
+
+# sha256 of the report printed by
+#   ndcheck Trees Rev ConcDup SumUp BoolTest --maxtests 40 --seed S --format F
+# as first recorded; a change that alters any verdict, count, rendered input
+# or byte of layout changes it.
+PINNED_REPORTS = {
+    ("0", "json"): "e15c24c6f3534bf8731c588c92ae5686d6a0ff4bcaf4d5dc96c67ae985d44cec",
+    ("0", "text"): "fdf8cb14f3ffc875a49f9713505a73b8c540389e44e7bc3caa6b7b0d514bb029",
+    ("1", "json"): "52f6452f2b89d0b3dae2b643bf4b7c9d53af8d7a81961f03403b4bb36c950f85",
+    ("1", "text"): "db7fca9105314714c0c78aec6a38e4c8cba712a7d6adf7776b084231e501b788",
+}
+
+
+@pytest.mark.parametrize("seed, fmt", sorted(PINNED_REPORTS))
+def test_report_matches_pinned_digest(capsys, seed, fmt):
+    argv = ["Trees", "Rev", "ConcDup", "SumUp", "BoolTest", "--maxtests", "40"]
+    code, out, _ = run_cli(capsys, *argv, "--seed", seed, "--format", fmt)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[seed, fmt]

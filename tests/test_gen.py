@@ -19,10 +19,25 @@ from ndcheck.gen import (
     positive_ints,
     tuple_of,
 )
-from ndcheck.searchtree import Strategy, defer, enumerate_tree, fail, take_values
+from ndcheck.searchtree import (
+    Strategy, bind, choice, defer, enumerate_tree, fail, take_values, value,
+)
 from ndcheck.values import canonical
 
 DIAG = Strategy.level_diag()
+
+
+def nested_bind_list_of(g: Generator) -> Generator:
+    """list_of as first written: one bind per element, copying the tail at
+    every level.  The reference for the one-pass definition."""
+
+    def rec():
+        return choice(
+            value([]),
+            bind(g.tree, lambda h: bind(defer(rec), lambda t: value([h] + t))),
+        )
+
+    return Generator(defer(rec), f"[{g.name}]")
 
 
 def distinct(values):
@@ -167,6 +182,31 @@ class TestListOf:
         for length in range(3):
             assert len(by_len[length]) == 3 ** length
 
+    @pytest.mark.parametrize("element", [BaseType.BOOL, BaseType.ORDERING, BaseType.INT, None])
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_same_walk_as_nested_bind_definition(self, element, nested):
+        # same tree shape: values, node counts and end flags agree for every
+        # strategy, seed and budget, also under an outer bind (None: an
+        # element generator with no value)
+        def gen(define):
+            elements = builtin(element) if element is not None else Generator(fail(), "none")
+            lists = define(elements)
+            return pair_of(lists, builtin(BaseType.BOOL)) if nested else lists
+
+        strategies = [Strategy.bfs, Strategy.level_diag] + [
+            lambda budget, seed=seed: Strategy.rand_level_diag(seed, budget) for seed in (0, 1, 7, 42)
+        ]
+        for make in strategies:
+            for budget in (1, 7, 50, 2000):
+                strategy = make(budget)
+                new_gen, old_gen = gen(list_of), gen(nested_bind_list_of)
+                assert new_gen.name == old_gen.name
+                new = enumerate_tree(new_gen.tree, strategy)
+                old = enumerate_tree(old_gen.tree, strategy)
+                assert new.values() == old.values(), strategy
+                assert (new.expansions, new.exhausted, new.budget_exceeded) == (
+                    old.expansions, old.exhausted, old.budget_exceeded,
+                ), strategy
 
 class TestTuples:
     def test_pair_of_bools(self):

@@ -1,10 +1,13 @@
 """Runner verdicts, accounting, and report rendering."""
 
+import gc
 import json
 
 import pytest
 
-from ndcheck.gen import BaseType, Generator, builtin, pair_of
+from ndcheck import registry
+from ndcheck.corpus.trees import Succ, Zero
+from ndcheck.gen import BaseType, Generator, builtin, gen_cons1, pair_of
 from ndcheck.prop import EvalContext, classify, implies, is_equal, returns
 from ndcheck.runner import (
     ERROR,
@@ -294,6 +297,106 @@ class TestRunSuite:
         )
         report = run_suite([spec], RunConfig())
         assert report.entries[0].labels == (("even", 5),)
+
+    def run_after_bad_input(self, gen):
+        """Run a spec over gen, then a plain one: both must get a verdict."""
+        specs = [
+            param_spec(gen, lambda v: is_equal(v, v), name="bad"),
+            TestSpec(name="after", module="M", line=2, kind=UNIT, prop=is_equal(1, 1)),
+        ]
+        report = run_suite(specs, RunConfig())
+        assert [e.name for e in report.entries] == ["bad", "after"]
+        assert report.entries[1].verdict.kind == PASSED
+        return report.entries[0].verdict
+
+    def test_generator_error_is_an_error_verdict(self):
+        def cons(b):
+            if b:
+                raise ValueError("no constructor for True")
+            return b
+
+        verdict = self.run_after_bad_input(gen_cons1(cons, builtin(BaseType.BOOL)))
+        assert verdict.kind == ERROR
+        assert verdict.message.startswith("ValueError: no constructor for True")
+        assert "while drawing input" in verdict.message
+
+    def test_input_too_deep_to_key_is_an_error_verdict(self):
+        deep = Zero()
+        for _ in range(600):
+            deep = Succ(deep)
+        verdict = self.run_after_bad_input(Generator(one_of([Zero(), deep]), "Nat"))
+        assert verdict.kind == ERROR
+        assert verdict.message.startswith("RecursionError: ")
+        assert "while drawing input" in verdict.message
+
+
+@pytest.fixture
+def gc_state():
+    """Give the test the collector to switch; restore it afterwards."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestGcPolicy:
+    """run_suite pauses automatic cyclic GC while specs run, and hands the
+    collector back as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored(self, gc_state, enabled):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        seen = []
+
+        def body(b):
+            seen.append(gc.isenabled())
+            return is_equal(b, b)
+
+        spec = param_spec(builtin(BaseType.BOOL), body)
+        report = run_suite([spec], RunConfig())
+        assert report.entries[0].verdict.kind == PASSED_EXHAUSTIVE
+        assert seen == [False, False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_gc_state_restored_when_body_raises(self, gc_state, exc):
+        def body(b):
+            raise exc("body failed")
+
+        gc.enable()
+        spec = param_spec(builtin(BaseType.BOOL), body)
+        if issubclass(exc, Exception):
+            report = run_suite([spec], RunConfig())
+            assert report.entries[0].verdict.kind == ERROR
+        else:
+            with pytest.raises(exc):
+                run_suite([spec], RunConfig())
+        assert gc.isenabled()
+
+    def test_bundled_suites_leave_no_cyclic_garbage(self, gc_state):
+        # the pause is safe only while runs make no reference cycles: no
+        # collection, during the run or after it, may find garbage
+        found = []
+
+        def on_gc(phase, info):
+            if phase == "stop":
+                found.append(info["collected"])
+
+        gc.disable()
+        gc.collect()
+        specs = registry.specs_for(["Trees", "Rev", "ConcDup", "SumUp", "BoolTest"])
+        gc.callbacks.append(on_gc)
+        try:
+            run_suite(specs, RunConfig(max_tests=40))
+            gc.collect()
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert found and sum(found) == 0
 
 
 class TestExitCodes:
