@@ -50,7 +50,7 @@ from .prop import (
     value_count,
     value_count_less,
 )
-from .registry import contract, io_test, param_test, poly_test, unit_test
+from .registry import contract, param_test, poly_test, unit_test
 from .runner import (
     RunConfig,
     TestReport,

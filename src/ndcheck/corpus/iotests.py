@@ -9,7 +9,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..prop import returns
-from ..registry import io_test
+from ..registry import unit_test
 
 MODULE = "IOTests"
 
@@ -28,6 +28,6 @@ def _write_then_read(scratch: Path) -> str:
     return (scratch / "TEST").read_text()
 
 
-io_test(MODULE, "writeTestFile", returns(_write_hello, None), line=6)
-io_test(MODULE, "readTestFile", returns(_read_test, "Hello"), line=7)
-io_test(MODULE, "writeReadFile", returns(_write_then_read, "Hello"), line=9)
+unit_test(MODULE, "writeTestFile", returns(_write_hello, None), line=6)
+unit_test(MODULE, "readTestFile", returns(_read_test, "Hello"), line=7)
+unit_test(MODULE, "writeReadFile", returns(_write_then_read, "Hello"), line=9)

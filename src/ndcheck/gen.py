@@ -182,21 +182,12 @@ def pair_of(g1: Generator, g2: Generator) -> Generator[tuple]:
 
 
 def tuple_of(*gens: Generator) -> Generator[tuple]:
-    """All tuples across the given generators, built by nesting pairs.
+    """All tuples across the given generators, by nested binds.
 
     Used to feed multi-parameter properties from a single input stream.
     """
     if not gens:
         raise ValueError("tuple_of needs at least one generator")
-    if len(gens) == 1:
-        g = gens[0]
-        return Generator(bind(g.tree, lambda a: value((a,))), f"({g.name},)")
-    acc = pair_of(gens[0], gens[1])
-    for g in gens[2:]:
-        nested = pair_of(acc, g)
-        acc = Generator(
-            bind(nested.tree, lambda p: value(p[0] + (p[1],))),
-            nested.name,
-        )
-    label = "(" + ",".join(g.name for g in gens) + ")"
-    return Generator(acc.tree, label)
+    names = ",".join(g.name for g in gens)
+    label = f"({names},)" if len(gens) == 1 else f"({names})"
+    return Generator(_nested(lambda *args: args, gens), label)

@@ -67,7 +67,6 @@ class Prop:
     """A named, deferred check; evaluation is repeatable given equal context."""
 
     kind: str
-    describe: str
     check: Callable[[EvalContext], Outcome]
 
     def evaluate(self, ctx: EvalContext | None = None) -> Outcome:
@@ -177,7 +176,7 @@ def is_equal(l: TreeLike, r: TreeLike) -> Prop:
             return _SAT
         return Outcome(FALSIFIED, results=_results(lvals, lend, rvals, rend))
 
-    return Prop("is_equal", "single values are identical", check)
+    return Prop("is_equal", check)
 
 
 def same_set(l: TreeLike, r: TreeLike) -> Prop:
@@ -196,7 +195,7 @@ def same_set(l: TreeLike, r: TreeLike) -> Prop:
             return _SAT
         return Outcome(FALSIFIED, results=_results(lvals, lend, rvals, rend))
 
-    return Prop("same_set", "value sets are equal", check)
+    return Prop("same_set", check)
 
 
 def reduces_to(l: TreeLike, r: TreeLike) -> Prop:
@@ -226,7 +225,7 @@ def reduces_to(l: TreeLike, r: TreeLike) -> Prop:
             )
         return _inconclusive("reduces_to", "left", left.end)
 
-    return Prop("reduces_to", "right-side values all reachable", check)
+    return Prop("reduces_to", check)
 
 
 def value_count(e: TreeLike, n: int) -> Prop:
@@ -249,7 +248,7 @@ def value_count(e: TreeLike, n: int) -> Prop:
             )
         return _inconclusive("value_count", "left", end)
 
-    return Prop("value_count", f"has exactly {n} distinct values", check)
+    return Prop("value_count", check)
 
 
 def value_count_less(e: TreeLike, n: int) -> Prop:
@@ -268,7 +267,7 @@ def value_count_less(e: TreeLike, n: int) -> Prop:
             return _SAT
         return _inconclusive("value_count_less", "left", end)
 
-    return Prop("value_count_less", f"has fewer than {n} distinct values", check)
+    return Prop("value_count_less", check)
 
 
 def implies(cond: bool, p: Prop | Callable[[], Prop]) -> Prop:
@@ -285,7 +284,7 @@ def implies(cond: bool, p: Prop | Callable[[], Prop]) -> Prop:
         q = p() if callable(p) and not isinstance(p, Prop) else p
         return q.check(ctx)
 
-    return Prop("implies", "guarded property", check)
+    return Prop("implies", check)
 
 
 def eventually(e: TreeLike) -> Prop:
@@ -305,7 +304,7 @@ def eventually(e: TreeLike) -> Prop:
             return Outcome(FALSIFIED, results="(no True value)")
         return _inconclusive("eventually", "left", BUDGET)
 
-    return Prop("eventually", "some value is True", check)
+    return Prop("eventually", check)
 
 
 def always(e: TreeLike) -> Prop:
@@ -328,7 +327,7 @@ def always(e: TreeLike) -> Prop:
             return _SAT
         return _inconclusive("always", "left", BUDGET)
 
-    return Prop("always", "all values are True", check)
+    return Prop("always", check)
 
 
 def for_all(
@@ -368,7 +367,7 @@ def for_all(
             checked += 1
         return Outcome(SATISFIED, labels=labels)
 
-    return Prop("for_all", "holds for all listed values", check)
+    return Prop("for_all", check)
 
 
 def returns(action: Callable[[Path], Any], expected: Any) -> Prop:
@@ -390,7 +389,7 @@ def returns(action: Callable[[Path], Any], expected: Any) -> Prop:
             return _SAT
         return Outcome(FALSIFIED, results=f"({render(got)},{render(expected)})")
 
-    return Prop("returns", "action returns expected value", check)
+    return Prop("returns", check)
 
 
 def classify(cond: bool, label: str, p: Prop) -> Prop:
@@ -400,7 +399,7 @@ def classify(cond: bool, label: str, p: Prop) -> Prop:
         out = p.check(ctx)
         return out.with_label(label) if cond else out
 
-    return Prop("classify", p.describe, check)
+    return Prop("classify", check)
 
 
 def collect(v: Any, p: Prop) -> Prop:
@@ -409,4 +408,4 @@ def collect(v: Any, p: Prop) -> Prop:
     def check(ctx: EvalContext) -> Outcome:
         return p.check(ctx).with_label(render(v))
 
-    return Prop("collect", p.describe, check)
+    return Prop("collect", check)

@@ -12,7 +12,7 @@ from typing import Callable, Iterable
 from .contracts import ContractEntry, RegistrationError, synthesize
 from .gen import BaseType, Generator
 from .prop import Prop
-from .runner import IO, PARAM, POLY, UNIT, TestSpec
+from .runner import PARAM, POLY, UNIT, TestSpec
 
 _SUITES: dict[str, list[TestSpec]] = {}
 
@@ -54,10 +54,6 @@ def clear(module: str | None = None) -> None:
 
 def unit_test(module: str, name: str, prop: Prop, line: int | None = None) -> TestSpec:
     return register(TestSpec(name=name, module=module, line=line, kind=UNIT, prop=prop))
-
-
-def io_test(module: str, name: str, prop: Prop, line: int | None = None) -> TestSpec:
-    return register(TestSpec(name=name, module=module, line=line, kind=IO, prop=prop))
 
 
 def param_test(

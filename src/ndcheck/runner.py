@@ -30,7 +30,6 @@ from .values import render_args
 UNIT = "unit"
 PARAM = "param"
 POLY = "poly"
-IO = "io"
 
 # spec origins
 USER = "user"
@@ -51,10 +50,10 @@ _PASSING = (PASSED, PASSED_EXHAUSTIVE, SKIPPED_PROVED)
 class TestSpec:
     """A registered, named, located test.
 
-    kind selects the payload: a unit or io test carries a ready property; a
-    parameterized test carries an input generator and a property-producing
-    body; a polymorphic test carries one parameterized instantiation per
-    base type (all four must be present).
+    kind selects the payload: a unit test (effectful ones included) carries
+    a ready property; a parameterized test carries an input generator and a
+    property-producing body; a polymorphic test carries one parameterized
+    instantiation per base type (all four must be present).
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -83,13 +82,13 @@ class RunConfig:
     value_budget: int = 10_000
     proof_dir: str | Path | None = None
     selection: tuple[str, ...] = ()
-    scratch_dir: str | Path | None = None
 
     def __post_init__(self):
         if self.max_tests < 1:
             raise ValueError("max_tests must be >= 1")
         if self.drop_limit < 1:
             raise ValueError("drop_limit must be >= 1")
+        self.strategy  # raises ValueError on a bad kind or node budget
 
     @property
     def strategy(self) -> Strategy:
@@ -125,11 +124,6 @@ class TestReport:
     __test__ = False
 
     entries: tuple[TestEntry, ...]
-
-    @property
-    def summary(self) -> dict[str, int]:
-        counts = Counter(e.verdict.kind for e in self.entries)
-        return dict(sorted(counts.items()))
 
     @property
     def exit_code(self) -> int:
@@ -172,6 +166,14 @@ def instantiate_poly(spec: TestSpec, cfg: RunConfig) -> TestSpec:
     )
 
 
+def _render_input(raw: Any, arity: int) -> str:
+    """render_args, or a placeholder for an input too deep to render."""
+    try:
+        return render_args(raw, arity)
+    except RecursionError:
+        return "<input too deep to render>"
+
+
 def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) -> tuple[Verdict, Counter]:
     """Run one parameterized test: draw de-duplicated inputs, evaluate the
     body per input, and account executed and dropped cases."""
@@ -182,6 +184,10 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
     labels: Counter = Counter()
     executed = 0
     dropped = 0
+
+    def verdict(kind: str, **fields) -> tuple[Verdict, Counter]:
+        return Verdict(kind, tests_executed=executed, tests_dropped=dropped, **fields), labels
+
     while True:
         try:
             _, raw = next(cursor)
@@ -189,30 +195,17 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
             break
         except Exception as exc:  # noqa: BLE001 - a failing generator is a verdict too
             # not rendered: the input itself may be what failed (too deep to key)
-            return (
-                Verdict(
-                    ERROR,
-                    tests_executed=executed,
-                    tests_dropped=dropped,
-                    message=(
-                        f"{type(exc).__name__}: {exc}"
-                        f" (while drawing input {executed + dropped + 1})"
-                    ),
-                ),
-                labels,
+            return verdict(
+                ERROR,
+                message=f"{type(exc).__name__}: {exc} (while drawing input {executed + dropped + 1})",
             )
         try:
             prop = spec.body(*raw) if spec.arity > 1 else spec.body(raw)
             out = prop.check(ctx)
         except Exception as exc:  # noqa: BLE001 - a failing test body is a verdict
-            return (
-                Verdict(
-                    ERROR,
-                    tests_executed=executed,
-                    tests_dropped=dropped,
-                    message=f"{type(exc).__name__}: {exc} (input {render_args(raw, spec.arity)})",
-                ),
-                labels,
+            return verdict(
+                ERROR,
+                message=f"{type(exc).__name__}: {exc} (input {_render_input(raw, spec.arity)})",
             )
         labels.update(out.labels)
         if out.status == DROPPED:
@@ -222,51 +215,28 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
             continue
         if out.status == FALSIFIED:
             executed += 1
-            return (
-                Verdict(
-                    FALSIFIED_V,
-                    tests_executed=executed,
-                    tests_dropped=dropped,
-                    case_index=executed,
-                    arguments=render_args(raw, spec.arity),
-                    results=out.results,
-                    counterexample=raw,
-                ),
-                labels,
+            return verdict(
+                FALSIFIED_V,
+                case_index=executed,
+                arguments=_render_input(raw, spec.arity),
+                results=out.results,
+                counterexample=raw,
             )
         if out.status == INCONCLUSIVE:
-            return (
-                Verdict(
-                    ERROR,
-                    tests_executed=executed,
-                    tests_dropped=dropped,
-                    message=f"{out.detail} (input {render_args(raw, spec.arity)})",
-                ),
-                labels,
-            )
+            return verdict(ERROR, message=f"{out.detail} (input {_render_input(raw, spec.arity)})")
         executed += 1
         if executed >= cfg.max_tests:
-            return Verdict(PASSED, tests_executed=executed, tests_dropped=dropped), labels
+            return verdict(PASSED)
     if inputs.end == BUDGET:
-        return (
-            Verdict(
-                ERROR,
-                tests_executed=executed,
-                tests_dropped=dropped,
-                message=(
-                    f"input generator exceeded the node budget after {executed} tests;"
-                    " domain coverage undecided"
-                ),
+        return verdict(
+            ERROR,
+            message=(
+                f"input generator exceeded the node budget after {executed} tests;"
+                " domain coverage undecided"
             ),
-            labels,
         )
     # input domain ended: full enumeration or drop limit
-    if executed > 0:
-        return (
-            Verdict(PASSED_EXHAUSTIVE, tests_executed=executed, tests_dropped=dropped),
-            labels,
-        )
-    return Verdict(EXHAUSTED_V, tests_executed=0, tests_dropped=dropped), labels
+    return verdict(PASSED_EXHAUSTIVE if executed else EXHAUSTED_V)
 
 
 def _run_prop_once(spec: TestSpec, ctx: EvalContext) -> tuple[Verdict, Counter]:
@@ -305,27 +275,20 @@ def run_suite(specs: list[TestSpec], cfg: RunConfig) -> TestReport:
 
         specs = apply_proofs(specs, scan_proofs(cfg.proof_dir))
     entries: list[TestEntry] = []
-    tmp: tempfile.TemporaryDirectory | None = None
-    if cfg.scratch_dir is not None:
-        scratch = Path(cfg.scratch_dir)
-    else:
-        tmp = tempfile.TemporaryDirectory(prefix="ndcheck-")
-        scratch = Path(tmp.name)
     # Trees and enumerations make no reference cycles, so automatic cyclic
     # GC would only rescan the memoised generator trees; a young collection
     # after each spec frees the cycles a property body makes.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        ctx = _context(cfg, scratch)
-        for spec in specs:
-            entries.append(_run_spec(spec, cfg, ctx))
-            gc.collect(0)
+        with tempfile.TemporaryDirectory(prefix="ndcheck-") as scratch:
+            ctx = _context(cfg, Path(scratch))
+            for spec in specs:
+                entries.append(_run_spec(spec, cfg, ctx))
+                gc.collect(0)
     finally:
         if gc_was_enabled:
             gc.enable()
-        if tmp is not None:
-            tmp.cleanup()
     return TestReport(tuple(entries))
 
 
@@ -345,7 +308,7 @@ def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext) -> TestEntry:
             verdict, labels = run_param(inst, cfg, ctx)
     elif spec.kind == PARAM:
         verdict, labels = run_param(spec, cfg, ctx)
-    elif spec.kind in (UNIT, IO):
+    elif spec.kind == UNIT:
         verdict, labels = _run_prop_once(spec, ctx)
     else:
         verdict = Verdict(ERROR, message=f"unknown spec kind {spec.kind!r}")

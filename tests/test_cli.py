@@ -104,6 +104,11 @@ class TestFlags:
         assert code == 2
         assert "max_tests" in err
 
+    def test_bad_budget_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "--budget=0", "BoolTest")
+        assert code == 2
+        assert "node budget must be positive" in err
+
 
 class TestListOnly:
     def test_lists_names_and_kinds_without_running(self, capsys):
@@ -155,3 +160,23 @@ def test_report_matches_pinned_digest(capsys, seed, fmt):
     code, out, _ = run_cli(capsys, *argv, "--seed", seed, "--format", fmt)
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[seed, fmt]
+
+
+# sha256 of the report printed by
+#   ndcheck Perm Sort IsSet IOTests --maxtests 40 --seed S --format F
+# as first recorded; covers eventually (Perm), always (Sort's postcondition
+# contracts), value_count_less (IsSet) and the effectful unit tests.
+PINNED_REPORTS_REST = {
+    ("0", "json"): "9d2d76fabf235adadf8e22c670b1b9334cd2307adec018b84bd7ac09e38247eb",
+    ("0", "text"): "7c0066550b45f5aaff69e83d73457b11c4169e1d1df119c0b8fbab9726a8e27d",
+    ("1", "json"): "f20a1f55e546a848451b66c562b391ea03010c932d2873ac32520604911e66fc",
+    ("1", "text"): "7157cf6e72c12363d9f32ecb87b46187d18badf51fdc23749b4f3b32c8d360e4",
+}
+
+
+@pytest.mark.parametrize("seed, fmt", sorted(PINNED_REPORTS_REST))
+def test_rest_of_corpus_matches_pinned_digest(capsys, seed, fmt):
+    argv = ["Perm", "Sort", "IsSet", "IOTests", "--maxtests", "40"]
+    code, out, _ = run_cli(capsys, *argv, "--seed", seed, "--format", fmt)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS_REST[seed, fmt]

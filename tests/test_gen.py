@@ -40,6 +40,40 @@ def nested_bind_list_of(g: Generator) -> Generator:
     return Generator(defer(rec), f"[{g.name}]")
 
 
+def nested_pair_tuple_of(*gens: Generator) -> Generator:
+    """tuple_of as first written: nest pairs, then re-bind each pair to
+    flatten it.  The reference for the nested-bind definition."""
+    if len(gens) == 1:
+        g = gens[0]
+        return Generator(bind(g.tree, lambda a: value((a,))), f"({g.name},)")
+    acc = pair_of(gens[0], gens[1])
+    for g in gens[2:]:
+        nested = pair_of(acc, g)
+        acc = Generator(bind(nested.tree, lambda p: value(p[0] + (p[1],))), nested.name)
+    return Generator(acc.tree, "(" + ",".join(g.name for g in gens) + ")")
+
+
+STRATEGY_MAKERS = [Strategy.bfs, Strategy.level_diag] + [
+    lambda budget, seed=seed: Strategy.rand_level_diag(seed, budget) for seed in (0, 1, 7, 42)
+]
+
+
+def assert_same_walks(build_new, build_old):
+    """Generators freshly built by the two builders give the same values,
+    node counts and end flags for every strategy, seed and budget."""
+    for make in STRATEGY_MAKERS:
+        for budget in (1, 7, 50, 2000):
+            strategy = make(budget)
+            new_gen, old_gen = build_new(), build_old()
+            assert new_gen.name == old_gen.name
+            new = enumerate_tree(new_gen.tree, strategy)
+            old = enumerate_tree(old_gen.tree, strategy)
+            assert new.values() == old.values(), strategy
+            assert (new.expansions, new.exhausted, new.budget_exceeded) == (
+                old.expansions, old.exhausted, old.budget_exceeded,
+            ), strategy
+
+
 def distinct(values):
     seen = set()
     out = []
@@ -193,20 +227,7 @@ class TestListOf:
             lists = define(elements)
             return pair_of(lists, builtin(BaseType.BOOL)) if nested else lists
 
-        strategies = [Strategy.bfs, Strategy.level_diag] + [
-            lambda budget, seed=seed: Strategy.rand_level_diag(seed, budget) for seed in (0, 1, 7, 42)
-        ]
-        for make in strategies:
-            for budget in (1, 7, 50, 2000):
-                strategy = make(budget)
-                new_gen, old_gen = gen(list_of), gen(nested_bind_list_of)
-                assert new_gen.name == old_gen.name
-                new = enumerate_tree(new_gen.tree, strategy)
-                old = enumerate_tree(old_gen.tree, strategy)
-                assert new.values() == old.values(), strategy
-                assert (new.expansions, new.exhausted, new.budget_exceeded) == (
-                    old.expansions, old.exhausted, old.budget_exceeded,
-                ), strategy
+        assert_same_walks(lambda: gen(list_of), lambda: gen(nested_bind_list_of))
 
 class TestTuples:
     def test_pair_of_bools(self):
@@ -234,3 +255,20 @@ class TestTuples:
     def test_tuple_of_empty_rejected(self):
         with pytest.raises(ValueError):
             tuple_of()
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    @pytest.mark.parametrize("component", ["bool", "ordering", "int", "bool_list", "singleton"])
+    def test_same_walk_as_nested_pair_definition(self, arity, component):
+        # same choice structure: values, node counts and end flags agree
+        # for every strategy, seed and budget
+        def make():
+            if component == "bool_list":
+                return list_of(builtin(BaseType.BOOL))
+            if component == "singleton":
+                return gen_cons0(1)
+            return builtin(BaseType(component))
+
+        assert_same_walks(
+            lambda: tuple_of(*(make() for _ in range(arity))),
+            lambda: nested_pair_tuple_of(*(make() for _ in range(arity))),
+        )

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import threading
 
 import pytest
 
@@ -13,7 +14,6 @@ from ndcheck.runner import (
     ERROR,
     EXHAUSTED_V,
     FALSIFIED_V,
-    IO,
     PARAM,
     PASSED,
     PASSED_EXHAUSTIVE,
@@ -30,7 +30,7 @@ from ndcheck.runner import (
     run_param,
     run_suite,
 )
-from ndcheck.searchtree import Strategy, choice, defer, enumerate_tree, one_of, value
+from ndcheck.searchtree import Strategy, choice, defer, enumerate_tree, fail, one_of, value
 from ndcheck.values import canonical
 
 
@@ -264,8 +264,8 @@ class TestRunSuite:
             return (p / "TEST").read_text()
 
         specs = [
-            TestSpec(name="w", module="IO", line=1, kind=IO, prop=returns(write, None)),
-            TestSpec(name="r", module="IO", line=2, kind=IO, prop=returns(read, "Hello")),
+            TestSpec(name="w", module="IO", line=1, kind=UNIT, prop=returns(write, None)),
+            TestSpec(name="r", module="IO", line=2, kind=UNIT, prop=returns(read, "Hello")),
         ]
         report = run_suite(specs, RunConfig())
         assert [e.verdict.kind for e in report.entries] == [PASSED, PASSED]
@@ -328,6 +328,77 @@ class TestRunSuite:
         assert verdict.kind == ERROR
         assert verdict.message.startswith("RecursionError: ")
         assert "while drawing input" in verdict.message
+
+
+def run_on_fresh_thread(fn):
+    """fn() on a fresh thread, whose stack starts empty, so the depth of the
+    test runner's own stack does not count; its result or RecursionError."""
+    result: list = []
+
+    def target():
+        try:
+            result.append(fn())
+        except RecursionError as exc:
+            result.append(exc)
+
+    worker = threading.Thread(target=target)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    return result[0]
+
+
+class TestDeepInputRendering:
+    """An input deep enough to key but too deep to render keeps its verdict
+    kind and counts; only its rendering becomes a placeholder."""
+
+    # canonical keys a nested list at two frames per level, render needs
+    # three: this depth keys within the recursion limit but does not render
+    DEPTH = 400
+    TOO_DEEP = "<input too deep to render>"
+
+    def verdict_for(self, body, **cfg):
+        deep: list = []
+        for _ in range(self.DEPTH):
+            deep = [deep]
+        # bfs draws [] first, then the deep list
+        spec = param_spec(Generator(one_of([[], deep]), "Nested"), body)
+        report = run_on_fresh_thread(
+            lambda: run_suite([spec], RunConfig(strategy_kind="bfs", **cfg))
+        )
+        assert isinstance(report, TestReport), report
+        return report.entries[0].verdict
+
+    def test_falsified(self):
+        verdict = self.verdict_for(lambda v: is_equal(len(v), 0))
+        assert verdict.kind == FALSIFIED_V
+        assert (verdict.tests_executed, verdict.case_index) == (2, 2)
+        assert verdict.arguments == self.TOO_DEEP
+        assert verdict.results == "(1,0)"
+
+    def test_body_error(self):
+        def body(v):
+            if v:
+                raise ValueError("boom")
+            return is_equal(1, 1)
+
+        verdict = self.verdict_for(body)
+        assert verdict.kind == ERROR
+        assert verdict.tests_executed == 1
+        assert verdict.message == f"ValueError: boom (input {self.TOO_DEEP})"
+
+    def test_inconclusive(self):
+        def no_values():
+            return choice(fail(), defer(no_values))
+
+        verdict = self.verdict_for(
+            lambda v: is_equal(defer(no_values) if v else 1, 1), node_budget=50
+        )
+        assert verdict.kind == ERROR
+        assert verdict.tests_executed == 1
+        assert verdict.message == (
+            f"is_equal: left side undecided (node budget exceeded) (input {self.TOO_DEEP})"
+        )
 
 
 @pytest.fixture
