@@ -88,6 +88,8 @@ class RunConfig:
             raise ValueError("max_tests must be >= 1")
         if self.drop_limit < 1:
             raise ValueError("drop_limit must be >= 1")
+        if self.value_budget < 1:
+            raise ValueError("value_budget must be >= 1")
         self.strategy  # raises ValueError on a bad kind or node budget
 
     @property

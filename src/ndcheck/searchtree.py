@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from random import Random
 from typing import Any, Callable, Generic, Iterator, TypeVar, Union
 
@@ -254,17 +253,14 @@ class Strategy:
         return Strategy(RAND_LEVEL_DIAG, seed, node_budget)
 
 
-class _BudgetStop(Exception):
-    pass
-
-
 class Enumeration(Generic[A]):
     """Single-consumer cursor over a tree's values under one strategy.
 
     Iterate to pull values lazily.  Once iteration stops on its own, exactly
     one of ``exhausted`` (whole tree expanded) or ``budget_exceeded`` is set;
     if the consumer stopped early, both stay False.  ``expansions`` counts
-    visited tree nodes.
+    visited tree nodes; it is current whenever a value is handed out and
+    once the walk stops.
     """
 
     def __init__(self, tree: SearchTree[A], strategy: Strategy):
@@ -286,142 +282,136 @@ class Enumeration(Generic[A]):
         return list(self._iter)
 
     # Budget accounting: one unit per node visited (value and fail leaves
-    # included); a chain of deferred thunks collapses within a single visit.
-
-    def _visit(self, node: SearchTree[A]) -> SearchTree[A]:
-        if self.expansions >= self.strategy.node_budget:
-            self.budget_exceeded = True
-            raise _BudgetStop
-        self.expansions += 1
-        while True:
-            if isinstance(node, DeferredNode):
-                node = node.forced
-            elif isinstance(node, BindNode):
-                node = node.normalized
-            else:
-                return node
+    # included); a chain of deferred and bind nodes collapses within a single
+    # visit.  Each walk is one loop that visits a node in one place, where it
+    # checks the budget; anything that is not a search tree is a dead leaf.
+    # A normalized BindNode is read from its memo, which is always a tree.
 
     def _walk_bfs(self, root: SearchTree[A]) -> Iterator[A]:
+        budget = self.strategy.node_budget
+        expansions = 0
         queue: deque[SearchTree[A]] = deque([root])
         try:
             while queue:
-                node = self._visit(queue.popleft())
-                if isinstance(node, ValueNode):
+                node = queue.popleft()
+                if expansions >= budget:
+                    self.budget_exceeded = True
+                    return
+                expansions += 1
+                while True:
+                    t = type(node)
+                    if t is DeferredNode:
+                        node = node.forced
+                    elif t is BindNode:
+                        node = node._norm or node.normalized
+                    else:
+                        break
+                if t is ValueNode:
+                    self.expansions = expansions
                     yield node.payload
-                elif isinstance(node, OrNode):
+                elif t is OrNode:
                     queue.append(node.left)
                     queue.append(node.right)
-        except _BudgetStop:
-            return
-        self.exhausted = True
+            self.exhausted = True
+        finally:
+            self.expansions = expansions
 
     def _walk_level_diag(self, root: SearchTree[A], rng: Random | None) -> Iterator[A]:
-        try:
-            walk = _LevelWalk(self, root, rng)
-        except _BudgetStop:
-            return
-        # One cursor per level; a heap keyed by (level + position, level)
-        # realizes the diagonal order while probing each position once.
-        pending: list[tuple[int, int]] = [(0, 0)]
-        try:
-            while pending:
-                diag, lev = heappop(pending)
-                pos = diag - lev
-                node = walk.node_at(lev, pos)
-                if pos == 0 and node is not None:
-                    heappush(pending, (lev + 1, lev + 1))
-                if node is None:
-                    continue
-                heappush(pending, (diag + 1, lev))
-                if isinstance(node, ValueNode):
-                    yield node.payload
-        except _BudgetStop:
-            return
-        self.exhausted = True
+        """Cantor diagonalization over (level, position in level).
 
-
-class _Level:
-    """One tree level, materialized on demand from the level above."""
-
-    __slots__ = ("nodes", "feed_pos", "done")
-
-    def __init__(self):
-        self.nodes: list[SearchTree] = []   # classified nodes, left to right
-        self.feed_pos = 0                   # next parent node index to consume
-        self.done = False                   # no further nodes can ever appear
-
-
-class _LevelWalk:
-    """Demand-driven level decomposition for the diagonalizing strategies.
-
-    A node's level is its number of choice edges from the root.  Values are
-    emitted by Cantor diagonalization over (level, position-in-level): the
-    value leaf at position p of level l comes out at diagonal l+p.  Each
-    level is materialized left to right only as far as probed, so expansion
-    work stays proportional to the emitted prefix.  Levels of a binary tree
-    are finite, hence every finite-depth value appears after finitely many
-    diagonals.
-    """
-
-    def __init__(self, enum: Enumeration, root: SearchTree, rng: Random | None):
-        self._enum = enum
-        self._rng = rng
-        lvl0 = _Level()
-        lvl0.done = True
-        self.levels = [lvl0]
-        self._append(lvl0, root)
-
-    def _append(self, level: _Level, node: SearchTree) -> None:
-        node = self._enum._visit(node)
-        level.nodes.append(node)
-
-    def node_at(self, lev: int, pos: int) -> SearchTree | None:
-        """Node at position pos of level lev, or None if the level is shorter."""
-        levels = self.levels
-        while lev >= len(levels):
-            levels.append(_Level())
-        level = levels[lev]
-        while len(level.nodes) <= pos and not level.done:
-            if not self._grow(lev):
-                break
-        return level.nodes[pos] if pos < len(level.nodes) else None
-
-    def _grow(self, lev: int) -> bool:
-        """Append nodes to level lev; False once the level is complete.
-
-        Iterative so that deep, narrow trees cannot blow the interpreter
-        recursion limit: when a level's feed is starved we step down to grow
-        its parent, then climb back.
+        A node's level is its number of choice edges from the root; the
+        value leaf at position p of level l comes out on diagonal l+p.  Each
+        level is materialized left to right only as far as probed, so work
+        stays proportional to the emitted prefix, and levels of a binary
+        tree are finite, so every finite-depth value appears after finitely
+        many diagonals.  Growing a level whose feed is starved steps down to
+        grow the level above it and climbs back, without recursion, so deep,
+        narrow trees cannot blow the interpreter recursion limit.
         """
-        li = lev
-        while True:
-            level = self.levels[li]
-            if level.done:
-                if li == lev:
-                    return False
-                li += 1
-                continue
-            parent = self.levels[li - 1]
-            if level.feed_pos < len(parent.nodes):
-                node = parent.nodes[level.feed_pos]
-                level.feed_pos += 1
-                if isinstance(node, OrNode):
-                    left, right = node.left, node.right
-                    if self._rng is not None and self._rng.getrandbits(1):
-                        left, right = right, left
-                    self._append(level, left)
-                    self._append(level, right)
-                    if li == lev:
-                        return True
-                    li += 1
-                continue
-            if parent.done:
-                level.done = True
-                if li == lev:
-                    return False
-                li += 1
-                continue
-            li -= 1
+        budget = self.strategy.node_budget
+        flip = rng.getrandbits if rng is not None else None
+        expansions = 0
+        # Per level: its nodes so far, left to right; the index of the next
+        # node of the level above to expand into it; whether it is complete.
+        # Level 0 stands in above the tree: its one node has the root as its
+        # only child, so tree level l is level l+1 here.
+        nodes: list[list] = [[None], []]
+        fed = [0, 0]
+        done = [True, False]
+        active = [1]   # levels still probed, ascending
+        diag = 1
+        try:
+            while active:
+                still = []
+                for lev in active:
+                    pos = diag - lev
+                    row = nodes[lev]
+                    li = lev
+                    while len(row) <= pos:   # grow level lev up to pos
+                        if done[li]:
+                            if li == lev:
+                                break
+                            li += 1
+                            continue
+                        above = nodes[li - 1]
+                        f = fed[li]
+                        if f < len(above):
+                            fed[li] = f + 1
+                            node = above[f]
+                            if type(node) is OrNode:   # force left, then right
+                                left = node._left
+                                if callable(left):
+                                    left = node._left = left()
+                                right = node._right
+                                if callable(right):
+                                    right = node._right = right()
+                                if flip is not None and flip(1):
+                                    kids = (right, left)
+                                else:
+                                    kids = (left, right)
+                            elif li == 1:
+                                kids = (root,)
+                            else:
+                                continue   # a leaf has no children
+                            for kid in kids:
+                                if expansions >= budget:
+                                    self.budget_exceeded = True
+                                    return
+                                expansions += 1
+                                while True:
+                                    t = type(kid)
+                                    if t is DeferredNode:
+                                        kid = kid.forced
+                                    elif t is BindNode:
+                                        kid = kid._norm or kid.normalized
+                                    else:
+                                        break
+                                nodes[li].append(kid)
+                            if li < lev:
+                                li += 1
+                        elif done[li - 1]:
+                            done[li] = True
+                            if li < lev:
+                                li += 1
+                        else:
+                            li -= 1
+                    if pos >= len(row):
+                        continue   # level lev is shorter: it drops out
+                    still.append(lev)
+                    if pos == 0:   # the level below joins on the next diagonal
+                        still.append(lev + 1)
+                        nodes.append([])
+                        fed.append(0)
+                        done.append(False)
+                    node = row[pos]
+                    if type(node) is ValueNode:
+                        self.expansions = expansions
+                        yield node.payload
+                active = still
+                diag += 1
+            self.exhausted = True
+        finally:
+            self.expansions = expansions
 
 
 def enumerate_tree(t: SearchTree[A], strategy: Strategy | None = None) -> Enumeration[A]:

@@ -25,8 +25,10 @@ def canonical(v: Any) -> Any:
     True and 1 key apart, as do 1 and 1.0; every float NaN keys alike.
     Containers are frozen recursively (set and frozenset alike), dataclasses
     keyed by type and fields; other hashable values (enum members) are their
-    own key, unhashable ones are keyed by type and repr.  Two Python frames
-    per nesting level keep ~490 levels within the default recursion limit.
+    own key, unhashable ones are keyed by type and repr.  Scalar elements
+    of a list or tuple are keyed inline, without a call of their own.  Two
+    Python frames per nesting level keep ~490 levels within the default
+    recursion limit.
     """
     t = type(v)
     if t in _SCALARS:
@@ -34,7 +36,8 @@ def canonical(v: Any) -> Any:
             return (float, "nan")
         return (t, v)
     if t is list or t is tuple:
-        return (t, tuple([canonical(x) for x in v]))
+        return (t, tuple([(tx, x) if (tx := type(x)) in _SCALARS and x == x else canonical(x)
+                          for x in v]))
     try:
         names = _FIELDS[t]
     except KeyError:

@@ -2,12 +2,16 @@
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, deque
+from heapq import heappop, heappush
 
 import pytest
 
+from ndcheck.corpus.trees import gen_tree
+from ndcheck.gen import BaseType, builtin, list_of
 from ndcheck.searchtree import (
     BFS,
+    RAND_LEVEL_DIAG,
     BindNode,
     DeferredNode,
     Enumeration,
@@ -234,3 +238,260 @@ class TestStrategyValidation:
             for _ in range(3)
         ]
         assert runs[0] == runs[1] == runs[2]
+
+
+# -- the walks as first written ---------------------------------------------
+
+
+class _BudgetStop(Exception):
+    pass
+
+
+class LevelWalkEnumeration:
+    """Enumeration as first written: one ``_visit`` call per node, a
+    ``_LevelWalk`` of ``_Level`` cursors and a heap of (diagonal, level)
+    entries.  The reference for the one-loop walks of ``Enumeration``."""
+
+    def __init__(self, tree, strategy):
+        self.strategy = strategy
+        self.exhausted = False
+        self.budget_exceeded = False
+        self.expansions = 0
+        if strategy.kind == BFS:
+            self._iter = self._walk_bfs(tree)
+        else:
+            rng = random.Random(strategy.seed) if strategy.kind == RAND_LEVEL_DIAG else None
+            self._iter = self._walk_level_diag(tree, rng)
+
+    def __iter__(self):
+        return self._iter
+
+    def _visit(self, node):
+        if self.expansions >= self.strategy.node_budget:
+            self.budget_exceeded = True
+            raise _BudgetStop
+        self.expansions += 1
+        while True:
+            if isinstance(node, DeferredNode):
+                node = node.forced
+            elif isinstance(node, BindNode):
+                node = node.normalized
+            else:
+                return node
+
+    def _walk_bfs(self, root):
+        queue = deque([root])
+        try:
+            while queue:
+                node = self._visit(queue.popleft())
+                if isinstance(node, ValueNode):
+                    yield node.payload
+                elif isinstance(node, OrNode):
+                    queue.append(node.left)
+                    queue.append(node.right)
+        except _BudgetStop:
+            return
+        self.exhausted = True
+
+    def _walk_level_diag(self, root, rng):
+        try:
+            walk = _LevelWalk(self, root, rng)
+        except _BudgetStop:
+            return
+        # One cursor per level; a heap keyed by (level + position, level)
+        # realizes the diagonal order while probing each position once.
+        pending = [(0, 0)]
+        try:
+            while pending:
+                diag, lev = heappop(pending)
+                pos = diag - lev
+                node = walk.node_at(lev, pos)
+                if pos == 0 and node is not None:
+                    heappush(pending, (lev + 1, lev + 1))
+                if node is None:
+                    continue
+                heappush(pending, (diag + 1, lev))
+                if isinstance(node, ValueNode):
+                    yield node.payload
+        except _BudgetStop:
+            return
+        self.exhausted = True
+
+
+class _Level:
+    """One tree level, materialized on demand from the level above."""
+
+    __slots__ = ("nodes", "feed_pos", "done")
+
+    def __init__(self):
+        self.nodes = []     # classified nodes, left to right
+        self.feed_pos = 0   # next parent node index to consume
+        self.done = False   # no further nodes can ever appear
+
+
+class _LevelWalk:
+    """Demand-driven level decomposition for the diagonalizing strategies."""
+
+    def __init__(self, enum, root, rng):
+        self._enum = enum
+        self._rng = rng
+        lvl0 = _Level()
+        lvl0.done = True
+        self.levels = [lvl0]
+        self._append(lvl0, root)
+
+    def _append(self, level, node):
+        node = self._enum._visit(node)
+        level.nodes.append(node)
+
+    def node_at(self, lev, pos):
+        """Node at position pos of level lev, or None if the level is shorter."""
+        levels = self.levels
+        while lev >= len(levels):
+            levels.append(_Level())
+        level = levels[lev]
+        while len(level.nodes) <= pos and not level.done:
+            if not self._grow(lev):
+                break
+        return level.nodes[pos] if pos < len(level.nodes) else None
+
+    def _grow(self, lev):
+        """Append nodes to level lev; False once the level is complete."""
+        li = lev
+        while True:
+            level = self.levels[li]
+            if level.done:
+                if li == lev:
+                    return False
+                li += 1
+                continue
+            parent = self.levels[li - 1]
+            if level.feed_pos < len(parent.nodes):
+                node = parent.nodes[level.feed_pos]
+                level.feed_pos += 1
+                if isinstance(node, OrNode):
+                    left, right = node.left, node.right
+                    if self._rng is not None and self._rng.getrandbits(1):
+                        left, right = right, left
+                    self._append(level, left)
+                    self._append(level, right)
+                    if li == lev:
+                        return True
+                    li += 1
+                continue
+            if parent.done:
+                level.done = True
+                if li == lev:
+                    return False
+                li += 1
+                continue
+            li -= 1
+
+
+WALK_STRATEGY_MAKERS = [Strategy.bfs, Strategy.level_diag] + [
+    lambda budget, seed=seed: Strategy.rand_level_diag(seed, budget) for seed in (0, 1, 7, 42)
+]
+WALK_BUDGETS = (1, 2, 3, 7, 50, 2000)
+
+
+def walk_record(enum, forced):
+    """Each value with the node count read right after it, the end state,
+    and the order in which the tree's thunks were forced."""
+    steps = [(v, enum.expansions) for v in enum]
+    return steps, enum.expansions, enum.exhausted, enum.budget_exceeded, list(forced)
+
+
+def assert_same_as_level_walk(build, budgets=WALK_BUDGETS):
+    """A tree freshly built by build(log) walks the same under Enumeration
+    as under the reference, for every strategy, seed and budget; log is a
+    list the tree's thunks may append to as they are forced."""
+    for make in WALK_STRATEGY_MAKERS:
+        for budget in budgets:
+            strategy = make(budget)
+            new_log, old_log = [], []
+            new = walk_record(Enumeration(build(new_log), strategy), new_log)
+            old = walk_record(LevelWalkEnumeration(build(old_log), strategy), old_log)
+            assert new == old, strategy
+
+
+def logged(label, tree, log):
+    """Thunk for tree that records label in log when forced."""
+
+    def thunk():
+        log.append(label)
+        return tree
+
+    return thunk
+
+
+def random_lazy_tree(rng, log, depth=0):
+    """Random finite tree with value, fail, choice, defer and bind nodes;
+    thunks record their label in log when forced."""
+    r = rng.random()
+    if depth >= 6 or r < 0.3:
+        return value(rng.randrange(5))
+    if r < 0.4:
+        return fail()
+    if r < 0.55:
+        return defer(logged(rng.random(), random_lazy_tree(rng, log, depth + 1), log))
+    if r < 0.7:
+        offset = rng.randrange(3)
+        right = random_lazy_tree(rng, log, depth + 1)
+        return bind(
+            random_lazy_tree(rng, log, depth + 1),
+            lambda a: choice(value(a + offset), right) if a % 2 else value(a * 10 + offset),
+        )
+    if r < 0.8:
+        return OrNode(*[logged(rng.random(), random_lazy_tree(rng, log, depth + 1), log)
+                        for _ in range(2)])
+    return choice(random_lazy_tree(rng, log, depth + 1), random_lazy_tree(rng, log, depth + 1))
+
+
+def deep_spine(depth, log):
+    """A tree depth levels deep with one choice node per level: a fail leaf
+    beside the rest of the spine, which ends in one value."""
+
+    def level(k):
+        if k == depth:
+            return value(depth)
+        log.append(k)
+        return choice(fail(), bind(defer(lambda: level(k + 1)), value))
+
+    return defer(lambda: level(0))
+
+
+class TestSameWalkAsLevelWalk:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_lazy_trees(self, seed):
+        for i in range(5):
+            assert_same_as_level_walk(
+                lambda log: random_lazy_tree(random.Random(seed * 100 + i), log)
+            )
+
+    def test_infinite_tree(self):
+        assert_same_as_level_walk(
+            lambda log: bind(nat_chain(), lambda n: choice(value(n), defer(lambda: nat_chain(n))))
+        )
+
+    def test_int_lists(self):
+        assert_same_as_level_walk(lambda log: list_of(builtin(BaseType.INT)).tree)
+
+    def test_rose_trees(self):
+        assert_same_as_level_walk(lambda log: gen_tree(builtin(BaseType.ORDERING)).tree)
+
+    def test_deep_narrow_tree(self):
+        assert_same_as_level_walk(
+            lambda log: deep_spine(10_000, log), budgets=WALK_BUDGETS + (25_000,)
+        )
+
+
+# expansions after the first 10,001 values of list_of(builtin(INT)) at seed 0,
+# recorded with the walk as first written
+PINNED_NODE_COUNTS = {"rand_level_diag": 80233, "level_diag": 79319, "bfs": 99046}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_NODE_COUNTS))
+def test_int_list_node_counts_pinned(kind):
+    e = enumerate_tree(list_of(builtin(BaseType.INT)).tree, Strategy(kind, 0))
+    assert sum(1 for _ in itertools.islice(e, 10_001)) == 10_001
+    assert e.expansions == PINNED_NODE_COUNTS[kind]

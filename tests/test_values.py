@@ -1,7 +1,9 @@
 """The keying contract of values.canonical: same type and ==, recursively."""
 
+import dataclasses
 import enum
 import math
+import random
 import sys
 import threading
 
@@ -144,3 +146,100 @@ def test_490_levels_key_under_the_default_recursion_limit(build):
     worker.join(timeout=30)
     assert not worker.is_alive()
     assert result == [True]
+
+
+_PARENT_FIELDS: dict = {}
+
+
+def recursive_canonical(v):
+    """canonical as first written: one recursive call per list or tuple
+    element.  The reference for keying scalar elements inline."""
+    t = type(v)
+    if t in (bool, int, float, str, bytes):
+        if t is float and v != v:
+            return (float, "nan")
+        return (t, v)
+    if t is list or t is tuple:
+        return (t, tuple([recursive_canonical(x) for x in v]))
+    try:
+        names = _PARENT_FIELDS[t]
+    except KeyError:
+        dc = dataclasses.is_dataclass(t)
+        names = _PARENT_FIELDS[t] = tuple(f.name for f in dataclasses.fields(t)) if dc else None
+    if names is not None:
+        return (t, *[recursive_canonical(getattr(v, n)) for n in names])
+    if t is dict:
+        return (dict, frozenset([(recursive_canonical(k), recursive_canonical(x)) for k, x in v.items()]))
+    if t is set or t is frozenset:
+        return (frozenset, frozenset([recursive_canonical(x) for x in v]))
+    try:
+        hash(v)
+        return v
+    except TypeError:
+        return (t, "repr", repr(v))
+
+
+class TestInlineScalarElements:
+    @pytest.mark.parametrize("a,b", [
+        ([True, 1], [1, 1]),
+        ((True, 1), (1, 1)),
+        ([False], [0]),
+        ([1.0], [1]),
+        ((1.0,), (1,)),
+        (["a"], [b"a"]),
+        (("a",), (b"a",)),
+        ([1], [[1]]),
+        ([(1,)], [[1]]),
+        ([1, [2]], [1, (2,)]),
+        ([Color.RED], [1]),
+    ])
+    def test_key_apart(self, a, b):
+        assert canonical(a) != canonical(b)
+
+    @pytest.mark.parametrize("wrap", [list, tuple])
+    def test_distinct_nan_objects_key_alike_as_elements(self, wrap):
+        a, b = float("nan"), float("nan")
+        assert a is not b
+        assert canonical(wrap([a, 1, a])) == canonical(wrap([b, 1, b]))
+        assert canonical(wrap([a])) == (wrap, ((float, "nan"),))
+        assert canonical(wrap([a])) != canonical(wrap([math.inf]))
+
+    @pytest.mark.parametrize("v", [
+        [1, "x", b"y", 2.5, True, None],
+        (1, [2, (3, "x")], Leaf(1), Ordering.GT),
+        [[], (), [[0.0, -0.0]], {1: [True]}, {(1, 2)}],
+        [Succ(Zero()), tree(Ordering.LT, Ordering.EQ), Unhashable([1])],
+        [Tagged([1, 2]), Color.BLUE, bytearray(b"z")],
+    ])
+    def test_mixed_nesting_keys_as_before(self, v):
+        assert canonical(v) == recursive_canonical(v)
+
+    def test_random_nested_values_key_as_before(self):
+        rng = random.Random(5)
+
+        def scalar():
+            return rng.choice([
+                rng.randrange(-3, 4), rng.random() < 0.5, rng.choice([0.0, -0.0, 1.0, 2.5]),
+                float("nan"), rng.choice(["", "a", "1"]), rng.choice([b"", b"a"]), None,
+                rng.choice(list(Ordering)), rng.choice(list(Color)),
+            ])
+
+        def nested(depth):
+            r = rng.random()
+            if depth >= 4 or r < 0.35:
+                return scalar()
+            items = [nested(depth + 1) for _ in range(rng.randrange(4))]
+            if r < 0.6:
+                return items
+            if r < 0.8:
+                return tuple(items)
+            if r < 0.87:
+                return Leaf(items[0] if items else scalar())
+            if r < 0.94:
+                return Tagged(items)
+            return {i: x for i, x in enumerate(items)}
+
+        values = [nested(0) for _ in range(400)]
+        keys = [canonical(v) for v in values]
+        assert keys == [recursive_canonical(v) for v in values]
+        assert len(set(keys)) > 200
