@@ -339,21 +339,21 @@ def for_all(
     Accepts a concrete sequence, a search tree or generator (enumerated
     de-duplicated under the context strategy), or a thunk producing an
     iterable.  Consumption is bounded by the context's for_all_limit;
-    dropped cases do not count toward that bound.
+    dropped cases do not count toward that bound.  A tree or generator whose
+    node budget runs out before that bound is reached is undecided.
     """
 
-    def source(ctx: EvalContext) -> Iterable:
+    def check(ctx: EvalContext) -> Outcome:
+        cursor = None
         if isinstance(values, (Generator, SearchTree)):
             tree = values.tree if isinstance(values, Generator) else values
-            return (v for _, v in Distinct(tree, ctx.strategy, enumerate_tree))
-        if callable(values):
-            return values()
-        return values
-
-    def check(ctx: EvalContext) -> Outcome:
+            cursor = Distinct(tree, ctx.strategy, enumerate_tree)
+            source: Iterable = (v for _, v in cursor)
+        else:
+            source = values() if callable(values) else values
         checked = 0
         labels: tuple[str, ...] = ()
-        for v in source(ctx):
+        for v in source:
             if checked >= ctx.for_all_limit:
                 break
             out = pf(v).check(ctx)
@@ -365,6 +365,8 @@ def for_all(
             if out.status == DROPPED:
                 continue
             checked += 1
+        if cursor is not None and cursor.end == BUDGET and checked < ctx.for_all_limit:
+            return _inconclusive("for_all", "left", BUDGET)
         return Outcome(SATISFIED, labels=labels)
 
     return Prop("for_all", check)

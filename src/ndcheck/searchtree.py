@@ -97,37 +97,20 @@ class DeferredNode(SearchTree[A]):
         return "DeferredNode(..)"
 
 
-class _Cont:
-    """Linked list of pending leaf transformations for BindNode."""
-
-    __slots__ = ("fn", "next")
-
-    def __init__(self, fn: Callable[[Any], SearchTree], nxt: "_Cont | None"):
-        self.fn = fn
-        self.next = nxt
-
-
-def _cont_concat(a: _Cont | None, b: _Cont | None) -> _Cont | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return _Cont(a.fn, _cont_concat(a.next, b))
-
-
 class BindNode(SearchTree[A]):
-    """Tree under a stack of pending value-leaf substitutions.
+    """Tree under a chain of pending value-leaf substitutions, applied in order.
 
-    Normalization peels one constructor at a time: a choice node splits into
-    two bind nodes sharing the continuation, a value leaf runs the next
-    transformation.  Nested binds flatten into one continuation list, so
-    walking a deeply composed tree costs O(1) per node instead of one Python
-    frame per composition layer.
+    The chain is made of pairs ``(f, rest)`` ending in ``None``.  Normalization
+    peels one constructor at a time: a choice node splits into two bind nodes
+    sharing the chain, a value leaf runs the next function.  A nested bind
+    copies its own chain in front of the outer one in a loop, sharing the
+    outer tail, so a join costs the inner chain's length and walking a deeply
+    composed tree costs O(1) Python frames per node.
     """
 
     __slots__ = ("_tree", "_cont", "_norm")
 
-    def __init__(self, tree: SearchTree, cont: _Cont | None):
+    def __init__(self, tree: SearchTree, cont: tuple):
         self._tree = tree
         self._cont = cont
         self._norm: SearchTree | None = None
@@ -139,22 +122,30 @@ class BindNode(SearchTree[A]):
             return self._norm
         t, k = self._tree, self._cont
         while True:
-            if isinstance(t, DeferredNode):
+            c = type(t)
+            if c is DeferredNode:
                 t = t.forced
-            elif isinstance(t, BindNode):
+            elif c is BindNode:
                 if t._norm is not None:
                     t = t._norm
                 else:
-                    t, k = t._tree, _cont_concat(t._cont, k)
-            elif isinstance(t, ValueNode):
+                    fns, j = [], t._cont
+                    while j is not None:
+                        fns.append(j[0])
+                        j = j[1]
+                    for f in reversed(fns):
+                        k = (f, k)
+                    t = t._tree
+            elif c is ValueNode:
                 if k is None:
                     break
-                t, k = k.fn(t.payload), k.next
-            elif isinstance(t, FailNode):
-                break
-            elif isinstance(t, OrNode):
+                f, k = k
+                t = f(t.payload)
+            elif c is OrNode:
                 if k is not None:
                     t = OrNode(BindNode(t.left, k), BindNode(t.right, k))
+                break
+            elif c is FailNode:
                 break
             else:
                 raise TypeError(f"not a search tree: {t!r}")
@@ -195,7 +186,7 @@ def bind(t: SearchTree[A], f: Callable[[A], SearchTree[B]]) -> SearchTree[B]:
         return f(t.payload)
     if isinstance(t, FailNode):
         return t
-    return BindNode(t, _Cont(f, None))
+    return BindNode(t, (f, None))
 
 
 def one_of(values: Any) -> SearchTree[Any]:

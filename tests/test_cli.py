@@ -180,3 +180,39 @@ def test_rest_of_corpus_matches_pinned_digest(capsys, seed, fmt):
     code, out, _ = run_cli(capsys, *argv, "--seed", seed, "--format", fmt)
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS_REST[seed, fmt]
+
+
+# sha256 of the same two reports under the other strategies,
+#   ndcheck <selection> --maxtests 40 --strategy K --seed S --format F
+# keyed by the selection's first suite, with the exit code, as first recorded.
+SELECTIONS = {
+    "Trees": ["Trees", "Rev", "ConcDup", "SumUp", "BoolTest"],
+    "Perm": ["Perm", "Sort", "IsSet", "IOTests"],
+}
+PINNED_REPORTS_BY_STRATEGY = {
+    ("Trees", "diag", "0", "json"): (0, "cacd8cc8187c61c2281a743f5d991f29ee016f2a314e0fe0f1b23b4c2f3257f2"),
+    ("Trees", "diag", "0", "text"): (0, "11dc595d5a2ef230d57c02b9518ccf3375b42ef21c5629565ba4075beacfcfd7"),
+    ("Trees", "diag", "1", "json"): (0, "cacd8cc8187c61c2281a743f5d991f29ee016f2a314e0fe0f1b23b4c2f3257f2"),
+    ("Trees", "diag", "1", "text"): (0, "11dc595d5a2ef230d57c02b9518ccf3375b42ef21c5629565ba4075beacfcfd7"),
+    ("Trees", "bfs", "0", "json"): (1, "0b2c09895e4acde3ef7ca7dcc1b3c303f52d19794cfc4d9a7f5a0cdd82ec675b"),
+    ("Trees", "bfs", "0", "text"): (1, "f22b9063fd11205627b067517afd35f1000cbc6e3fe2277693207cbb8669de1b"),
+    ("Trees", "bfs", "1", "json"): (1, "0b2c09895e4acde3ef7ca7dcc1b3c303f52d19794cfc4d9a7f5a0cdd82ec675b"),
+    ("Trees", "bfs", "1", "text"): (1, "f22b9063fd11205627b067517afd35f1000cbc6e3fe2277693207cbb8669de1b"),
+    ("Perm", "diag", "0", "json"): (1, "dd4536ef1a7b8947eb4b0088b0b293d73ab00e565b88660ad6486e62b0f43fe3"),
+    ("Perm", "diag", "0", "text"): (1, "88e60cbbec9016f0dfd26c71ad28fce5948fccc2a8e3465a8aa8e639719fb616"),
+    ("Perm", "diag", "1", "json"): (1, "dd4536ef1a7b8947eb4b0088b0b293d73ab00e565b88660ad6486e62b0f43fe3"),
+    ("Perm", "diag", "1", "text"): (1, "88e60cbbec9016f0dfd26c71ad28fce5948fccc2a8e3465a8aa8e639719fb616"),
+    ("Perm", "bfs", "0", "json"): (1, "dc14eb9a7db24f5d561f3318523b805881d4cfd9c04b34a50be70a704faa333c"),
+    ("Perm", "bfs", "0", "text"): (1, "88e60cbbec9016f0dfd26c71ad28fce5948fccc2a8e3465a8aa8e639719fb616"),
+    ("Perm", "bfs", "1", "json"): (1, "dc14eb9a7db24f5d561f3318523b805881d4cfd9c04b34a50be70a704faa333c"),
+    ("Perm", "bfs", "1", "text"): (1, "88e60cbbec9016f0dfd26c71ad28fce5948fccc2a8e3465a8aa8e639719fb616"),
+}
+
+
+@pytest.mark.parametrize("first, strategy, seed, fmt", sorted(PINNED_REPORTS_BY_STRATEGY))
+def test_other_strategies_match_pinned_digest(capsys, first, strategy, seed, fmt):
+    argv = SELECTIONS[first] + ["--maxtests", "40", "--strategy", strategy]
+    code, out, _ = run_cli(capsys, *argv, "--seed", seed, "--format", fmt)
+    want_code, want_digest = PINNED_REPORTS_BY_STRATEGY[first, strategy, seed, fmt]
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest

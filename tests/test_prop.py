@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ndcheck.gen import BaseType, builtin, list_of
 from ndcheck.prop import (
     DROPPED,
     FALSIFIED,
@@ -261,6 +262,24 @@ class TestForAll:
 
     def test_thunk_source(self):
         assert status(for_all(lambda: iter([1, 2]), lambda v: is_equal(v, v))) == SATISFIED
+
+    def test_node_budget_short_of_limit_is_inconclusive(self):
+        ctx = EvalContext(strategy=Strategy(node_budget=20), for_all_limit=100)
+        out = for_all(list_of(builtin(BaseType.INT)), lambda xs: is_equal(1, 1)).evaluate(ctx)
+        assert out.status == INCONCLUSIVE
+        assert out.detail == "for_all: left side undecided (node budget exceeded)"
+
+    def test_exhausted_finite_domain_within_budget_is_satisfied(self):
+        ctx = EvalContext(strategy=Strategy(node_budget=7), for_all_limit=100)
+        assert status(for_all(one_of([1, 2, 3, 4]), lambda v: is_equal(v, v)), ctx) == SATISFIED
+
+    def test_node_budget_after_limit_is_satisfied(self):
+        def barren():
+            return choice(fail(), defer(barren))
+
+        ctx = EvalContext(strategy=Strategy(node_budget=20), for_all_limit=2)
+        tree = choice(value(1), choice(value(2), barren()))
+        assert status(for_all(tree, lambda n: is_equal(n, n)), ctx) == SATISFIED
 
 
 class TestReturns:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter, deque
 from heapq import heappop, heappush
 
@@ -495,3 +496,157 @@ def test_int_list_node_counts_pinned(kind):
     e = enumerate_tree(list_of(builtin(BaseType.INT)).tree, Strategy(kind, 0))
     assert sum(1 for _ in itertools.islice(e, 10_001)) == 10_001
     assert e.expansions == PINNED_NODE_COUNTS[kind]
+
+
+def test_bind_over_deeply_joined_tree():
+    """Binding over a tree normalised under thousands of nested binds joins
+    their continuations without one Python frame per continuation."""
+    t = choice(value(0), value(1))
+    for _ in range(3_000):
+        t = bind(t, lambda x: value(x + 1))
+    root = t.normalized
+    for strategy in ALL_STRATEGIES:
+        e = enumerate_tree(bind(root, lambda x: value(-x)), strategy)
+        assert sorted(e) == [-3_001, -3_000]
+        assert e.exhausted
+
+
+
+def spine_peak_bytes(depth, strategy):
+    tracemalloc.start()
+    try:
+        e = enumerate_tree(deep_spine(depth, []), strategy)
+        assert list(e) == [depth] and e.exhausted
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_deep_spine_memory_is_linear(strategy):
+    """Each level of a bind/defer spine joins one function in front of the
+    pending ones and shares their tail, so peak memory doubles, not
+    quadruples, when the depth doubles."""
+    small = spine_peak_bytes(1_000, strategy)
+    assert spine_peak_bytes(2_000, strategy) < 3 * small
+
+# -- bind laws on random finite trees ------------------------------------
+#
+# A tree is built from a small spec, and its values are computed straight
+# from the spec as well, so both sides of each law are also checked against
+# an oracle that never touches the bind kernel.  Left identity is
+# TestBind.test_bind_left_unit.
+
+LAW_STRATEGIES = [Strategy.bfs(), Strategy.level_diag()] + [
+    Strategy.rand_level_diag(seed=s) for s in (0, 1, 7)
+]
+
+
+def random_spec(rng, depth=0):
+    """("val", n) | ("fail",) | ("or", l, r) | ("defer", t) | ("bind", t, k)."""
+    r = rng.random()
+    if depth >= 4 or r < 0.3:
+        return ("val", rng.randrange(6))
+    if r < 0.4:
+        return ("fail",)
+    if r < 0.5:
+        return ("defer", random_spec(rng, depth + 1))
+    if r < 0.75:
+        return ("bind", random_spec(rng, depth + 1), random_cont(rng, depth + 1))
+    return ("or", random_spec(rng, depth + 1), random_spec(rng, depth + 1))
+
+
+def random_cont(rng, depth):
+    """("add", c) | ("branch", c) | ("drop", m) | ("sub", t): the continuation
+    adds c, branches into x and x+c, fails on multiples of m, or binds t and
+    adds its values to x."""
+    r = rng.random()
+    if r < 0.25:
+        return ("add", rng.randrange(1, 4))
+    if r < 0.55:
+        return ("branch", rng.randrange(1, 4))
+    if r < 0.75:
+        return ("drop", rng.randrange(2, 4))
+    return ("sub", random_spec(rng, depth + 1))
+
+
+def tree_of(spec):
+    tag = spec[0]
+    if tag == "val":
+        return value(spec[1])
+    if tag == "fail":
+        return fail()
+    if tag == "or":
+        return choice(tree_of(spec[1]), tree_of(spec[2]))
+    if tag == "defer":
+        return defer(lambda: tree_of(spec[1]))
+    return bind(tree_of(spec[1]), cont_of(spec[2]))
+
+
+def cont_of(k):
+    tag, arg = k
+    if tag == "add":
+        return lambda x: value(x + arg)
+    if tag == "branch":
+        return lambda x: choice(value(x), value(x + arg))
+    if tag == "drop":
+        return lambda x: fail() if x % arg == 0 else value(x)
+    return lambda x: bind(tree_of(arg), lambda y: value(x + y))
+
+
+def denote(spec):
+    """The spec's values as a list, computed without search trees."""
+    tag = spec[0]
+    if tag == "val":
+        return [spec[1]]
+    if tag == "fail":
+        return []
+    if tag == "or":
+        return denote(spec[1]) + denote(spec[2])
+    if tag == "defer":
+        return denote(spec[1])
+    return [y for x in denote(spec[1]) for y in denote_cont(spec[2], x)]
+
+
+def denote_cont(k, x):
+    tag, arg = k
+    if tag == "add":
+        return [x + arg]
+    if tag == "branch":
+        return [x, x + arg]
+    if tag == "drop":
+        return [] if x % arg == 0 else [x]
+    return [x + y for y in denote(arg)]
+
+
+def walk_multiset(tree, strategy):
+    e = enumerate_tree(tree, strategy)
+    out = Counter(e)
+    assert e.exhausted, strategy
+    return out
+
+
+@pytest.mark.parametrize("strategy", LAW_STRATEGIES)
+class TestBindLaws:
+    SPECS = 60
+
+    def cases(self, seed):
+        rng = random.Random(seed)
+        return [(random_spec(rng), random_cont(rng, 1), random_cont(rng, 1))
+                for _ in range(self.SPECS)]
+
+    def test_right_identity(self, strategy):
+        for spec, _, _ in self.cases(2):
+            want = Counter(denote(spec))
+            assert walk_multiset(bind(tree_of(spec), value), strategy) == want
+            assert walk_multiset(tree_of(spec), strategy) == want
+
+    def test_associativity(self, strategy):
+        for spec, f, g in self.cases(3):
+            want = Counter(y for x in denote(spec) for z in denote_cont(f, x)
+                           for y in denote_cont(g, z))
+            kf, kg = cont_of(f), cont_of(g)
+            nested_left = bind(bind(tree_of(spec), kf), kg)
+            nested_right = bind(tree_of(spec), lambda x: bind(kf(x), kg))
+            assert walk_multiset(nested_left, strategy) == want
+            assert walk_multiset(nested_right, strategy) == want
