@@ -127,7 +127,12 @@ def _int_tree() -> SearchTree[int]:
     return choice(value(0), signed)
 
 
-_BUILTIN_FACTORIES: dict[BaseType, Callable[[], Generator]] = {}
+_BUILTIN_FACTORIES: dict[BaseType, Callable[[], Generator]] = {
+    BaseType.BOOL: lambda: Generator(one_of([False, True]), "Bool"),
+    BaseType.ORDERING: lambda: Generator(one_of(list(Ordering)), "Ordering"),
+    BaseType.INT: lambda: Generator(_int_tree(), "Int"),
+    BaseType.CHAR: lambda: Generator(one_of([chr(c) for c in range(0x20, 0x7F)]), "Char"),
+}
 
 
 def builtin(t: BaseType) -> Generator:
@@ -137,16 +142,6 @@ def builtin(t: BaseType) -> Generator:
     exactly once; Char covers printable ASCII (0x20..0x7e) exactly once.
     """
     return _BUILTIN_FACTORIES[t]()
-
-
-_BUILTIN_FACTORIES.update(
-    {
-        BaseType.BOOL: lambda: Generator(one_of([False, True]), "Bool"),
-        BaseType.ORDERING: lambda: Generator(one_of(list(Ordering)), "Ordering"),
-        BaseType.INT: lambda: Generator(_int_tree(), "Int"),
-        BaseType.CHAR: lambda: Generator(one_of([chr(c) for c in range(0x20, 0x7F)]), "Char"),
-    }
-)
 
 
 def _unlink(drawn: tuple | None) -> list:

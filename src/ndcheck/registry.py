@@ -7,6 +7,7 @@ module.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterable
 
 from .contracts import ContractEntry, RegistrationError, synthesize
@@ -85,22 +86,12 @@ def poly_test(
     line: int | None = None,
     arity: int = 1,
 ) -> TestSpec:
-    """A polymorphic property: instantiated for every base type up front,
-    the runner picks the configured one."""
-    by_base_type = {
-        bt: TestSpec(
-            name=name,
-            module=module,
-            line=line,
-            kind=PARAM,
-            input_gen=gen_for(bt),
-            body=body,
-            arity=arity,
-        )
-        for bt in BaseType
-    }
+    """A polymorphic property: the runner instantiates it for the configured
+    base type on first use.  gen_for is cached, so each instantiation (and
+    its input memo) is built once and kept for the process."""
     return register(
-        TestSpec(name=name, module=module, line=line, kind=POLY, by_base_type=by_base_type)
+        TestSpec(name=name, module=module, line=line, kind=POLY, body=body, arity=arity,
+                 gen_for=cache(gen_for))
     )
 
 

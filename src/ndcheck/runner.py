@@ -52,8 +52,8 @@ class TestSpec:
 
     kind selects the payload: a unit test (effectful ones included) carries
     a ready property; a parameterized test carries an input generator and a
-    property-producing body; a polymorphic test carries one parameterized
-    instantiation per base type (all four must be present).
+    property-producing body; a polymorphic test carries the body and a
+    gen_for that maps a base type to the input generator.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -66,9 +66,10 @@ class TestSpec:
     input_gen: Generator | None = None
     body: Callable[..., Prop] | None = None
     arity: int = 1
-    by_base_type: dict[BaseType, "TestSpec"] | None = None
+    gen_for: Callable[[BaseType], Generator] | None = None
     origin: str = USER
     proof_file: str | None = None
+    by_base_type = None  # not a field, so never set; read only by perfbench
 
 
 @dataclass(frozen=True)
@@ -148,23 +149,17 @@ def _context(cfg: RunConfig, scratch: Path | None) -> EvalContext:
 
 
 def instantiate_poly(spec: TestSpec, cfg: RunConfig) -> TestSpec:
-    """Pick the instantiation for the configured base type and rename it.
+    """The parameterized instantiation for the configured base type, renamed.
 
     Non-polymorphic specs pass through unchanged.
     """
     if spec.kind != POLY:
         return spec
-    if not spec.by_base_type or cfg.default_base_type not in spec.by_base_type:
-        raise LookupError(
-            f"{spec.name}: no instantiation for base type {cfg.default_base_type.value}"
-        )
-    inst = spec.by_base_type[cfg.default_base_type]
     return replace(
-        inst,
+        spec,
         name=f"{spec.name}_ON_BASETYPE",
-        module=spec.module,
-        line=spec.line,
-        origin=spec.origin,
+        kind=PARAM,
+        input_gen=spec.gen_for(cfg.default_base_type),
     )
 
 
@@ -299,17 +294,15 @@ def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext) -> TestEntry:
     labels: Counter = Counter()
     if spec.proof_file is not None:
         verdict = Verdict(SKIPPED_PROVED, proof_file=spec.proof_file)
-    elif spec.kind == POLY:
+    elif spec.kind in (PARAM, POLY):
         try:
             inst = instantiate_poly(spec, cfg)
-        except LookupError as exc:
-            inst = None
-            verdict = Verdict(ERROR, message=str(exc))
-        if inst is not None:
+        except Exception as exc:  # noqa: BLE001 - a failing gen_for is a verdict too
+            where = f"while instantiating for base type {cfg.default_base_type.value}"
+            verdict = Verdict(ERROR, message=f"{type(exc).__name__}: {exc} ({where})")
+        else:
             name = inst.name
             verdict, labels = run_param(inst, cfg, ctx)
-    elif spec.kind == PARAM:
-        verdict, labels = run_param(spec, cfg, ctx)
     elif spec.kind == UNIT:
         verdict, labels = _run_prop_once(spec, ctx)
     else:

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +220,59 @@ def test_other_strategies_match_pinned_digest(capsys, first, strategy, seed, fmt
     want_code, want_digest = PINNED_REPORTS_BY_STRATEGY[first, strategy, seed, fmt]
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+
+
+# sha256 of the report printed by
+#   ndcheck Rev Sort Perm Trees ConcDup --maxtests 40 --seed 0 --deftype T --format F
+# for the base types other than the default, as first recorded.  Every
+# polymorphic property there passes 40 tests under each type, so the three
+# types print the same report; the digest still pins names, counts and order.
+PINNED_REPORTS_BY_BASE_TYPE = {
+    ("bool", "json"): "d107bc180824dbace207004fc3833cb66483a8abab417368e5884296bf169837",
+    ("bool", "text"): "86d982737d49be15c389146f95729c333d928c867efc67d38829cb304c342203",
+    ("char", "json"): "d107bc180824dbace207004fc3833cb66483a8abab417368e5884296bf169837",
+    ("char", "text"): "86d982737d49be15c389146f95729c333d928c867efc67d38829cb304c342203",
+    ("int", "json"): "d107bc180824dbace207004fc3833cb66483a8abab417368e5884296bf169837",
+    ("int", "text"): "86d982737d49be15c389146f95729c333d928c867efc67d38829cb304c342203",
+}
+
+
+@pytest.mark.parametrize("deftype, fmt", sorted(PINNED_REPORTS_BY_BASE_TYPE))
+def test_other_base_types_match_pinned_digest(capsys, deftype, fmt):
+    argv = ["Rev", "Sort", "Perm", "Trees", "ConcDup", "--maxtests", "40", "--seed", "0"]
+    code, out, _ = run_cli(capsys, *argv, "--deftype", deftype, "--format", fmt)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS_BY_BASE_TYPE[deftype, fmt]
+
+
+# sha256 of the full `ndcheck --list` output, as first recorded.
+PINNED_LIST = "8aebcb607250b30066d287d6955188f82fe25fd9a73511445570c50e5bfadadf"
+
+
+def test_list_matches_pinned_digest(capsys):
+    code, out, _ = run_cli(capsys, "--list")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LIST
+
+
+class TestModuleInvocation:
+    """`python -m ndcheck.cli` runs the same front end as the console script."""
+
+    def run_module(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-m", "ndcheck.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_runs_a_suite_and_exits_zero(self):
+        proc = self.run_module("BoolTest")
+        assert proc.returncode == 0
+        assert "negOr (module BoolTest, line 4):\n Passed all available tests: 4 tests." in proc.stdout
+
+    def test_unknown_suite_exits_two(self):
+        proc = self.run_module("NoSuchModule")
+        assert proc.returncode == 2
+        assert "NoSuchModule" in proc.stderr

@@ -8,7 +8,7 @@ import pytest
 
 from ndcheck import registry
 from ndcheck.corpus.trees import Succ, Zero
-from ndcheck.gen import BaseType, Generator, builtin, gen_cons1, pair_of
+from ndcheck.gen import BaseType, Generator, Ordering, builtin, gen_cons1, pair_of
 from ndcheck.prop import EvalContext, classify, implies, is_equal, returns
 from ndcheck.runner import (
     ERROR,
@@ -209,15 +209,11 @@ class TestRunParam:
 
 
 class TestPoly:
-    def poly(self):
-        by = {
-            bt: TestSpec(
-                name="prop", module="M", line=2, kind=PARAM,
-                input_gen=builtin(bt), body=lambda v: is_equal(v, v),
-            )
-            for bt in BaseType
-        }
-        return TestSpec(name="prop", module="M", line=2, kind=POLY, by_base_type=by)
+    def poly(self, gen_for=builtin):
+        return TestSpec(
+            name="prop", module="M", line=2, kind=POLY,
+            gen_for=gen_for, body=lambda v: is_equal(v, v),
+        )
 
     def test_renamed_with_base_type_suffix(self):
         inst = instantiate_poly(self.poly(), RunConfig())
@@ -234,12 +230,78 @@ class TestPoly:
         assert instantiate_poly(spec, RunConfig()) is spec
 
     def test_missing_instantiation_is_an_error_verdict(self):
-        broken = TestSpec(
-            name="prop", module="M", line=2, kind=POLY,
-            by_base_type={BaseType.INT: self.poly().by_base_type[BaseType.INT]},
-        )
+        broken = self.poly(gen_for={BaseType.INT: builtin(BaseType.INT)}.__getitem__)
         report = run_suite([broken], RunConfig())
         assert report.entries[0].verdict.kind == ERROR
+
+
+class TestPolyOnDemand:
+    """poly_test stores gen_for; the runner builds only the configured
+    instantiation, on first use, and keeps it."""
+
+    MODULE = "PolyOnDemand"
+
+    @pytest.fixture(autouse=True)
+    def _clean_registry(self):
+        registry.clear(self.MODULE)
+        yield
+        registry.clear(self.MODULE)
+
+    @staticmethod
+    def int_only(bt):
+        if bt is not BaseType.INT:
+            raise LookupError(f"no generator for {bt.value}")
+        return builtin(bt)
+
+    def register(self, name, gen_for, body=lambda v: is_equal(v, v)):
+        return registry.poly_test(self.MODULE, name, gen_for=gen_for, body=body, line=1)
+
+    def test_failing_gen_for_registers(self):
+        spec = self.register("p", self.int_only)
+        assert spec.kind == POLY
+        assert registry.specs_for([self.MODULE]) == [spec]
+
+    def test_failing_gen_for_passes_under_its_type(self):
+        self.register("p", self.int_only)
+        report = run_suite(registry.specs_for([self.MODULE]), RunConfig(default_base_type=BaseType.INT))
+        assert [e.verdict.kind for e in report.entries] == [PASSED]
+        assert report.entries[0].name == "p_ON_BASETYPE"
+
+    def test_failing_gen_for_is_one_error_and_the_run_goes_on(self):
+        self.register("p", self.int_only)
+        registry.param_test(self.MODULE, "q", builtin(BaseType.BOOL), lambda b: is_equal(b, b), line=2)
+        report = run_suite(registry.specs_for([self.MODULE]), RunConfig())
+        assert [(e.name, e.verdict.kind) for e in report.entries] == [
+            ("p", ERROR),
+            ("q", PASSED_EXHAUSTIVE),
+        ]
+        assert report.entries[0].verdict.message == (
+            "LookupError: no generator for ordering (while instantiating for base type ordering)"
+        )
+
+    def test_configured_instantiation_built_once(self):
+        calls = []
+
+        def counting(bt):
+            calls.append(bt)
+            return builtin(bt)
+
+        self.register("p", counting)
+        assert calls == []
+        cfg = RunConfig(default_base_type=BaseType.CHAR, max_tests=10)
+        for _ in range(2):
+            report = run_suite(registry.specs_for([self.MODULE]), cfg)
+            assert report.entries[0].verdict.kind == PASSED
+        assert calls == [BaseType.CHAR]
+
+    @pytest.mark.parametrize(
+        "bt, py_type", [(BaseType.ORDERING, Ordering), (BaseType.BOOL, bool), (BaseType.INT, int), (BaseType.CHAR, str)]
+    )
+    def test_configured_type_supplies_the_inputs(self, bt, py_type):
+        self.register("p", builtin, body=lambda v: is_equal(v, None))
+        entry = run_suite(registry.specs_for([self.MODULE]), RunConfig(default_base_type=bt)).entries[0]
+        assert entry.verdict.kind == FALSIFIED_V
+        assert type(entry.verdict.counterexample) is py_type
 
 
 class TestRunConfig:
