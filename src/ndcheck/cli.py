@@ -54,7 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_options(opts: argparse.Namespace) -> RunConfig:
     seed = opts.seed
     if seed is None:
-        seed = int(os.environ.get("NDCHECK_SEED", "0"))
+        raw = os.environ.get("NDCHECK_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"NDCHECK_SEED must be an integer, not {raw!r}") from None
     return RunConfig(
         max_tests=opts.maxtests,
         drop_limit=opts.droplimit,

@@ -2,16 +2,19 @@
 
 A generator is a (possibly infinite) search tree of candidate values plus a
 name for reports.  Built-in generators enumerate every value of their type
-exactly once; generators for finite types are fully exhaustible.
+exactly once; generators for finite types are fully exhaustible.  A
+generator marked ``distinct`` promises that no two values of its tree have
+equal ``canonical`` keys, so the runner draws its inputs without keying them;
+combinators set the mark only where construction proves it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Generic, TypeVar
 
-from .searchtree import OrNode, SearchTree, bind, choice, defer, one_of, value
+from .searchtree import OrNode, SearchTree, bind, choice, one_of, value
 
 A = TypeVar("A")
 
@@ -42,11 +45,12 @@ class BaseType(enum.Enum):
 class Generator(Generic[A]):
     tree: SearchTree[A]
     name: str = "gen"
+    distinct: bool = field(default=False, kw_only=True)  # no two values key alike
 
 
 def gen_cons0(v: A, name: str | None = None) -> Generator[A]:
     """Generator with the single value v."""
-    return Generator(value(v), name if name is not None else repr(v))
+    return Generator(value(v), name if name is not None else repr(v), distinct=True)
 
 
 def _nested(c: Callable[..., A], gens: tuple[Generator, ...]) -> SearchTree[A]:
@@ -64,7 +68,8 @@ def gen_cons(c: Callable[..., A], *gens: Generator, name: str | None = None) -> 
 
     Realized by nested binds over the argument generators, so the result
     covers the full cross product (n up to 5; wider constructors compose
-    from pairs).
+    from pairs).  Not marked distinct: the constructor may map two argument
+    tuples to equal values.
     """
     if len(gens) > 5:
         raise ValueError("constructor arity above 5; compose from pairs instead")
@@ -93,7 +98,8 @@ def gen_cons5(c, g1, g2, g3, g4, g5, name=None):
 
 
 def alt(g1: Generator[A], g2: Generator[A]) -> Generator[A]:
-    """Choice between two generators."""
+    """Choice between two generators; not marked distinct, as both may hold
+    the same value."""
     return Generator(choice(g1.tree, g2.tree), f"{g1.name}|{g2.name}")
 
 
@@ -102,22 +108,21 @@ def alt(g1: Generator[A], g2: Generator[A]) -> Generator[A]:
 
 def _positive_tree() -> SearchTree[int]:
     # 1, then n -> 2n and n -> 2n+1: every integer >= 1 exactly once, with
-    # magnitudes growing by tree level.
-    def rec() -> SearchTree[int]:
+    # magnitudes growing by tree level.  Built top down, lowest bit first: a
+    # node carries the low bits chosen above it, so a value at depth d is
+    # built in O(1), not through d nested 2n / 2n+1 maps.
+    def rec(low: int, bit: int) -> SearchTree[int]:
         return choice(
-            value(1),
-            choice(
-                bind(defer(rec), lambda n: value(2 * n)),
-                bind(defer(rec), lambda n: value(2 * n + 1)),
-            ),
+            value(low | bit),
+            OrNode(lambda: rec(low, bit << 1), lambda: rec(low | bit, bit << 1)),
         )
 
-    return defer(rec)
+    return rec(0, 1)
 
 
 def positive_ints(name: str = "PosInt") -> Generator[int]:
     """Every integer >= 1, exactly once, small magnitudes first."""
-    return Generator(_positive_tree(), name)
+    return Generator(_positive_tree(), name, distinct=True)
 
 
 def _int_tree() -> SearchTree[int]:
@@ -127,21 +132,22 @@ def _int_tree() -> SearchTree[int]:
     return choice(value(0), signed)
 
 
-_BUILTIN_FACTORIES: dict[BaseType, Callable[[], Generator]] = {
-    BaseType.BOOL: lambda: Generator(one_of([False, True]), "Bool"),
-    BaseType.ORDERING: lambda: Generator(one_of(list(Ordering)), "Ordering"),
-    BaseType.INT: lambda: Generator(_int_tree(), "Int"),
-    BaseType.CHAR: lambda: Generator(one_of([chr(c) for c in range(0x20, 0x7F)]), "Char"),
+_BUILTIN_TREES: dict[BaseType, tuple[str, Callable[[], SearchTree]]] = {
+    BaseType.BOOL: ("Bool", lambda: one_of([False, True])),
+    BaseType.ORDERING: ("Ordering", lambda: one_of(list(Ordering))),
+    BaseType.INT: ("Int", _int_tree),
+    BaseType.CHAR: ("Char", lambda: one_of([chr(c) for c in range(0x20, 0x7F)])),
 }
 
 
 def builtin(t: BaseType) -> Generator:
-    """The built-in generator for a base type.
+    """The built-in generator for a base type, marked distinct.
 
     Bool and Ordering exhaust at 2 and 3 values; Int covers every integer
     exactly once; Char covers printable ASCII (0x20..0x7e) exactly once.
     """
-    return _BUILTIN_FACTORIES[t]()
+    name, tree = _BUILTIN_TREES[t]
+    return Generator(tree(), name, distinct=True)
 
 
 def _unlink(drawn: tuple | None) -> list:
@@ -159,7 +165,8 @@ def list_of(g: Generator[A]) -> Generator[list[A]]:
 
     Each node carries the elements drawn above it as linked (head, rest)
     pairs, and a list is built once, at its nil leaf, so drawing a list of
-    length L costs O(L).
+    length L costs O(L).  A list's elements name the one path to its leaf,
+    so the lists key apart whenever the elements do.
     """
 
     def rec(drawn: tuple | None) -> SearchTree[list[A]]:
@@ -168,21 +175,24 @@ def list_of(g: Generator[A]) -> Generator[list[A]]:
             lambda: bind(g.tree, lambda h: rec((h, drawn))),
         )
 
-    return Generator(rec(None), f"[{g.name}]")
+    return Generator(rec(None), f"[{g.name}]", distinct=g.distinct)
 
 
 def pair_of(g1: Generator, g2: Generator) -> Generator[tuple]:
-    """All pairs of two generators' values."""
-    return Generator(_nested(lambda a, b: (a, b), (g1, g2)), f"({g1.name},{g2.name})")
+    """All pairs of two generators' values; distinct if both parts are."""
+    return Generator(_nested(lambda a, b: (a, b), (g1, g2)), f"({g1.name},{g2.name})",
+                     distinct=g1.distinct and g2.distinct)
 
 
 def tuple_of(*gens: Generator) -> Generator[tuple]:
     """All tuples across the given generators, by nested binds.
 
     Used to feed multi-parameter properties from a single input stream.
+    Distinct if every part is.
     """
     if not gens:
         raise ValueError("tuple_of needs at least one generator")
     names = ",".join(g.name for g in gens)
     label = f"({names},)" if len(gens) == 1 else f"({names})"
-    return Generator(_nested(lambda *args: args, gens), label)
+    return Generator(_nested(lambda *args: args, gens), label,
+                     distinct=all(g.distinct for g in gens))

@@ -95,14 +95,18 @@ class Distinct:
     When iteration stops on its own, ``end`` is EXHAUSTED, LIMIT (cap
     reached) or BUDGET (node budget ran out); None if the consumer stopped.
     ``walk(tree, strategy)`` is the caller's own ``enumerate_tree``; a leaf
-    root needs no Enumeration, as a node budget is at least 1.
+    root needs no Enumeration, as a node budget is at least 1.  A tree known
+    to be ``distinct`` (see ``Generator.distinct``) is not keyed: every value
+    is yielded, as (None, value).
     """
 
-    __slots__ = ("_tree", "_strategy", "_walk", "_cap", "end")
+    __slots__ = ("_tree", "_strategy", "_walk", "_cap", "_distinct", "end")
 
     def __init__(self, tree: SearchTree, strategy: Strategy,
-                 walk: Callable[[SearchTree, Strategy], Enumeration], cap: int | None = None):
+                 walk: Callable[[SearchTree, Strategy], Enumeration], cap: int | None = None,
+                 *, distinct: bool = False):
         self._tree, self._strategy, self._walk, self._cap = tree, strategy, walk, cap
+        self._distinct = distinct
         self.end: str | None = None
 
     def __iter__(self) -> Iterator[tuple[Any, Any]]:
@@ -112,13 +116,21 @@ class Distinct:
             return
         if isinstance(tree, ValueNode):
             v = tree.payload
-            yield canonical(v), v
+            yield (None if self._distinct else canonical(v)), v
             self.end = LIMIT if cap == 1 else EXHAUSTED
             return
         if isinstance(tree, FailNode):
             self.end = EXHAUSTED
             return
         enum = self._walk(tree, self._strategy)
+        if self._distinct:
+            for n, v in enumerate(enum, 1):
+                yield None, v
+                if n == cap:
+                    self.end = LIMIT
+                    return
+            self.end = EXHAUSTED if enum.exhausted else BUDGET
+            return
         seen: set = set()
         for v in enum:
             k = canonical(v)
@@ -346,8 +358,8 @@ def for_all(
     def check(ctx: EvalContext) -> Outcome:
         cursor = None
         if isinstance(values, (Generator, SearchTree)):
-            tree = values.tree if isinstance(values, Generator) else values
-            cursor = Distinct(tree, ctx.strategy, enumerate_tree)
+            gen = values if isinstance(values, Generator) else Generator(values)
+            cursor = Distinct(gen.tree, ctx.strategy, enumerate_tree, distinct=gen.distinct)
             source: Iterable = (v for _, v in cursor)
         else:
             source = values() if callable(values) else values

@@ -173,10 +173,12 @@ def _render_input(raw: Any, arity: int) -> str:
 
 def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) -> tuple[Verdict, Counter]:
     """Run one parameterized test: draw de-duplicated inputs, evaluate the
-    body per input, and account executed and dropped cases."""
+    body per input, and account executed and dropped cases.  Inputs of a
+    generator marked distinct are drawn without keying them."""
     ctx = ctx or _context(cfg, None)
-    assert spec.input_gen is not None and spec.body is not None
-    inputs = Distinct(spec.input_gen.tree, ctx.strategy, enumerate_tree)
+    gen = spec.input_gen
+    assert gen is not None and spec.body is not None
+    inputs = Distinct(gen.tree, ctx.strategy, enumerate_tree, distinct=gen.distinct)
     cursor = iter(inputs)
     labels: Counter = Counter()
     executed = 0

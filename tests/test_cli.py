@@ -103,6 +103,14 @@ class TestFlags:
         cfg = config_from_options(parser.parse_args(["--seed=5"]))
         assert cfg.seed == 5
 
+    def test_non_integer_seed_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("NDCHECK_SEED", "abc")
+        code, out, err = run_cli(capsys, "BoolTest")
+        assert code == 2
+        assert out == ""
+        assert err == "ndcheck: NDCHECK_SEED must be an integer, not 'abc'\n"
+        assert run_cli(capsys, "--seed=3", "BoolTest")[0] == 0  # the flag wins
+
     def test_bad_maxtests_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "--maxtests=0", "BoolTest")
         assert code == 2

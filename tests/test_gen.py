@@ -1,5 +1,6 @@
 """Generator combinators and built-in generators."""
 
+import gc
 import itertools
 
 import pytest
@@ -20,7 +21,7 @@ from ndcheck.gen import (
     tuple_of,
 )
 from ndcheck.searchtree import (
-    Strategy, bind, choice, defer, enumerate_tree, fail, take_values, value,
+    Strategy, bind, choice, defer, enumerate_tree, fail, one_of, take_values, value,
 )
 from ndcheck.values import canonical
 
@@ -38,6 +39,22 @@ def nested_bind_list_of(g: Generator) -> Generator:
         )
 
     return Generator(defer(rec), f"[{g.name}]")
+
+
+def nested_bind_positive_ints() -> Generator:
+    """positive_ints as first written: 1, then 2n and 2n+1 mapped over whole
+    subtrees.  The reference for the top-down definition."""
+
+    def rec():
+        return choice(
+            value(1),
+            choice(
+                bind(defer(rec), lambda n: value(2 * n)),
+                bind(defer(rec), lambda n: value(2 * n + 1)),
+            ),
+        )
+
+    return Generator(defer(rec), "PosInt")
 
 
 def nested_pair_tuple_of(*gens: Generator) -> Generator:
@@ -186,6 +203,18 @@ class TestBuiltins:
         for bt in BaseType:
             assert BaseType.from_token(bt.value) is bt
 
+    def test_positive_ints_same_walk_as_nested_bind_definition(self):
+        # the same choice structure: values, node counts and end flags agree
+        # for every strategy, seed and budget
+        assert_same_walks(positive_ints, nested_bind_positive_ints)
+
+    def test_int_same_walk_as_nested_bind_definition(self):
+        def nested_int():
+            signed = bind(nested_bind_positive_ints().tree, lambda n: choice(value(-n), value(n)))
+            return Generator(choice(value(0), signed), "Int")
+
+        assert_same_walks(lambda: builtin(BaseType.INT), nested_int)
+
 
 class TestListOf:
     def test_prefix_contains_small_bool_lists(self):
@@ -272,3 +301,84 @@ class TestTuples:
             lambda: tuple_of(*(make() for _ in range(arity))),
             lambda: nested_pair_tuple_of(*(make() for _ in range(arity))),
         )
+
+
+LAW_STRATEGIES = [Strategy.bfs(10**6), Strategy.level_diag(10**6)] + [
+    Strategy.rand_level_diag(seed, 10**6) for seed in (0, 1, 7)
+]
+
+# generators the combinators mark distinct, and how many values to draw
+MARKED = {
+    "Bool": (lambda: builtin(BaseType.BOOL), 10),
+    "Ordering": (lambda: builtin(BaseType.ORDERING), 10),
+    "Char": (lambda: builtin(BaseType.CHAR), 200),
+    "Int": (lambda: builtin(BaseType.INT), 20_000),
+    "PosInt": (positive_ints, 2000),
+    "gen_cons0": (lambda: gen_cons0([1, (2, "a")]), 10),
+    "[Bool]": (lambda: list_of(builtin(BaseType.BOOL)), 2000),
+    "[Ordering]": (lambda: list_of(builtin(BaseType.ORDERING)), 2000),
+    "[[Bool]]": (lambda: list_of(list_of(builtin(BaseType.BOOL))), 2000),
+    "[Int]": (lambda: list_of(builtin(BaseType.INT)), 20_000),
+    "(Int,[Char])": (lambda: pair_of(builtin(BaseType.INT), list_of(builtin(BaseType.CHAR))), 2000),
+    "(Ordering,Bool)": (lambda: pair_of(builtin(BaseType.ORDERING), builtin(BaseType.BOOL)), 10),
+    "(Bool,PosInt,[Ordering],0)": (
+        lambda: tuple_of(builtin(BaseType.BOOL), positive_ints(),
+                         list_of(builtin(BaseType.ORDERING)), gen_cons0(0)),
+        2000,
+    ),
+    "(Char,)": (lambda: tuple_of(builtin(BaseType.CHAR)), 200),
+}
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Pause automatic cyclic GC, as run_suite does: trees make no cycles,
+    and rescanning a memo of 20 000 lists would dominate the walks."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+class TestDistinctMark:
+    """Generator.distinct promises that no two values of the tree key alike;
+    the runner relies on it to skip keying inputs."""
+
+    @pytest.mark.parametrize("name", list(MARKED))
+    def test_marked_generator_yields_each_key_once(self, name, no_cyclic_gc):
+        make, n = MARKED[name]
+        g = make()  # one tree for every walk, as across warm reruns
+        assert g.distinct
+        for strategy in LAW_STRATEGIES:
+            walk = enumerate_tree(g.tree, strategy)
+            vs = list(itertools.islice(walk, n))
+            assert len(vs) == n or walk.exhausted, strategy  # finite: the whole domain
+            assert len(distinct(vs)) == len(vs), strategy
+
+    def test_unproven_combinators_stay_unmarked(self):
+        b, n = builtin(BaseType.BOOL), builtin(BaseType.INT)
+        unmarked = [
+            alt(b, b),
+            alt(gen_cons0(1), gen_cons0(2)),
+            gen_cons(lambda x: x, b),
+            gen_cons1(abs, n),
+            gen_cons2(lambda x, y: (x, y), b, b),
+            Generator(one_of([1, 2]), "plain"),
+            list_of(alt(b, b)),
+            pair_of(b, Generator(value(1))),
+            tuple_of(n, b, gen_cons1(abs, n)),
+        ]
+        assert not any(g.distinct for g in unmarked)
+
+    def test_unmarked_generators_can_repeat_a_key(self):
+        # why alt and gen_cons may not be marked: both can yield a key twice
+        for g in (alt(builtin(BaseType.BOOL), builtin(BaseType.BOOL)),
+                  gen_cons1(abs, builtin(BaseType.INT))):
+            vs = take_values(g.tree, DIAG, 40)
+            assert len(distinct(vs)) < len(vs)
+
+    def test_distinct_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            Generator(value(1), "one", True)
+        assert Generator(value(1), "one", distinct=True).distinct

@@ -5,13 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from ndcheck.gen import BaseType, builtin, list_of
+from ndcheck.gen import BaseType, Generator, builtin, list_of, pair_of
 from ndcheck.prop import (
     DROPPED,
     FALSIFIED,
     INCONCLUSIVE,
     SATISFIED,
+    Distinct,
     EvalContext,
+    Outcome,
+    Prop,
     always,
     classify,
     collect,
@@ -403,3 +406,40 @@ class TestLeafFastPath:
     def test_reduces_to_keys_both_sides_alike(self):
         assert status(reduces_to(one_of([1, 2]), 11)) == FALSIFIED
         assert status(reduces_to(one_of([1, 11]), 11)) == SATISFIED
+
+
+class TestDistinctFlag:
+    """A cursor told its tree is distinct yields (None, value) for every
+    value, with the keyed cursor's values and end."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("cap", [None, 0, 1, 3, 50])
+    @pytest.mark.parametrize("budget", [1, 7, 50, 2000])
+    def test_same_values_and_end_as_keyed(self, strategy, cap, budget):
+        strategy = Strategy(strategy.kind, strategy.seed, budget)
+        for tree in (
+            value(5),
+            fail(),
+            one_of([1, 2, 3]),
+            builtin(BaseType.INT).tree,
+            pair_of(builtin(BaseType.BOOL), list_of(builtin(BaseType.ORDERING))).tree,
+        ):
+            keyed = Distinct(tree, strategy, enumerate_tree, cap)
+            unkeyed = Distinct(tree, strategy, enumerate_tree, cap, distinct=True)
+            pairs = list(unkeyed)
+            assert [v for _, v in pairs] == [v for _, v in keyed]
+            assert all(k is None for k, _ in pairs)
+            assert unkeyed.end == keyed.end
+
+    def test_for_all_skips_keys_only_for_a_marked_generator(self, monkeypatch):
+        keyed = []
+        monkeypatch.setattr("ndcheck.prop.canonical", lambda v: keyed.append(v) or canonical(v))
+        ctx = EvalContext(for_all_limit=10)
+        sat = Prop("sat", lambda _ctx: Outcome(SATISFIED))  # keys nothing itself
+        ints = builtin(BaseType.INT)
+        assert status(for_all(ints, lambda n: sat), ctx) == SATISFIED
+        assert keyed == []
+        for source in (Generator(ints.tree), ints.tree):
+            assert status(for_all(source, lambda n: sat), ctx) == SATISFIED
+            assert len(keyed) >= 10
+            keyed.clear()

@@ -3,12 +3,16 @@
 import gc
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
 from ndcheck import registry
 from ndcheck.corpus.trees import Succ, Zero
-from ndcheck.gen import BaseType, Generator, Ordering, builtin, gen_cons1, pair_of
+from ndcheck.gen import (
+    BaseType, Generator, Ordering, alt, builtin, gen_cons0, gen_cons1, list_of, pair_of,
+    positive_ints, tuple_of,
+)
 from ndcheck.prop import EvalContext, classify, implies, is_equal, returns
 from ndcheck.runner import (
     ERROR,
@@ -30,7 +34,9 @@ from ndcheck.runner import (
     run_param,
     run_suite,
 )
-from ndcheck.searchtree import Strategy, choice, defer, enumerate_tree, fail, one_of, value
+from ndcheck.searchtree import (
+    DEFAULT_NODE_BUDGET, Strategy, choice, defer, enumerate_tree, fail, one_of, value,
+)
 from ndcheck.values import canonical
 
 
@@ -206,6 +212,78 @@ class TestRunParam:
         verdict, _ = run_param(spec, RunConfig(max_tests=25))
         assert verdict.kind == PASSED
         assert calls == {"input": 1, "prop": 0, "key": 3 * 25}
+
+
+MARKED = {
+    "Bool": lambda: builtin(BaseType.BOOL),
+    "Ordering": lambda: builtin(BaseType.ORDERING),
+    "Char": lambda: builtin(BaseType.CHAR),
+    "Int": lambda: builtin(BaseType.INT),
+    "PosInt": positive_ints,
+    "gen_cons0": lambda: gen_cons0([0]),
+    "[Ordering]": lambda: list_of(builtin(BaseType.ORDERING)),
+    "[[Bool]]": lambda: list_of(list_of(builtin(BaseType.BOOL))),
+    "[Int]": lambda: list_of(builtin(BaseType.INT)),
+    "(Bool,Bool)": lambda: pair_of(builtin(BaseType.BOOL), builtin(BaseType.BOOL)),
+    "(Char,[Bool],Int)": lambda: tuple_of(
+        builtin(BaseType.CHAR), list_of(builtin(BaseType.BOOL)), builtin(BaseType.INT),
+    ),
+}
+
+
+class TestDistinctInputs:
+    """Inputs of a generator marked distinct are drawn without keying; the
+    runner must still see the keyed stream and reach the keyed verdict."""
+
+    @staticmethod
+    def run_recording(gen, cfg):
+        """run_param with a body that drops every third input and fails the
+        400th, so drops, falsification and exhaustion all depend on the
+        stream.  Returns the verdict and the inputs the body saw."""
+        drawn = []
+
+        def body(x):
+            drawn.append(x)
+            return implies(len(drawn) % 3 != 0, lambda: is_equal(len(drawn) == 400, False))
+
+        verdict, _ = run_param(param_spec(gen, body), cfg)
+        return verdict, drawn
+
+    @pytest.mark.parametrize("budget", [1, 7, 50, DEFAULT_NODE_BUDGET])
+    @pytest.mark.parametrize("name", list(MARKED))
+    def test_unkeyed_run_matches_keyed_replay(self, name, budget):
+        cfg = RunConfig(max_tests=1000, node_budget=budget)
+        gen = MARKED[name]()
+        assert gen.distinct
+        verdict, drawn = self.run_recording(gen, cfg)
+        replay = input_order(MARKED[name](), cfg, len(drawn) + 1)
+        assert replay[: len(drawn)] == drawn
+        if verdict.kind != FALSIFIED_V:  # the stream ended: so did the replay
+            assert replay == drawn
+        keyed_verdict, keyed_drawn = self.run_recording(replace(MARKED[name](), distinct=False), cfg)
+        assert (verdict, drawn) == (keyed_verdict, keyed_drawn)
+
+    def test_unmarked_alt_is_still_deduplicated(self):
+        gen = alt(builtin(BaseType.BOOL), builtin(BaseType.BOOL))
+        assert not gen.distinct
+        verdict, _ = run_param(param_spec(gen, lambda b: is_equal(b, b)), RunConfig())
+        assert verdict.kind == PASSED_EXHAUSTIVE
+        assert verdict.tests_executed == 2
+
+    def test_unmarked_gen_cons_is_still_deduplicated(self):
+        gen = gen_cons1(lambda b: 0, builtin(BaseType.BOOL))  # not injective
+        assert not gen.distinct
+        verdict, _ = run_param(param_spec(gen, lambda n: is_equal(n, n)), RunConfig())
+        assert verdict.kind == PASSED_EXHAUSTIVE
+        assert verdict.tests_executed == 1
+
+    def test_marked_inputs_are_not_keyed(self, monkeypatch):
+        keyed = []
+        monkeypatch.setattr("ndcheck.prop.canonical", lambda v: keyed.append(v) or canonical(v))
+        spec = param_spec(list_of(builtin(BaseType.INT)), lambda xs: is_equal(xs, xs))
+        verdict, _ = run_param(spec, RunConfig(max_tests=25))
+        assert verdict.kind == PASSED
+        assert len(keyed) == 2 * 25  # one key per side of is_equal, none per input
 
 
 class TestPoly:
