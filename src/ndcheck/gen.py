@@ -180,8 +180,7 @@ def list_of(g: Generator[A]) -> Generator[list[A]]:
 
 def pair_of(g1: Generator, g2: Generator) -> Generator[tuple]:
     """All pairs of two generators' values; distinct if both parts are."""
-    return Generator(_nested(lambda a, b: (a, b), (g1, g2)), f"({g1.name},{g2.name})",
-                     distinct=g1.distinct and g2.distinct)
+    return tuple_of(g1, g2)
 
 
 def tuple_of(*gens: Generator) -> Generator[tuple]:

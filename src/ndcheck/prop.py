@@ -350,12 +350,16 @@ def for_all(
 
     Accepts a concrete sequence, a search tree or generator (enumerated
     de-duplicated under the context strategy), or a thunk producing an
-    iterable.  Consumption is bounded by the context's for_all_limit;
-    dropped cases do not count toward that bound.  A tree or generator whose
-    node budget runs out before that bound is reached is undecided.
+    iterable.  Consumption is bounded by the context's for_all_limit: no
+    element is drawn once that many have been checked, and dropped cases do
+    not count toward that bound.  A tree or generator whose node budget runs
+    out before that bound is reached is undecided.
     """
 
     def check(ctx: EvalContext) -> Outcome:
+        limit = ctx.for_all_limit
+        if limit < 1:
+            return _SAT
         cursor = None
         if isinstance(values, (Generator, SearchTree)):
             gen = values if isinstance(values, Generator) else Generator(values)
@@ -366,8 +370,6 @@ def for_all(
         checked = 0
         labels: tuple[str, ...] = ()
         for v in source:
-            if checked >= ctx.for_all_limit:
-                break
             out = pf(v).check(ctx)
             labels += out.labels
             if out.status == FALSIFIED:
@@ -377,7 +379,9 @@ def for_all(
             if out.status == DROPPED:
                 continue
             checked += 1
-        if cursor is not None and cursor.end == BUDGET and checked < ctx.for_all_limit:
+            if checked == limit:
+                break
+        if cursor is not None and cursor.end == BUDGET and checked < limit:
             return _inconclusive("for_all", "left", BUDGET)
         return Outcome(SATISFIED, labels=labels)
 

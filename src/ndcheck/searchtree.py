@@ -4,6 +4,8 @@ A computation that may branch is represented as a binary tree with three
 node kinds: a value leaf, a failure leaf (no value), and a choice node with
 two subtrees.  Subtrees may be given as thunks so that infinite trees (e.g.
 "all lists of integers") are representable; a thunk is forced at most once.
+A bind node, built by ``bind`` and ``defer``, is the one lazy node: it
+resolves to one of the three kinds once, on its first visit.
 
 Enumeration strategies linearize a tree into a lazy value sequence under a
 node budget.  All strategies are complete: every value at finite depth
@@ -26,7 +28,7 @@ DEFAULT_NODE_BUDGET = 100_000
 
 
 class SearchTree(Generic[A]):
-    """Base class; concrete nodes are ValueNode, FailNode, OrNode, DeferredNode."""
+    """Base class; concrete nodes are ValueNode, FailNode, OrNode, BindNode."""
 
     __slots__ = ()
 
@@ -78,39 +80,22 @@ class OrNode(SearchTree[A]):
         return "OrNode(..)"
 
 
-class DeferredNode(SearchTree[A]):
-    """Lazy tree built from a thunk; forced at most once (thunks must be pure)."""
-
-    __slots__ = ("_thunk", "_forced")
-
-    def __init__(self, thunk: Callable[[], SearchTree[A]]):
-        self._thunk = thunk
-        self._forced: SearchTree[A] | None = None
-
-    @property
-    def forced(self) -> SearchTree[A]:
-        if self._forced is None:
-            self._forced = self._thunk()
-        return self._forced
-
-    def __repr__(self) -> str:
-        return "DeferredNode(..)"
-
-
 class BindNode(SearchTree[A]):
     """Tree under a chain of pending value-leaf substitutions, applied in order.
 
-    The chain is made of pairs ``(f, rest)`` ending in ``None``.  Normalization
-    peels one constructor at a time: a choice node splits into two bind nodes
-    sharing the chain, a value leaf runs the next function.  A nested bind
-    copies its own chain in front of the outer one in a loop, sharing the
-    outer tail, so a join costs the inner chain's length and walking a deeply
-    composed tree costs O(1) Python frames per node.
+    The chain is made of pairs ``(f, rest)`` ending in ``None``.  The tree
+    slot may hold a thunk instead (``defer``), forced at most once and
+    stored back.  Normalization peels one constructor at a time: a choice
+    node splits into two bind nodes sharing the chain, a value leaf runs the
+    next function.  A nested bind copies its own chain in front of the outer
+    one in a loop, sharing the outer tail, so a join costs the inner chain's
+    length and walking a deeply composed tree costs O(1) Python frames per
+    node.
     """
 
     __slots__ = ("_tree", "_cont", "_norm")
 
-    def __init__(self, tree: SearchTree, cont: tuple):
+    def __init__(self, tree: _Child, cont: tuple | None):
         self._tree = tree
         self._cont = cont
         self._norm: SearchTree | None = None
@@ -121,11 +106,11 @@ class BindNode(SearchTree[A]):
         if self._norm is not None:
             return self._norm
         t, k = self._tree, self._cont
+        if callable(t):
+            t = self._tree = t()
         while True:
             c = type(t)
-            if c is DeferredNode:
-                t = t.forced
-            elif c is BindNode:
+            if c is BindNode:
                 if t._norm is not None:
                     t = t._norm
                 else:
@@ -135,7 +120,10 @@ class BindNode(SearchTree[A]):
                         j = j[1]
                     for f in reversed(fns):
                         k = (f, k)
-                    t = t._tree
+                    inner = t._tree
+                    if callable(inner):
+                        inner = t._tree = inner()
+                    t = inner
             elif c is ValueNode:
                 if k is None:
                     break
@@ -172,8 +160,12 @@ def choice(left: SearchTree[A], right: SearchTree[A]) -> SearchTree[A]:
 
 
 def defer(thunk: Callable[[], SearchTree[A]]) -> SearchTree[A]:
-    """Delay tree construction; required for recursively defined trees."""
-    return DeferredNode(thunk)
+    """Delay tree construction; required for recursively defined trees.
+
+    A bind node with no pending functions over the tree not built yet: the
+    thunk runs at most once, when the node is first visited.
+    """
+    return BindNode(thunk, None)
 
 
 def bind(t: SearchTree[A], f: Callable[[A], SearchTree[B]]) -> SearchTree[B]:
@@ -273,10 +265,11 @@ class Enumeration(Generic[A]):
         return list(self._iter)
 
     # Budget accounting: one unit per node visited (value and fail leaves
-    # included); a chain of deferred and bind nodes collapses within a single
-    # visit.  Each walk is one loop that visits a node in one place, where it
-    # checks the budget; anything that is not a search tree is a dead leaf.
-    # A normalized BindNode is read from its memo, which is always a tree.
+    # included); a bind node, deferred trees and nested binds included,
+    # resolves within a single visit, to its normal form, which is never a
+    # bind node.  Each walk is one loop that visits a node in one place,
+    # where it checks the budget and reads a bind node's memo or computes
+    # it; an OrNode child that is not a search tree is a dead leaf.
 
     def _walk_bfs(self, root: SearchTree[A]) -> Iterator[A]:
         budget = self.strategy.node_budget
@@ -289,14 +282,10 @@ class Enumeration(Generic[A]):
                     self.budget_exceeded = True
                     return
                 expansions += 1
-                while True:
+                t = type(node)
+                if t is BindNode:
+                    node = node._norm or node.normalized
                     t = type(node)
-                    if t is DeferredNode:
-                        node = node.forced
-                    elif t is BindNode:
-                        node = node._norm or node.normalized
-                    else:
-                        break
                 if t is ValueNode:
                     self.expansions = expansions
                     yield node.payload
@@ -321,17 +310,18 @@ class Enumeration(Generic[A]):
         """
         budget = self.strategy.node_budget
         flip = rng.getrandbits if rng is not None else None
-        expansions = 0
-        # Per level: its nodes so far, left to right; the index of the next
-        # node of the level above to expand into it; whether it is complete.
-        # Level 0 stands in above the tree: its one node has the root as its
-        # only child, so tree level l is level l+1 here.
-        nodes: list[list] = [[None], []]
-        fed = [0, 0]
-        done = [True, False]
-        active = [1]   # levels still probed, ascending
-        diag = 1
+        expansions = 1   # the root's visit: a node budget is at least 1
         try:
+            if type(root) is BindNode:
+                root = root.normalized
+            # Per level: its nodes so far, left to right; the index of the
+            # next node of the level above to expand into it; whether it is
+            # complete.  Level 0 is the root alone.
+            nodes: list[list] = [[root]]
+            fed = [0]
+            done = [True]
+            active = [0]   # levels still probed, ascending
+            diag = 0
             while active:
                 still = []
                 for lev in active:
@@ -349,34 +339,23 @@ class Enumeration(Generic[A]):
                         if f < len(above):
                             fed[li] = f + 1
                             node = above[f]
-                            if type(node) is OrNode:   # force left, then right
-                                left = node._left
-                                if callable(left):
-                                    left = node._left = left()
-                                right = node._right
-                                if callable(right):
-                                    right = node._right = right()
-                                if flip is not None and flip(1):
-                                    kids = (right, left)
-                                else:
-                                    kids = (left, right)
-                            elif li == 1:
-                                kids = (root,)
-                            else:
+                            if type(node) is not OrNode:
                                 continue   # a leaf has no children
-                            for kid in kids:
+                            left = node._left   # force left, then right
+                            if callable(left):
+                                left = node._left = left()
+                            right = node._right
+                            if callable(right):
+                                right = node._right = right()
+                            if flip is not None and flip(1):
+                                left, right = right, left
+                            for kid in (left, right):
                                 if expansions >= budget:
                                     self.budget_exceeded = True
                                     return
                                 expansions += 1
-                                while True:
-                                    t = type(kid)
-                                    if t is DeferredNode:
-                                        kid = kid.forced
-                                    elif t is BindNode:
-                                        kid = kid._norm or kid.normalized
-                                    else:
-                                        break
+                                if type(kid) is BindNode:
+                                    kid = kid._norm or kid.normalized
                                 nodes[li].append(kid)
                             if li < lev:
                                 li += 1

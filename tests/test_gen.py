@@ -57,15 +57,21 @@ def nested_bind_positive_ints() -> Generator:
     return Generator(defer(rec), "PosInt")
 
 
+def nested_pair(g1: Generator, g2: Generator) -> Generator:
+    """pair_of as first written: a bind for each part."""
+    return Generator(bind(g1.tree, lambda a: bind(g2.tree, lambda b: value((a, b)))),
+                     f"({g1.name},{g2.name})")
+
+
 def nested_pair_tuple_of(*gens: Generator) -> Generator:
     """tuple_of as first written: nest pairs, then re-bind each pair to
     flatten it.  The reference for the nested-bind definition."""
     if len(gens) == 1:
         g = gens[0]
         return Generator(bind(g.tree, lambda a: value((a,))), f"({g.name},)")
-    acc = pair_of(gens[0], gens[1])
+    acc = nested_pair(gens[0], gens[1])
     for g in gens[2:]:
-        nested = pair_of(acc, g)
+        nested = nested_pair(acc, g)
         acc = Generator(bind(nested.tree, lambda p: value(p[0] + (p[1],))), nested.name)
     return Generator(acc.tree, "(" + ",".join(g.name for g in gens) + ")")
 
@@ -301,6 +307,9 @@ class TestTuples:
             lambda: tuple_of(*(make() for _ in range(arity))),
             lambda: nested_pair_tuple_of(*(make() for _ in range(arity))),
         )
+        if arity == 2:
+            assert_same_walks(lambda: pair_of(make(), make()),
+                              lambda: nested_pair_tuple_of(make(), make()))
 
 
 LAW_STRATEGIES = [Strategy.bfs(10**6), Strategy.level_diag(10**6)] + [

@@ -441,5 +441,19 @@ class TestDistinctFlag:
         assert keyed == []
         for source in (Generator(ints.tree), ints.tree):
             assert status(for_all(source, lambda n: sat), ctx) == SATISFIED
-            assert len(keyed) >= 10
+            assert len(keyed) == 10
             keyed.clear()
+        pulled = []
+
+        def naturals():   # a thunk source: no element is drawn past the limit
+            n = 0
+            while True:
+                pulled.append(n)
+                yield n
+                n += 1
+
+        assert status(for_all(naturals, lambda n: sat), ctx) == SATISFIED
+        assert pulled == list(range(10))
+        pulled.clear()
+        assert status(for_all(naturals, lambda n: sat), EvalContext(for_all_limit=0)) == SATISFIED
+        assert pulled == []

@@ -12,9 +12,9 @@ from ndcheck.corpus.trees import gen_tree
 from ndcheck.gen import BaseType, builtin, list_of
 from ndcheck.searchtree import (
     BFS,
+    DEFAULT_NODE_BUDGET,
     RAND_LEVEL_DIAG,
     BindNode,
-    DeferredNode,
     Enumeration,
     FailNode,
     OrNode,
@@ -40,8 +40,8 @@ def leaf_multiset(tree):
     stack = [tree]
     while stack:
         node = stack.pop()
-        while isinstance(node, (DeferredNode, BindNode)):
-            node = node.forced if isinstance(node, DeferredNode) else node.normalized
+        while isinstance(node, BindNode):
+            node = node.normalized
         if isinstance(node, ValueNode):
             out[canonical(node.payload)] += 1
         elif isinstance(node, OrNode):
@@ -273,9 +273,7 @@ class LevelWalkEnumeration:
             raise _BudgetStop
         self.expansions += 1
         while True:
-            if isinstance(node, DeferredNode):
-                node = node.forced
-            elif isinstance(node, BindNode):
+            if isinstance(node, BindNode):
                 node = node.normalized
             else:
                 return node
@@ -484,6 +482,78 @@ class TestSameWalkAsLevelWalk:
         assert_same_as_level_walk(
             lambda log: deep_spine(10_000, log), budgets=WALK_BUDGETS + (25_000,)
         )
+
+
+@pytest.mark.parametrize("make", WALK_STRATEGY_MAKERS)
+def test_budget_of_exactly_the_expansions_suffices(make):
+    """Budget law (b): a walk whose node budget equals the expansions E of
+    an unbounded drain exhausts with the same values and E expansions; one
+    node less sets budget_exceeded."""
+    for seed in range(300):
+        def fresh():
+            return random_lazy_tree(random.Random(seed), [])
+
+        drain = Enumeration(fresh(), make(DEFAULT_NODE_BUDGET))
+        want = Counter(drain)
+        assert drain.exhausted
+        budget = drain.expansions
+        exact = Enumeration(fresh(), make(budget))
+        assert Counter(exact) == want
+        assert exact.exhausted and exact.expansions == budget
+        if budget > 1:
+            short = Enumeration(fresh(), make(budget - 1))
+            list(short)
+            assert short.budget_exceeded and not short.exhausted
+            assert short.expansions == budget - 1
+
+
+class TestDefer:
+    def test_shared_thunk_runs_once(self):
+        """A defer node shared by two binds forces its thunk once, whichever
+        bind joins through it first and however often it is walked."""
+        runs = []
+
+        def thunk():
+            runs.append(1)
+            return choice(value(1), choice(value(2), fail()))
+
+        shared = defer(thunk)
+        for strategy in (Strategy.bfs(), Strategy.level_diag(), Strategy.rand_level_diag(7)):
+            t = choice(bind(shared, lambda x: value(x + 10)),
+                       bind(shared, lambda x: choice(value(x), value(-x))))
+            assert Counter(enumerate_tree(t, strategy)) == Counter([11, 12, 1, -1, 2, -2])
+        assert sorted(enumerate_tree(shared)) == [1, 2]
+        assert runs == [1]
+
+    def test_thunk_is_not_rerun_after_a_failed_normalisation(self):
+        runs, calls = [], []
+
+        def flaky(x):
+            calls.append(x)
+            if len(calls) == 1:
+                raise ValueError("first call")
+            return value(x)
+
+        def thunk():
+            runs.append(1)
+            return bind(defer(lambda: value(1)), flaky)
+
+        t = defer(thunk)
+        with pytest.raises(ValueError):
+            take_values(t)
+        assert take_values(t) == [1]
+        assert runs == [1]
+
+    def test_thunk_returning_a_non_tree_raises(self):
+        with pytest.raises(TypeError, match="not a search tree: 5"):
+            take_values(defer(lambda: 5))
+        with pytest.raises(TypeError, match="not a search tree: 5"):
+            take_values(bind(choice(value(1), value(2)), lambda x: 5))
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_choice_child_that_is_not_a_tree_is_a_dead_leaf(self, strategy):
+        assert take_values(OrNode(lambda: 5, value(1)), strategy) == [1]
+        assert take_values(choice(value(1), 5), strategy) == [1]
 
 
 # expansions after the first 10,001 values of list_of(builtin(INT)) at seed 0,
