@@ -9,6 +9,7 @@ decided within budget the outcome is Inconclusive rather than a guess.
 
 from __future__ import annotations
 
+import gc
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -70,7 +71,16 @@ class Prop:
     check: Callable[[EvalContext], Outcome]
 
     def evaluate(self, ctx: EvalContext | None = None) -> Outcome:
-        return self.check(ctx or EvalContext())
+        """Run the check with automatic cyclic GC paused, as ``run_suite``
+        does: trees and walks make no reference cycles, so a collection
+        would only rescan the memo of the tree being walked."""
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self.check(ctx or EvalContext())
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
 
 TreeLike = Union[SearchTree, Any]

@@ -91,6 +91,12 @@ class BindNode(SearchTree[A]):
     one in a loop, sharing the outer tail, so a join costs the inner chain's
     length and walking a deeply composed tree costs O(1) Python frames per
     node.
+
+    The normal form is computed once and kept in ``_norm``; the tree and
+    chain it came from are then dropped.  A walk that resolves a bind node
+    in a choice node's slot stores the normal form in that slot, so the
+    wrapper lives on only where something else refers to it, such as a
+    generator's root or a shared ``defer``.
     """
 
     __slots__ = ("_tree", "_cont", "_norm")
@@ -138,6 +144,7 @@ class BindNode(SearchTree[A]):
             else:
                 raise TypeError(f"not a search tree: {t!r}")
         self._norm = t
+        self._tree = self._cont = None
         return t
 
     def __repr__(self) -> str:
@@ -267,31 +274,79 @@ class Enumeration(Generic[A]):
     # Budget accounting: one unit per node visited (value and fail leaves
     # included); a bind node, deferred trees and nested binds included,
     # resolves within a single visit, to its normal form, which is never a
-    # bind node.  Each walk is one loop that visits a node in one place,
-    # where it checks the budget and reads a bind node's memo or computes
-    # it; an OrNode child that is not a search tree is a dead leaf.
+    # bind node.  Each walk visits a choice node's two children where it
+    # holds the choice node: it checks the budget, reads a bind child's memo
+    # or computes it, and stores the normal form in the child's slot, so a
+    # memoised tree keeps normal forms, not their wrappers.  An OrNode child
+    # that is not a search tree is a dead leaf.
 
     def _walk_bfs(self, root: SearchTree[A]) -> Iterator[A]:
+        """Level order over a FIFO of visited choice nodes.
+
+        A choice node's thunk children are forced, left then right, when the
+        node is visited; the children themselves are visited, left then
+        right, when the node is popped.
+        """
         budget = self.strategy.node_budget
-        expansions = 0
-        queue: deque[SearchTree[A]] = deque([root])
+        expansions = 1   # the root's visit: a node budget is at least 1
+        queue: deque[OrNode] = deque()
         try:
+            if type(root) is BindNode:
+                root = root.normalized
+            t = type(root)
+            if t is ValueNode:
+                self.expansions = expansions
+                yield root.payload
+            elif t is OrNode:
+                c = root._left
+                if callable(c):
+                    root._left = c()
+                c = root._right
+                if callable(c):
+                    root._right = c()
+                queue.append(root)
             while queue:
                 node = queue.popleft()
                 if expansions >= budget:
                     self.budget_exceeded = True
                     return
                 expansions += 1
-                t = type(node)
+                kid = node._left
+                t = type(kid)
                 if t is BindNode:
-                    node = node._norm or node.normalized
-                    t = type(node)
+                    kid = node._left = kid._norm or kid.normalized
+                    t = type(kid)
                 if t is ValueNode:
                     self.expansions = expansions
-                    yield node.payload
+                    yield kid.payload
                 elif t is OrNode:
-                    queue.append(node.left)
-                    queue.append(node.right)
+                    c = kid._left
+                    if callable(c):
+                        kid._left = c()
+                    c = kid._right
+                    if callable(c):
+                        kid._right = c()
+                    queue.append(kid)
+                if expansions >= budget:
+                    self.budget_exceeded = True
+                    return
+                expansions += 1
+                kid = node._right
+                t = type(kid)
+                if t is BindNode:
+                    kid = node._right = kid._norm or kid.normalized
+                    t = type(kid)
+                if t is ValueNode:
+                    self.expansions = expansions
+                    yield kid.payload
+                elif t is OrNode:
+                    c = kid._left
+                    if callable(c):
+                        kid._left = c()
+                    c = kid._right
+                    if callable(c):
+                        kid._right = c()
+                    queue.append(kid)
             self.exhausted = True
         finally:
             self.expansions = expansions
@@ -347,16 +402,32 @@ class Enumeration(Generic[A]):
                             right = node._right
                             if callable(right):
                                 right = node._right = right()
-                            if flip is not None and flip(1):
-                                left, right = right, left
-                            for kid in (left, right):
-                                if expansions >= budget:
-                                    self.budget_exceeded = True
-                                    return
-                                expansions += 1
-                                if type(kid) is BindNode:
-                                    kid = kid._norm or kid.normalized
-                                nodes[li].append(kid)
+                            below = nodes[li]
+                            swap = flip is not None and flip(1)
+                            if expansions >= budget:
+                                self.budget_exceeded = True
+                                return
+                            expansions += 1
+                            kid = right if swap else left
+                            if type(kid) is BindNode:
+                                kid = kid._norm or kid.normalized
+                                if swap:
+                                    node._right = kid
+                                else:
+                                    node._left = kid
+                            below.append(kid)
+                            if expansions >= budget:
+                                self.budget_exceeded = True
+                                return
+                            expansions += 1
+                            kid = left if swap else right
+                            if type(kid) is BindNode:
+                                kid = kid._norm or kid.normalized
+                                if swap:
+                                    node._left = kid
+                                else:
+                                    node._right = kid
+                            below.append(kid)
                             if li < lev:
                                 li += 1
                         elif done[li - 1]:

@@ -1,5 +1,6 @@
 """The property operator algebra."""
 
+import gc
 import random
 from pathlib import Path
 
@@ -348,6 +349,43 @@ class TestEvalContext:
         p = same_set(one_of([3, 1, 3]), one_of([1, 3]))
         ctx = EvalContext(strategy=Strategy.rand_level_diag(seed=12))
         assert p.evaluate(ctx) == p.evaluate(ctx)
+
+
+class TestEvaluatePausesGC:
+    """Prop.evaluate runs the check with automatic cyclic GC paused and
+    leaves GC enabled or disabled as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
+    def gc_was_enabled(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    def test_check_runs_paused_and_state_is_restored(self, gc_was_enabled):
+        seen = []
+        p = Prop("probe", lambda ctx: seen.append(gc.isenabled()) or Outcome(SATISFIED))
+        assert p.evaluate(CTX) == Outcome(SATISFIED)
+        assert seen == [False]
+        assert gc.isenabled() == gc_was_enabled
+
+    def test_state_is_restored_when_the_check_raises(self, gc_was_enabled):
+        p = Prop("boom", lambda ctx: 1 // 0)
+        with pytest.raises(ZeroDivisionError):
+            p.evaluate(CTX)
+        assert gc.isenabled() == gc_was_enabled
+
+    def test_outcomes_are_those_of_the_check(self, gc_was_enabled):
+        ctx = EvalContext(for_all_limit=300)
+        props = [
+            for_all(list_of(builtin(BaseType.INT)), lambda xs: is_equal(xs, xs)),
+            for_all(list_of(builtin(BaseType.INT)), lambda xs: is_equal(len(xs), 0)),
+            same_set(one_of([3, 1, 3]), one_of([1, 3])),
+            is_equal(nat_chain(), 0),
+        ]
+        for p in props:
+            assert p.evaluate(ctx) == p.check(ctx)
+        assert gc.isenabled() == gc_was_enabled
 
 
 LEAVES = [value(1), value([2, 1]), fail()]
