@@ -53,14 +53,16 @@ def gen_cons0(v: A, name: str | None = None) -> Generator[A]:
     return Generator(value(v), name if name is not None else repr(v), distinct=True)
 
 
-def _nested(c: Callable[..., A], gens: tuple[Generator, ...]) -> SearchTree[A]:
-    def build(args: tuple, rest: tuple[Generator, ...]) -> SearchTree[A]:
-        if not rest:
-            return value(c(*args))
-        head = rest[0]
-        return bind(head.tree, lambda a: build(args + (a,), rest[1:]))
+# Generator trees are built by module-level functions (_nested, _positive_tree,
+# _lists): a local closure that names itself would be a reference cycle.  Their
+# thunks and continuations take their state as default arguments, so no
+# closure cell stays alive per node of a memoised tree.
 
-    return build((), gens)
+
+def _nested(c: Callable[..., A], gens: tuple[Generator, ...], args: tuple = ()) -> SearchTree[A]:
+    if len(args) == len(gens):
+        return value(c(*args))
+    return bind(gens[len(args)].tree, lambda a, c=c, gens=gens, args=args: _nested(c, gens, args + (a,)))
 
 
 def gen_cons(c: Callable[..., A], *gens: Generator, name: str | None = None) -> Generator[A]:
@@ -106,18 +108,16 @@ def alt(g1: Generator[A], g2: Generator[A]) -> Generator[A]:
 # -- built-in generators -------------------------------------------------
 
 
-def _positive_tree() -> SearchTree[int]:
+def _positive_tree(low: int = 0, bit: int = 1) -> SearchTree[int]:
     # 1, then n -> 2n and n -> 2n+1: every integer >= 1 exactly once, with
     # magnitudes growing by tree level.  Built top down, lowest bit first: a
     # node carries the low bits chosen above it, so a value at depth d is
     # built in O(1), not through d nested 2n / 2n+1 maps.
-    def rec(low: int, bit: int) -> SearchTree[int]:
-        return choice(
-            value(low | bit),
-            OrNode(lambda: rec(low, bit << 1), lambda: rec(low | bit, bit << 1)),
-        )
-
-    return rec(0, 1)
+    return choice(
+        value(low | bit),
+        OrNode(lambda low=low, bit=bit: _positive_tree(low, bit << 1),
+               lambda low=low, bit=bit: _positive_tree(low | bit, bit << 1)),
+    )
 
 
 def positive_ints(name: str = "PosInt") -> Generator[int]:
@@ -168,14 +168,15 @@ def list_of(g: Generator[A]) -> Generator[list[A]]:
     length L costs O(L).  A list's elements name the one path to its leaf,
     so the lists key apart whenever the elements do.
     """
+    return Generator(_lists(g.tree, None), f"[{g.name}]", distinct=g.distinct)
 
-    def rec(drawn: tuple | None) -> SearchTree[list[A]]:
-        return OrNode(
-            lambda: value(_unlink(drawn)),
-            lambda: bind(g.tree, lambda h: rec((h, drawn))),
-        )
 
-    return Generator(rec(None), f"[{g.name}]", distinct=g.distinct)
+def _lists(elem: SearchTree[A], drawn: tuple | None) -> SearchTree[list[A]]:
+    return OrNode(
+        lambda drawn=drawn: value(_unlink(drawn)),
+        lambda elem=elem, drawn=drawn: bind(
+            elem, lambda h, elem=elem, drawn=drawn: _lists(elem, (h, drawn))),
+    )
 
 
 def pair_of(g1: Generator, g2: Generator) -> Generator[tuple]:

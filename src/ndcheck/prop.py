@@ -104,10 +104,11 @@ class Distinct:
 
     When iteration stops on its own, ``end`` is EXHAUSTED, LIMIT (cap
     reached) or BUDGET (node budget ran out); None if the consumer stopped.
-    ``walk(tree, strategy)`` is the caller's own ``enumerate_tree``; a leaf
-    root needs no Enumeration, as a node budget is at least 1.  A tree known
-    to be ``distinct`` (see ``Generator.distinct``) is not keyed: every value
-    is yielded, as (None, value).
+    ``walk(tree, strategy)`` is the caller's own ``enumerate_tree``, and a
+    leaf root is walked as a one-node Enumeration like any other tree (the
+    operators decide a leaf side without a cursor, in ``_distinct``).  A
+    tree known to be ``distinct`` (see ``Generator.distinct``) is not
+    keyed: every value is yielded, as (None, value).
     """
 
     __slots__ = ("_tree", "_strategy", "_walk", "_cap", "_distinct", "end")
@@ -123,14 +124,6 @@ class Distinct:
         tree, cap = self._tree, self._cap
         if cap is not None and cap < 1:
             self.end = LIMIT
-            return
-        if isinstance(tree, ValueNode):
-            v = tree.payload
-            yield (None if self._distinct else canonical(v)), v
-            self.end = LIMIT if cap == 1 else EXHAUSTED
-            return
-        if isinstance(tree, FailNode):
-            self.end = EXHAUSTED
             return
         enum = self._walk(tree, self._strategy)
         if self._distinct:
@@ -156,8 +149,20 @@ class Distinct:
 
 def _distinct(t: SearchTree, ctx: EvalContext, need: int | None = None) -> tuple[list, list, str]:
     """(keys, values, end) of at most `need` distinct values, within the
-    value budget (which also ends the draw with LIMIT)."""
+    value budget (which also ends the draw with LIMIT).
+
+    Every operator gets its value sets here.  A leaf side, such as a plain
+    value lifted by ``as_tree``, is decided in one step, with no cursor or
+    walk: a value leaf is keyed once, and a walk would reach it, as a node
+    budget is at least 1."""
     cap = ctx.value_budget if need is None else min(need, ctx.value_budget)
+    if cap >= 1:
+        c = type(t)
+        if c is ValueNode:
+            v = t.payload
+            return [canonical(v)], [v], LIMIT if cap == 1 else EXHAUSTED
+        if c is FailNode:
+            return [], [], EXHAUSTED
     side = Distinct(t, ctx.strategy, enumerate_tree, cap)
     pairs = list(side)
     return [k for k, _ in pairs], [v for _, v in pairs], side.end

@@ -16,6 +16,7 @@ from .gen import BaseType, Generator
 from .prop import (
     BUDGET,
     DROPPED,
+    EXHAUSTED,
     FALSIFIED,
     INCONCLUSIVE,
     SATISFIED,
@@ -206,7 +207,8 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
                 ERROR,
                 message=f"{type(exc).__name__}: {exc} (input {_render_input(raw, spec.arity)})",
             )
-        labels.update(out.labels)
+        if out.labels:
+            labels.update(out.labels)
         if out.status == DROPPED:
             dropped += 1
             if dropped >= cfg.drop_limit:
@@ -234,8 +236,11 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
                 " domain coverage undecided"
             ),
         )
-    # input domain ended: full enumeration or drop limit
-    return verdict(PASSED_EXHAUSTIVE if executed else EXHAUSTED_V)
+    # A proof needs the whole domain: at the drop limit the cursor's end is
+    # not EXHAUSTED, even if no input was left to draw.
+    if executed and inputs.end == EXHAUSTED:
+        return verdict(PASSED_EXHAUSTIVE)
+    return verdict(EXHAUSTED_V)
 
 
 def _run_prop_once(spec: TestSpec, ctx: EvalContext) -> tuple[Verdict, Counter]:
@@ -274,9 +279,10 @@ def run_suite(specs: list[TestSpec], cfg: RunConfig) -> TestReport:
 
         specs = apply_proofs(specs, scan_proofs(cfg.proof_dir))
     entries: list[TestEntry] = []
-    # Trees and enumerations make no reference cycles, so automatic cyclic
-    # GC would only rescan the memoised generator trees; a young collection
-    # after each spec frees the cycles a property body makes.
+    # Generators, the trees they build and the walks over them make no
+    # reference cycles, so automatic cyclic GC would only rescan the memoised
+    # generator trees; a young collection after each spec frees the cycles a
+    # property body makes.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -330,7 +336,8 @@ def _verdict_lines(e: TestEntry) -> list[str]:
     if v.kind == PASSED_EXHAUSTIVE:
         return [f" Passed all available tests: {v.tests_executed} tests."]
     if v.kind == EXHAUSTED_V:
-        return [f" Arguments exhausted after {v.tests_executed} test."]
+        tests = "tests" if v.tests_executed > 1 else "test"
+        return [f" Arguments exhausted after {v.tests_executed} {tests}."]
     if v.kind == SKIPPED_PROVED:
         return [f" Skipped: proved by {v.proof_file}."]
     if v.kind == ERROR:

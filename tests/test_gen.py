@@ -391,3 +391,34 @@ class TestDistinctMark:
         with pytest.raises(TypeError):
             Generator(value(1), "one", True)
         assert Generator(value(1), "one", distinct=True).distinct
+
+
+COMBINATORS = {
+    "gen_cons0": lambda: gen_cons0(0),
+    "builtin(Bool)": lambda: builtin(BaseType.BOOL),
+    "builtin(Int)": lambda: builtin(BaseType.INT),
+    "builtin(Char)": lambda: builtin(BaseType.CHAR),
+    "positive_ints": positive_ints,
+    "list_of": lambda: list_of(builtin(BaseType.INT)),
+    "alt": lambda: alt(builtin(BaseType.BOOL), builtin(BaseType.ORDERING)),
+    "gen_cons": lambda: gen_cons(lambda a, b: (b, a), builtin(BaseType.BOOL), positive_ints()),
+    "tuple_of": lambda: tuple_of(builtin(BaseType.BOOL), builtin(BaseType.ORDERING)),
+    "pair_of": lambda: pair_of(list_of(builtin(BaseType.BOOL)), builtin(BaseType.INT)),
+}
+
+
+class TestNoReferenceCycles:
+    """run_suite pauses automatic cyclic GC, which is safe only while
+    generators, their trees and the walks over them make no cycles."""
+
+    @pytest.mark.parametrize("name", list(COMBINATORS))
+    @pytest.mark.parametrize("n", [1, 200])  # 200 exhausts every finite domain here
+    def test_built_walked_and_dropped_generator_leaves_no_garbage(self, name, n, no_cyclic_gc):
+        gc.collect()
+        g = COMBINATORS[name]()
+        for strategy in LAW_STRATEGIES:
+            walk = enumerate_tree(g.tree, strategy)
+            vs = list(itertools.islice(walk, n))
+            assert vs
+        del g, walk, vs
+        assert gc.collect() == 0

@@ -388,7 +388,7 @@ class TestEvaluatePausesGC:
         assert gc.isenabled() == gc_was_enabled
 
 
-LEAVES = [value(1), value([2, 1]), fail()]
+LEAVES = [value(1), value([2, 1]), value(True), value(float("nan")), fail()]
 LEAF_CONTEXTS = [
     EvalContext(strategy=Strategy(s.kind, s.seed, node_budget), value_budget=value_budget)
     for s in STRATEGIES
@@ -430,6 +430,25 @@ class TestLeafFastPath:
         assert walks == []
         assert same_set(one_of([1, 2]), one_of([2, 1])).evaluate().status == SATISFIED
         assert len(walks) == 2
+
+    def test_plain_values_build_no_cursor(self, monkeypatch):
+        cursors = []
+
+        class CountingDistinct(Distinct):
+            def __init__(self, tree, *args, **kwargs):
+                cursors.append(tree)
+                super().__init__(tree, *args, **kwargs)
+
+        monkeypatch.setattr("ndcheck.prop.Distinct", CountingDistinct)
+        xs = [3, 1, 2]
+        plain = [
+            is_equal(xs, xs), is_equal(xs, fail()), same_set(xs, [3, 1, 2]),
+            value_count(xs, 1), value_count(fail(), 0), value_count_less(xs, 2),
+        ]
+        assert [p.evaluate().status for p in plain] == [SATISFIED, FALSIFIED] + [SATISFIED] * 4
+        assert cursors == []
+        assert status(same_set(one_of([1, 2]), one_of([2, 1]))) == SATISFIED
+        assert len(cursors) == 2
 
     def test_each_value_is_keyed_once(self, monkeypatch):
         keyed = []

@@ -92,6 +92,28 @@ class TestRunParam:
         assert verdict.tests_executed == 0
         assert verdict.tests_dropped == 200
 
+    def test_drop_limit_after_some_tests_claims_no_proof(self):
+        # the drop limit stops the run on an infinite domain: the inputs
+        # that ran are no proof, however many there were
+        spec = param_spec(positive_ints(), lambda n: implies(n < 4, lambda: is_equal(n, n)))
+        verdict, _ = run_param(spec, RunConfig(drop_limit=100))
+        assert verdict.kind == EXHAUSTED_V
+        assert (verdict.tests_executed, verdict.tests_dropped) == (3, 100)
+        report = run_suite([spec], RunConfig(drop_limit=100))
+        assert report.exit_code == 1
+        assert render_report(report).endswith("\n Arguments exhausted after 3 tests.")
+
+    def test_last_input_dropped_at_the_limit_claims_no_proof(self):
+        # the runner does not look past the drop limit, so a finite domain
+        # whose last input is the limit-th drop reads Exhausted: too little
+        # is claimed, never too much
+        gen = Generator(one_of([0, 1, 2]), "three")
+        spec = param_spec(gen, lambda n: implies(n == 0, lambda: is_equal(n, n)))
+        at_limit, _ = run_param(spec, RunConfig(drop_limit=2, strategy_kind="bfs"))
+        assert (at_limit.kind, at_limit.tests_executed, at_limit.tests_dropped) == (EXHAUSTED_V, 1, 2)
+        below, _ = run_param(spec, RunConfig(drop_limit=3, strategy_kind="bfs"))
+        assert (below.kind, below.tests_executed, below.tests_dropped) == (PASSED_EXHAUSTIVE, 1, 2)
+
     def test_finite_domain_with_drops_passes_exhaustively(self):
         gen = Generator(one_of(range(8)), "eight")
         spec = param_spec(gen, lambda n: implies(n % 2 == 0, lambda: is_equal(n, n)))
@@ -677,6 +699,11 @@ class TestRendering:
         assert render_report(TestReport((e,))) == (
             "revRevIsIdLong (module Rev, line 13):\n Arguments exhausted after 0 test."
         )
+
+    @pytest.mark.parametrize("n, line", [(1, "1 test."), (2, "2 tests."), (63, "63 tests.")])
+    def test_exhausted_line_counts_tests(self, n, line):
+        e = TestEntry("p", "M", 1, Verdict(EXHAUSTED_V, tests_executed=n, tests_dropped=10_000))
+        assert render_report(TestReport((e,))) == f"p (module M, line 1):\n Arguments exhausted after {line}"
 
     def test_falsified_block(self):
         e = TestEntry(
