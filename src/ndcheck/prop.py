@@ -19,7 +19,7 @@ from .gen import Generator
 from .searchtree import (
     Enumeration, FailNode, SearchTree, Strategy, ValueNode, enumerate_tree, value,
 )
-from .values import canonical, render
+from .values import canonical, flat_equal, render
 
 SATISFIED = "satisfied"
 FALSIFIED = "falsified"
@@ -179,6 +179,23 @@ def _results(lvals: list, lend: str, rvals: list, rend: str) -> str:
     return f"({_render_side(lvals, lend)},{_render_side(rvals, rend)})"
 
 
+def _leaf_pair(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome | None:
+    """The outcome of comparing two value leaves of flat values, decided by
+    ``flat_equal`` without keys; None: compare the usual way.
+
+    With a value budget of at least 2, a value leaf is one exhausted value, so
+    is_equal, same_set and reduces_to each hold iff the two values key
+    alike, and each reports the same results when they do not."""
+    if type(lt) is ValueNode and type(rt) is ValueNode and ctx.value_budget >= 2:
+        a, b = lt.payload, rt.payload
+        same = flat_equal(a, b)
+        if same:
+            return _SAT
+        if same is not None:
+            return Outcome(FALSIFIED, results=_results([a], EXHAUSTED, [b], EXHAUSTED))
+    return None
+
+
 def _inconclusive(op: str, side: str, end: str) -> Outcome:
     reason = "node budget exceeded" if end == BUDGET else "value budget exceeded"
     return Outcome(INCONCLUSIVE, detail=f"{op}: {side} side undecided ({reason})")
@@ -192,6 +209,8 @@ def is_equal(l: TreeLike, r: TreeLike) -> Prop:
     lt, rt = as_tree(l), as_tree(r)
 
     def check(ctx: EvalContext) -> Outcome:
+        if (out := _leaf_pair(lt, rt, ctx)) is not None:
+            return out
         lkeys, lvals, lend = _distinct(lt, ctx, need=2)
         rkeys, rvals, rend = _distinct(rt, ctx, need=2)
         # a side is decided once it exhausts or shows a second value
@@ -212,6 +231,8 @@ def same_set(l: TreeLike, r: TreeLike) -> Prop:
     lt, rt = as_tree(l), as_tree(r)
 
     def check(ctx: EvalContext) -> Outcome:
+        if (out := _leaf_pair(lt, rt, ctx)) is not None:
+            return out
         lkeys, lvals, lend = _distinct(lt, ctx)
         if lend != EXHAUSTED:
             return _inconclusive("same_set", "left", lend)
@@ -232,6 +253,8 @@ def reduces_to(l: TreeLike, r: TreeLike) -> Prop:
     lt, rt = as_tree(l), as_tree(r)
 
     def check(ctx: EvalContext) -> Outcome:
+        if (out := _leaf_pair(lt, rt, ctx)) is not None:
+            return out
         rkeys, rvals, rend = _distinct(rt, ctx)
         if rend != EXHAUSTED:
             return _inconclusive("reduces_to", "right", rend)
@@ -383,12 +406,12 @@ def for_all(
         else:
             source = values() if callable(values) else values
         checked = 0
-        labels: tuple[str, ...] = ()
+        labels: list[str] = []
         for v in source:
             out = pf(v).check(ctx)
             labels += out.labels
             if out.status == FALSIFIED:
-                return replace(out, arguments=render(v), labels=labels)
+                return replace(out, arguments=render(v), labels=tuple(labels))
             if out.status == INCONCLUSIVE:
                 return replace(out, detail=f"{out.detail} [element {render(v)}]")
             if out.status == DROPPED:
@@ -398,7 +421,7 @@ def for_all(
                 break
         if cursor is not None and cursor.end == BUDGET and checked < limit:
             return _inconclusive("for_all", "left", BUDGET)
-        return Outcome(SATISFIED, labels=labels)
+        return Outcome(SATISFIED, labels=tuple(labels))
 
     return Prop("for_all", check)
 
@@ -418,7 +441,10 @@ def returns(action: Callable[[Path], Any], expected: Any) -> Prop:
         else:
             with tempfile.TemporaryDirectory(prefix="ndcheck-io-") as tmp:
                 got = action(Path(tmp))
-        if canonical(got) == canonical(expected):
+        same = flat_equal(got, expected)
+        if same is None:
+            same = canonical(got) == canonical(expected)
+        if same:
             return _SAT
         return Outcome(FALSIFIED, results=f"({render(got)},{render(expected)})")
 

@@ -56,6 +56,40 @@ def canonical(v: Any) -> Any:
         return (t, "repr", repr(v))
 
 
+def flat_equal(a: Any, b: Any) -> bool | None:
+    """canonical(a) == canonical(b), decided without building the keys when
+    both values are flat; None for any other pair.
+
+    Flat means two values of exact types bool, int, float, str or bytes, or
+    two lists (or two tuples) of such elements.  Lists match iff their
+    elements have the same exact type at each position and are == there;
+    as in the keys, floats match when == or both NaN.  No recursion: a
+    nested, dataclass, enum, dict or set value always gives None.
+    """
+    t = type(a)
+    if t in _SCALARS:
+        u = type(b)
+        if u not in _SCALARS:
+            return None
+        if t is not u:
+            return False
+        return a == b or (t is float and a != a and b != b)
+    if (t is list or t is tuple) and type(b) is t:
+        ta = list(map(type, a))
+        if not _SCALARS.issuperset(ta):
+            return None
+        tb = list(map(type, b))
+        if not _SCALARS.issuperset(tb):
+            return None
+        if ta != tb:
+            return False
+        if a == b:   # element identity or ==: keys alike, NaNs included
+            return True
+        # unequal: the keys differ, unless a position holds two distinct NaN objects
+        return float in ta and all(x == y or (x != x and y != y) for x, y in zip(a, b))
+    return None
+
+
 def render(v: Any) -> str:
     """Render a value the way it appears in reports: [1,2], "text", (a,b)."""
     if v is None:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ndcheck.gen import BaseType, Generator, builtin, list_of, pair_of
+from ndcheck.corpus.trees import Leaf
+from ndcheck.gen import BaseType, Generator, Ordering, builtin, list_of, pair_of
 from ndcheck.prop import (
     DROPPED,
     FALSIFIED,
@@ -311,6 +312,19 @@ class TestReturns:
         assert out.status == FALSIFIED
         assert out.results == "(1,2)"
 
+    @pytest.mark.parametrize("got,expected,same", [
+        ([1, 2], [1, 2], True),
+        (float("nan"), float("nan"), True),
+        (True, 1, False),
+        ([1], (1,), False),
+        (Leaf([1]), Leaf([1]), True),
+        (Ordering.LT, 0, False),
+    ])
+    def test_compares_like_keys(self, tmp_path, got, expected, same):
+        out = returns(lambda _: got, expected).evaluate(EvalContext(scratch_dir=tmp_path))
+        assert out.status == (SATISFIED if same else FALSIFIED)
+        assert same is (canonical(got) == canonical(expected))
+
     def test_standalone_evaluation_uses_throwaway_scratch(self):
         def action(scratch: Path):
             (scratch / "TEST").write_text("x")
@@ -338,6 +352,19 @@ class TestLabels:
         xs = [0, 1, 2, 3]
         out = for_all(xs, lambda n: collect(n % 2, is_equal(n, n))).evaluate(CTX)
         assert sorted(out.labels) == ["0", "0", "1", "1"]
+
+    def test_for_all_keeps_every_label_in_order(self):
+        n = 20_000
+        ctx = EvalContext(for_all_limit=n)
+        out = for_all(range(n), lambda i: collect(i, classify(i % 2 == 0, "even", is_equal(i, i)))).evaluate(ctx)
+        assert out.status == SATISFIED
+        expect = []
+        for i in range(n):
+            expect += ["even", str(i)] if i % 2 == 0 else [str(i)]
+        assert out.labels == tuple(expect)
+        falsified = for_all(range(n), lambda i: collect(i, is_equal(i < n - 1, True))).evaluate(ctx)
+        assert falsified.status == FALSIFIED
+        assert falsified.labels == tuple(str(i) for i in range(n))
 
 
 class TestEvalContext:
@@ -388,7 +415,13 @@ class TestEvaluatePausesGC:
         assert gc.isenabled() == gc_was_enabled
 
 
-LEAVES = [value(1), value([2, 1]), value(True), value(float("nan")), fail()]
+# flat values reach each branch of values.flat_equal; the enum member and
+# the dataclass value are compared through their keys
+LEAVES = [
+    value(1), value([2, 1]), value([2, 1]), value([True]), value(True),
+    value("ab"), value(b"ab"), value(()), value(float("nan")), value(float("nan")),
+    value(Ordering.LT), value(Leaf(1)), fail(),
+]
 LEAF_CONTEXTS = [
     EvalContext(strategy=Strategy(s.kind, s.seed, node_budget), value_budget=value_budget)
     for s in STRATEGIES
@@ -412,9 +445,10 @@ def leaf_props(wrap):
 class TestLeafFastPath:
     @pytest.mark.parametrize("ctx", LEAF_CONTEXTS)
     def test_leaf_roots_decide_like_a_walked_tree(self, ctx):
-        """A value or fail root skips the Enumeration; the same tree behind a
-        deferred node is walked.  Every outcome must agree, budgets of 1
-        included."""
+        """A value or fail root skips the Enumeration, and two value roots
+        of flat values are compared without keys; the same tree behind a
+        deferred node is walked and keyed.  Every outcome must agree,
+        budgets of 1 included."""
         fast = leaf_props(lambda t: t)
         walked = leaf_props(lambda t: defer(lambda: t))
         for p, q in zip(fast, walked):
@@ -454,7 +488,9 @@ class TestLeafFastPath:
         keyed = []
         monkeypatch.setattr("ndcheck.prop.canonical", lambda v: keyed.append(v) or canonical(v))
         assert is_equal([1, 2], [1, 2]).evaluate().status == SATISFIED
-        assert len(keyed) == 2
+        assert len(keyed) == 0  # flat values are compared without keys
+        assert is_equal(Leaf([1]), Leaf([1])).evaluate().status == SATISFIED
+        assert keyed == [Leaf([1]), Leaf([1])]
         keyed.clear()
         bfs = EvalContext(strategy=Strategy.bfs())
         assert reduces_to(one_of([1, 2]), 2).evaluate(bfs).status == SATISFIED

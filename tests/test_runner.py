@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from ndcheck import registry
-from ndcheck.corpus.trees import Succ, Zero
+from ndcheck.corpus.trees import Leaf, Succ, Zero
 from ndcheck.gen import (
     BaseType, Generator, Ordering, alt, builtin, gen_cons0, gen_cons1, list_of, pair_of,
     positive_ints, tuple_of,
@@ -216,8 +216,8 @@ class TestRunParam:
 
     def test_walks_and_keys_per_case(self, monkeypatch):
         """Inputs are walked through the runner's enumerate_tree and keyed
-        once; a body comparing plain values walks nothing and keys each side
-        once."""
+        once; a body comparing plain values walks nothing, keys each side
+        of a dataclass once and compares flat values without keys."""
         calls = {"input": 0, "prop": 0, "key": 0}
 
         def counting(name, fn):
@@ -230,10 +230,16 @@ class TestRunParam:
         monkeypatch.setattr("ndcheck.runner.enumerate_tree", counting("input", enumerate_tree))
         monkeypatch.setattr("ndcheck.prop.enumerate_tree", counting("prop", enumerate_tree))
         monkeypatch.setattr("ndcheck.prop.canonical", counting("key", canonical))
-        spec = param_spec(Generator(nat_chain(), "Nat"), lambda n: is_equal(n, n))
-        verdict, _ = run_param(spec, RunConfig(max_tests=25))
-        assert verdict.kind == PASSED
-        assert calls == {"input": 1, "prop": 0, "key": 3 * 25}
+        bodies = [
+            (lambda n: is_equal(Succ(Zero()), Succ(Zero())), 3),
+            (lambda n: is_equal(n, n), 1),  # flat ints: only the input is keyed
+        ]
+        for body, keys_per_case in bodies:
+            calls.update(input=0, prop=0, key=0)
+            spec = param_spec(Generator(nat_chain(), "Nat"), body)
+            verdict, _ = run_param(spec, RunConfig(max_tests=25))
+            assert verdict.kind == PASSED
+            assert calls == {"input": 1, "prop": 0, "key": keys_per_case * 25}
 
 
 MARKED = {
@@ -305,7 +311,11 @@ class TestDistinctInputs:
         spec = param_spec(list_of(builtin(BaseType.INT)), lambda xs: is_equal(xs, xs))
         verdict, _ = run_param(spec, RunConfig(max_tests=25))
         assert verdict.kind == PASSED
-        assert len(keyed) == 2 * 25  # one key per side of is_equal, none per input
+        assert len(keyed) == 0  # none per input, and flat lists are compared without keys
+        spec = param_spec(list_of(builtin(BaseType.INT)), lambda xs: is_equal(Leaf(xs), Leaf(xs)))
+        verdict, _ = run_param(spec, RunConfig(max_tests=25))
+        assert verdict.kind == PASSED
+        assert len(keyed) == 2 * 25  # a dataclass: one key per side, none per input
 
 
 class TestPoly:
