@@ -18,15 +18,3 @@ from . import (  # noqa: F401
     isset,
     iotests,
 )
-
-SUITES = [
-    "ConcDup",
-    "Perm",
-    "Rev",
-    "BoolTest",
-    "SumUp",
-    "Trees",
-    "Sort",
-    "IsSet",
-    "IOTests",
-]

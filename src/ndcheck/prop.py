@@ -12,12 +12,13 @@ from __future__ import annotations
 import gc
 import tempfile
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .gen import Generator
 from .searchtree import (
-    Enumeration, FailNode, SearchTree, Strategy, ValueNode, enumerate_tree, value,
+    FailNode, SearchTree, Strategy, ValueNode, enumerate_tree, value,
 )
 from .values import canonical, flat_equal, render
 
@@ -98,53 +99,14 @@ BUDGET = "budget"
 LIMIT = "limit"
 
 
-class Distinct:
-    """One pass over a tree's distinct values: yields (canonical key, value)
-    for the first value of each key, at most cap of them (None: no cap).
-
-    When iteration stops on its own, ``end`` is EXHAUSTED, LIMIT (cap
-    reached) or BUDGET (node budget ran out); None if the consumer stopped.
-    ``walk(tree, strategy)`` is the caller's own ``enumerate_tree``, and a
-    leaf root is walked as a one-node Enumeration like any other tree (the
-    operators decide a leaf side without a cursor, in ``_distinct``).  A
-    tree known to be ``distinct`` (see ``Generator.distinct``) is not
-    keyed: every value is yielded, as (None, value).
-    """
-
-    __slots__ = ("_tree", "_strategy", "_walk", "_cap", "_distinct", "end")
-
-    def __init__(self, tree: SearchTree, strategy: Strategy,
-                 walk: Callable[[SearchTree, Strategy], Enumeration], cap: int | None = None,
-                 *, distinct: bool = False):
-        self._tree, self._strategy, self._walk, self._cap = tree, strategy, walk, cap
-        self._distinct = distinct
-        self.end: str | None = None
-
-    def __iter__(self) -> Iterator[tuple[Any, Any]]:
-        tree, cap = self._tree, self._cap
-        if cap is not None and cap < 1:
-            self.end = LIMIT
-            return
-        enum = self._walk(tree, self._strategy)
-        if self._distinct:
-            for n, v in enumerate(enum, 1):
-                yield None, v
-                if n == cap:
-                    self.end = LIMIT
-                    return
-            self.end = EXHAUSTED if enum.exhausted else BUDGET
-            return
-        seen: set = set()
-        for v in enum:
-            k = canonical(v)
-            if k in seen:
-                continue
+def keyed(values: Iterable) -> Iterator[tuple[Any, Any]]:
+    """(canonical key, value) for the first value of each key."""
+    seen: set = set()
+    for v in values:
+        k = canonical(v)
+        if k not in seen:
             seen.add(k)
             yield k, v
-            if len(seen) == cap:
-                self.end = LIMIT
-                return
-        self.end = EXHAUSTED if enum.exhausted else BUDGET
 
 
 def _distinct(t: SearchTree, ctx: EvalContext, need: int | None = None) -> tuple[list, list, str]:
@@ -152,20 +114,23 @@ def _distinct(t: SearchTree, ctx: EvalContext, need: int | None = None) -> tuple
     value budget (which also ends the draw with LIMIT).
 
     Every operator gets its value sets here.  A leaf side, such as a plain
-    value lifted by ``as_tree``, is decided in one step, with no cursor or
-    walk: a value leaf is keyed once, and a walk would reach it, as a node
-    budget is at least 1."""
+    value lifted by ``as_tree``, is decided in one step, with no walk: a
+    value leaf is keyed once, and a walk would reach it, as a node budget
+    is at least 1.  Any other side is walked and keyed up to the cap, and
+    the walk's own ``exhausted`` flag tells EXHAUSTED from BUDGET."""
     cap = ctx.value_budget if need is None else min(need, ctx.value_budget)
-    if cap >= 1:
-        c = type(t)
-        if c is ValueNode:
-            v = t.payload
-            return [canonical(v)], [v], LIMIT if cap == 1 else EXHAUSTED
-        if c is FailNode:
-            return [], [], EXHAUSTED
-    side = Distinct(t, ctx.strategy, enumerate_tree, cap)
-    pairs = list(side)
-    return [k for k, _ in pairs], [v for _, v in pairs], side.end
+    if cap < 1:
+        return [], [], LIMIT
+    c = type(t)
+    if c is ValueNode:
+        v = t.payload
+        return [canonical(v)], [v], LIMIT if cap == 1 else EXHAUSTED
+    if c is FailNode:
+        return [], [], EXHAUSTED
+    enum = enumerate_tree(t, ctx.strategy)
+    pairs = list(islice(keyed(enum), cap))
+    end = LIMIT if len(pairs) == cap else EXHAUSTED if enum.exhausted else BUDGET
+    return [k for k, _ in pairs], [v for _, v in pairs], end
 
 
 def _render_side(vals: list, end: str) -> str:
@@ -179,20 +144,23 @@ def _results(lvals: list, lend: str, rvals: list, rend: str) -> str:
     return f"({_render_side(lvals, lend)},{_render_side(rvals, rend)})"
 
 
+def _same_value(a: Any, b: Any) -> bool:
+    """canonical(a) == canonical(b), without keys for flat values."""
+    same = flat_equal(a, b)
+    return canonical(a) == canonical(b) if same is None else same
+
+
 def _leaf_pair(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome | None:
-    """The outcome of comparing two value leaves of flat values, decided by
-    ``flat_equal`` without keys; None: compare the usual way.
+    """The outcome of comparing two value leaves; None: not two value leaves.
 
     With a value budget of at least 2, a value leaf is one exhausted value, so
     is_equal, same_set and reduces_to each hold iff the two values key
     alike, and each reports the same results when they do not."""
     if type(lt) is ValueNode and type(rt) is ValueNode and ctx.value_budget >= 2:
         a, b = lt.payload, rt.payload
-        same = flat_equal(a, b)
-        if same:
+        if _same_value(a, b):
             return _SAT
-        if same is not None:
-            return Outcome(FALSIFIED, results=_results([a], EXHAUSTED, [b], EXHAUSTED))
+        return Outcome(FALSIFIED, results=_results([a], EXHAUSTED, [b], EXHAUSTED))
     return None
 
 
@@ -261,19 +229,21 @@ def reduces_to(l: TreeLike, r: TreeLike) -> Prop:
         missing = set(rkeys)
         if not missing:
             return _SAT
-        left = Distinct(lt, ctx.strategy, enumerate_tree, ctx.value_budget)
+        enum = enumerate_tree(lt, ctx.strategy)
         observed: list = []
-        for k, v in left:
+        for k, v in islice(keyed(enum), ctx.value_budget):
             observed.append(v)
             missing.discard(k)
             if not missing:
                 return _SAT
-        if left.end == EXHAUSTED:
+        if len(observed) == ctx.value_budget:
+            return _inconclusive("reduces_to", "left", LIMIT)
+        if enum.exhausted:
             return Outcome(
                 FALSIFIED,
                 results=_results(observed, EXHAUSTED, rvals, EXHAUSTED),
             )
-        return _inconclusive("reduces_to", "left", left.end)
+        return _inconclusive("reduces_to", "left", BUDGET)
 
     return Prop("reduces_to", check)
 
@@ -398,11 +368,11 @@ def for_all(
         limit = ctx.for_all_limit
         if limit < 1:
             return _SAT
-        cursor = None
+        enum = None
         if isinstance(values, (Generator, SearchTree)):
             gen = values if isinstance(values, Generator) else Generator(values)
-            cursor = Distinct(gen.tree, ctx.strategy, enumerate_tree, distinct=gen.distinct)
-            source: Iterable = (v for _, v in cursor)
+            enum = enumerate_tree(gen.tree, ctx.strategy)
+            source: Iterable = enum if gen.distinct else (v for _, v in keyed(enum))
         else:
             source = values() if callable(values) else values
         checked = 0
@@ -419,7 +389,7 @@ def for_all(
             checked += 1
             if checked == limit:
                 break
-        if cursor is not None and cursor.end == BUDGET and checked < limit:
+        if enum is not None and enum.budget_exceeded and checked < limit:
             return _inconclusive("for_all", "left", BUDGET)
         return Outcome(SATISFIED, labels=tuple(labels))
 
@@ -441,10 +411,7 @@ def returns(action: Callable[[Path], Any], expected: Any) -> Prop:
         else:
             with tempfile.TemporaryDirectory(prefix="ndcheck-io-") as tmp:
                 got = action(Path(tmp))
-        same = flat_equal(got, expected)
-        if same is None:
-            same = canonical(got) == canonical(expected)
-        if same:
+        if _same_value(got, expected):
             return _SAT
         return Outcome(FALSIFIED, results=f"({render(got)},{render(expected)})")
 

@@ -14,15 +14,13 @@ from typing import Any, Callable
 
 from .gen import BaseType, Generator
 from .prop import (
-    BUDGET,
     DROPPED,
-    EXHAUSTED,
     FALSIFIED,
     INCONCLUSIVE,
     SATISFIED,
-    Distinct,
     EvalContext,
     Prop,
+    keyed,
 )
 from .searchtree import DEFAULT_NODE_BUDGET, Strategy, enumerate_tree
 from .values import render_args
@@ -179,8 +177,8 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
     ctx = ctx or _context(cfg, None)
     gen = spec.input_gen
     assert gen is not None and spec.body is not None
-    inputs = Distinct(gen.tree, ctx.strategy, enumerate_tree, distinct=gen.distinct)
-    cursor = iter(inputs)
+    inputs = enumerate_tree(gen.tree, ctx.strategy)
+    cursor = iter(inputs) if gen.distinct else (v for _, v in keyed(inputs))
     labels: Counter = Counter()
     executed = 0
     dropped = 0
@@ -190,7 +188,7 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
 
     while True:
         try:
-            _, raw = next(cursor)
+            raw = next(cursor)
         except StopIteration:
             break
         except Exception as exc:  # noqa: BLE001 - a failing generator is a verdict too
@@ -228,7 +226,7 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
         executed += 1
         if executed >= cfg.max_tests:
             return verdict(PASSED)
-    if inputs.end == BUDGET:
+    if inputs.budget_exceeded:
         return verdict(
             ERROR,
             message=(
@@ -236,9 +234,9 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
                 " domain coverage undecided"
             ),
         )
-    # A proof needs the whole domain: at the drop limit the cursor's end is
-    # not EXHAUSTED, even if no input was left to draw.
-    if executed and inputs.end == EXHAUSTED:
+    # A proof needs the whole domain: at the drop limit the walk has not
+    # ended, so it is not exhausted, even if no input was left to draw.
+    if executed and inputs.exhausted:
         return verdict(PASSED_EXHAUSTIVE)
     return verdict(EXHAUSTED_V)
 

@@ -248,9 +248,10 @@ class Enumeration(Generic[A]):
 
     Iterate to pull values lazily.  Once iteration stops on its own, exactly
     one of ``exhausted`` (whole tree expanded) or ``budget_exceeded`` is set;
-    if the consumer stopped early, both stay False.  ``expansions`` counts
-    visited tree nodes; it is current whenever a value is handed out and
-    once the walk stops.
+    if the consumer stopped early, both stay False.  These two flags are the
+    end of a draw that the runner, ``for_all`` and every operator read.
+    ``expansions`` counts visited tree nodes; it is current whenever a value
+    is handed out and once the walk stops.
     """
 
     def __init__(self, tree: SearchTree[A], strategy: Strategy):

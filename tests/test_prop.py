@@ -2,6 +2,7 @@
 
 import gc
 import random
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ from ndcheck.prop import (
     FALSIFIED,
     INCONCLUSIVE,
     SATISFIED,
-    Distinct,
     EvalContext,
     Outcome,
     Prop,
@@ -24,6 +24,7 @@ from ndcheck.prop import (
     for_all,
     implies,
     is_equal,
+    keyed,
     reduces_to,
     returns,
     same_set,
@@ -461,28 +462,32 @@ class TestLeafFastPath:
         xs = [3, 1, 2]
         assert is_equal(xs, xs).evaluate().status == SATISFIED
         assert same_set(xs, xs).evaluate().status == SATISFIED
+        # two leaves of values that are not flat are decided by their keys
+        assert reduces_to(Leaf(1), Leaf(1)).evaluate().status == SATISFIED
+        out = reduces_to(Leaf(1), Leaf(2)).evaluate()
+        assert (out.status, out.results) == (FALSIFIED, "(Leaf 1,Leaf 2)")
         assert walks == []
         assert same_set(one_of([1, 2]), one_of([2, 1])).evaluate().status == SATISFIED
         assert len(walks) == 2
 
     def test_plain_values_build_no_cursor(self, monkeypatch):
-        cursors = []
+        draws = []
+        real = keyed
 
-        class CountingDistinct(Distinct):
-            def __init__(self, tree, *args, **kwargs):
-                cursors.append(tree)
-                super().__init__(tree, *args, **kwargs)
+        def counting_keyed(values):
+            draws.append(values)
+            return real(values)
 
-        monkeypatch.setattr("ndcheck.prop.Distinct", CountingDistinct)
+        monkeypatch.setattr("ndcheck.prop.keyed", counting_keyed)
         xs = [3, 1, 2]
         plain = [
             is_equal(xs, xs), is_equal(xs, fail()), same_set(xs, [3, 1, 2]),
             value_count(xs, 1), value_count(fail(), 0), value_count_less(xs, 2),
         ]
         assert [p.evaluate().status for p in plain] == [SATISFIED, FALSIFIED] + [SATISFIED] * 4
-        assert cursors == []
+        assert draws == []
         assert status(same_set(one_of([1, 2]), one_of([2, 1]))) == SATISFIED
-        assert len(cursors) == 2
+        assert len(draws) == 2
 
     def test_each_value_is_keyed_once(self, monkeypatch):
         keyed = []
@@ -502,8 +507,8 @@ class TestLeafFastPath:
 
 
 class TestDistinctFlag:
-    """A cursor told its tree is distinct yields (None, value) for every
-    value, with the keyed cursor's values and end."""
+    """A tree marked distinct is drawn straight from its Enumeration; a walk
+    drawn through ``keyed`` must yield the same values and end the same."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("cap", [None, 0, 1, 3, 50])
@@ -517,12 +522,14 @@ class TestDistinctFlag:
             builtin(BaseType.INT).tree,
             pair_of(builtin(BaseType.BOOL), list_of(builtin(BaseType.ORDERING))).tree,
         ):
-            keyed = Distinct(tree, strategy, enumerate_tree, cap)
-            unkeyed = Distinct(tree, strategy, enumerate_tree, cap, distinct=True)
-            pairs = list(unkeyed)
-            assert [v for _, v in pairs] == [v for _, v in keyed]
-            assert all(k is None for k, _ in pairs)
-            assert unkeyed.end == keyed.end
+            direct = enumerate_tree(tree, strategy)
+            values = list(islice(direct, cap))
+            through_keyed = enumerate_tree(tree, strategy)
+            pairs = list(islice(keyed(through_keyed), cap))
+            assert [v for _, v in pairs] == values
+            assert [k for k, _ in pairs] == [canonical(v) for v in values]
+            assert direct.exhausted == through_keyed.exhausted
+            assert direct.budget_exceeded == through_keyed.budget_exceeded
 
     def test_for_all_skips_keys_only_for_a_marked_generator(self, monkeypatch):
         keyed = []
