@@ -20,7 +20,7 @@ from .gen import Generator
 from .searchtree import (
     FailNode, SearchTree, Strategy, ValueNode, enumerate_tree, value,
 )
-from .values import canonical, flat_equal, render
+from .values import canonical, render, same_value
 
 SATISFIED = "satisfied"
 FALSIFIED = "falsified"
@@ -144,12 +144,6 @@ def _results(lvals: list, lend: str, rvals: list, rend: str) -> str:
     return f"({_render_side(lvals, lend)},{_render_side(rvals, rend)})"
 
 
-def _same_value(a: Any, b: Any) -> bool:
-    """canonical(a) == canonical(b), without keys for flat values."""
-    same = flat_equal(a, b)
-    return canonical(a) == canonical(b) if same is None else same
-
-
 def _leaf_pair(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome | None:
     """The outcome of comparing two value leaves; None: not two value leaves.
 
@@ -158,7 +152,7 @@ def _leaf_pair(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome | No
     alike, and each reports the same results when they do not."""
     if type(lt) is ValueNode and type(rt) is ValueNode and ctx.value_budget >= 2:
         a, b = lt.payload, rt.payload
-        if _same_value(a, b):
+        if same_value(a, b):
             return _SAT
         return Outcome(FALSIFIED, results=_results([a], EXHAUSTED, [b], EXHAUSTED))
     return None
@@ -411,7 +405,7 @@ def returns(action: Callable[[Path], Any], expected: Any) -> Prop:
         else:
             with tempfile.TemporaryDirectory(prefix="ndcheck-io-") as tmp:
                 got = action(Path(tmp))
-        if _same_value(got, expected):
+        if same_value(got, expected):
             return _SAT
         return Outcome(FALSIFIED, results=f"({render(got)},{render(expected)})")
 

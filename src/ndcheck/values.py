@@ -1,4 +1,5 @@
-"""Ground-value helpers: structural equality keys and report rendering.
+"""Ground-value helpers: structural equality keys, key-free comparison and
+report rendering.
 
 Test data and results are ordinary Python values (ints, bools, strings,
 lists, frozen dataclasses, ...).  De-duplication needs a hashable key whose
@@ -18,6 +19,16 @@ _SCALARS = frozenset((bool, int, float, str, bytes))
 _FIELDS: dict[type, tuple[str, ...] | None] = {}
 
 
+def _field_names(t: type) -> tuple[str, ...] | None:
+    """The dataclass field names of type t, or None if it is no dataclass."""
+    try:
+        return _FIELDS[t]
+    except KeyError:
+        dc = dataclasses.is_dataclass(t)
+        names = _FIELDS[t] = tuple(f.name for f in dataclasses.fields(t)) if dc else None
+        return names
+
+
 def canonical(v: Any) -> Any:
     """Hashable key such that canonical(a) == canonical(b) iff a and b have
     the same type and are ==, recursively.
@@ -25,10 +36,13 @@ def canonical(v: Any) -> Any:
     True and 1 key apart, as do 1 and 1.0; every float NaN keys alike.
     Containers are frozen recursively (set and frozenset alike), dataclasses
     keyed by type and fields; other hashable values (enum members) are their
-    own key, unhashable ones are keyed by type and repr.  Scalar elements
-    of a list or tuple are keyed inline, without a call of their own.  Two
-    Python frames per nesting level keep ~490 levels within the default
-    recursion limit.
+    own key, unhashable ones are keyed by type and repr.  Keys are compared
+    as sets and lists compare their members, identity first, so a value
+    that is not == to itself (a Decimal NaN) still keys alike with itself.
+    Scalar elements of a list or tuple are keyed inline, without a call of
+    their own.  Two Python frames per nesting level keep ~490 levels within
+    the default recursion limit; same_value compares two values as their
+    keys would, at any depth, without building them.
     """
     t = type(v)
     if t in _SCALARS:
@@ -38,11 +52,7 @@ def canonical(v: Any) -> Any:
     if t is list or t is tuple:
         return (t, tuple([(tx, x) if (tx := type(x)) in _SCALARS and x == x else canonical(x)
                           for x in v]))
-    try:
-        names = _FIELDS[t]
-    except KeyError:
-        dc = dataclasses.is_dataclass(t)
-        names = _FIELDS[t] = tuple(f.name for f in dataclasses.fields(t)) if dc else None
+    names = _field_names(t)
     if names is not None:
         return (t, *[canonical(getattr(v, n)) for n in names])
     if t is dict:
@@ -58,7 +68,7 @@ def canonical(v: Any) -> Any:
 
 def flat_equal(a: Any, b: Any) -> bool | None:
     """canonical(a) == canonical(b), decided without building the keys when
-    both values are flat; None for any other pair.
+    both values are flat; None for any other pair.  same_value's first step.
 
     Flat means two values of exact types bool, int, float, str or bytes, or
     two lists (or two tuples) of such elements.  Lists match iff their
@@ -88,6 +98,50 @@ def flat_equal(a: Any, b: Any) -> bool | None:
         # unequal: the keys differ, unless a position holds two distinct NaN objects
         return float in ta and all(x == y or (x != x and y != y) for x, y in zip(a, b))
     return None
+
+
+def same_value(a: Any, b: Any) -> bool:
+    """[canonical(a)] == [canonical(b)], decided by walking a and b in step
+    on an explicit stack, without building their keys.
+
+    The list compares the keys as sets and key lists do, identity first, so
+    an object is the same value as itself even when it is not == to itself
+    (a Decimal NaN).  A flat pair goes to flat_equal.  Otherwise identical
+    objects match, two scalars follow the flat rule, two lists or two tuples
+    of equal length match elementwise, and two instances of one dataclass
+    match fieldwise; any other pair (dicts, sets, enum members, mixed kinds)
+    is decided by its two keys.  No recursion: nesting depth is unbounded.
+    """
+    same = flat_equal(a, b)
+    if same is not None:
+        return same
+    stack = [(a, b)]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        x, y = pop()
+        if x is y:
+            continue
+        t = type(x)
+        if t is type(y):
+            if t in _SCALARS:
+                if x == y or (t is float and x != x and y != y):
+                    continue
+                return False
+            if t is list or t is tuple:
+                if len(x) != len(y):
+                    return False
+                push(zip(x, y))
+                continue
+            names = _field_names(t)
+            if names is not None:
+                push([(getattr(x, n), getattr(y, n)) for n in names])
+                continue
+        elif t in _SCALARS and type(y) in _SCALARS:
+            return False
+        kx, ky = canonical(x), canonical(y)
+        if not (kx is ky or kx == ky):
+            return False
+    return True
 
 
 def render(v: Any) -> str:

@@ -2,12 +2,13 @@
 
 import gc
 import random
+from decimal import Decimal
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from ndcheck.corpus.trees import Leaf
+from ndcheck.corpus.trees import Leaf, Succ, Zero
 from ndcheck.gen import BaseType, Generator, Ordering, builtin, list_of, pair_of
 from ndcheck.prop import (
     DROPPED,
@@ -416,12 +417,25 @@ class TestEvaluatePausesGC:
         assert gc.isenabled() == gc_was_enabled
 
 
-# flat values reach each branch of values.flat_equal; the enum member and
-# the dataclass value are compared through their keys
+class SelfUnequal:
+    """Hashable, but not == to anything, itself included."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = object.__hash__
+
+
+DECIMAL_NAN = Decimal("NaN")
+
+# flat values reach each branch of values.flat_equal; the dataclass value is
+# compared in step, the enum member through its key; an object that is not
+# == to itself is still the same value as itself, on a leaf as in a walk
 LEAVES = [
     value(1), value([2, 1]), value([2, 1]), value([True]), value(True),
     value("ab"), value(b"ab"), value(()), value(float("nan")), value(float("nan")),
-    value(Ordering.LT), value(Leaf(1)), fail(),
+    value(Ordering.LT), value(Leaf(1)), value(DECIMAL_NAN), value(DECIMAL_NAN),
+    value(SelfUnequal()), fail(),
 ]
 LEAF_CONTEXTS = [
     EvalContext(strategy=Strategy(s.kind, s.seed, node_budget), value_budget=value_budget)
@@ -447,9 +461,8 @@ class TestLeafFastPath:
     @pytest.mark.parametrize("ctx", LEAF_CONTEXTS)
     def test_leaf_roots_decide_like_a_walked_tree(self, ctx):
         """A value or fail root skips the Enumeration, and two value roots
-        of flat values are compared without keys; the same tree behind a
-        deferred node is walked and keyed.  Every outcome must agree,
-        budgets of 1 included."""
+        are compared without keys; the same tree behind a deferred node is
+        walked and keyed.  Every outcome must agree, budgets of 1 included."""
         fast = leaf_props(lambda t: t)
         walked = leaf_props(lambda t: defer(lambda: t))
         for p, q in zip(fast, walked):
@@ -462,7 +475,7 @@ class TestLeafFastPath:
         xs = [3, 1, 2]
         assert is_equal(xs, xs).evaluate().status == SATISFIED
         assert same_set(xs, xs).evaluate().status == SATISFIED
-        # two leaves of values that are not flat are decided by their keys
+        # two leaves of values that are not flat are compared in step
         assert reduces_to(Leaf(1), Leaf(1)).evaluate().status == SATISFIED
         out = reduces_to(Leaf(1), Leaf(2)).evaluate()
         assert (out.status, out.results) == (FALSIFIED, "(Leaf 1,Leaf 2)")
@@ -495,8 +508,7 @@ class TestLeafFastPath:
         assert is_equal([1, 2], [1, 2]).evaluate().status == SATISFIED
         assert len(keyed) == 0  # flat values are compared without keys
         assert is_equal(Leaf([1]), Leaf([1])).evaluate().status == SATISFIED
-        assert keyed == [Leaf([1]), Leaf([1])]
-        keyed.clear()
+        assert len(keyed) == 0  # nor are two plain values of any other shape
         bfs = EvalContext(strategy=Strategy.bfs())
         assert reduces_to(one_of([1, 2]), 2).evaluate(bfs).status == SATISFIED
         assert keyed == [2, 1, 2]  # the right side, then the left side up to its 2
@@ -504,6 +516,46 @@ class TestLeafFastPath:
     def test_reduces_to_keys_both_sides_alike(self):
         assert status(reduces_to(one_of([1, 2]), 11)) == FALSIFIED
         assert status(reduces_to(one_of([1, 11]), 11)) == SATISFIED
+
+
+def succ_chain(depth):
+    n = Zero()
+    for _ in range(depth):
+        n = Succ(n)
+    return n
+
+
+def nested_list(depth):
+    xs: list = []
+    for _ in range(depth):
+        xs = [xs]
+    return xs
+
+
+class TestDeepValues:
+    """Two plain values are compared without recursion, however deep."""
+
+    @pytest.mark.parametrize("build", [succ_chain, nested_list])
+    def test_equal_deep_values_are_satisfied(self, build):
+        a, b = build(3000), build(3000)
+        assert a is not b
+        assert status(is_equal(a, b)) == SATISFIED
+        assert status(returns(lambda _: a, b)) == SATISFIED
+
+
+class TestSelfUnequal:
+    """A value that is not == to itself is the same value as itself, as it
+    is inside a container and in a walked value set."""
+
+    @pytest.mark.parametrize("d", [DECIMAL_NAN, SelfUnequal()], ids=["decimal_nan", "self_unequal"])
+    def test_leaf_walked_and_nested_agree(self, d):
+        assert d != d
+        for p in (
+            is_equal(d, d), same_set(d, d), reduces_to(d, d), returns(lambda _: d, d),
+            is_equal(d, defer(lambda: value(d))), is_equal([d], [d]),
+        ):
+            assert status(p) == SATISFIED, p.kind
+        assert status(is_equal(d, Decimal("NaN"))) == FALSIFIED
 
 
 class TestDistinctFlag:

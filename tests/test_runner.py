@@ -216,8 +216,8 @@ class TestRunParam:
 
     def test_walks_and_keys_per_case(self, monkeypatch):
         """Inputs are walked through the runner's enumerate_tree and keyed
-        once; a body comparing plain values walks nothing, keys each side
-        of a dataclass once and compares flat values without keys."""
+        once; a body comparing plain values walks nothing and compares
+        them without keys, dataclasses and flat values alike."""
         calls = {"input": 0, "prop": 0, "key": 0}
 
         def counting(name, fn):
@@ -231,8 +231,8 @@ class TestRunParam:
         monkeypatch.setattr("ndcheck.prop.enumerate_tree", counting("prop", enumerate_tree))
         monkeypatch.setattr("ndcheck.prop.canonical", counting("key", canonical))
         bodies = [
-            (lambda n: is_equal(Succ(Zero()), Succ(Zero())), 3),
-            (lambda n: is_equal(n, n), 1),  # flat ints: only the input is keyed
+            (lambda n: is_equal(Succ(Zero()), Succ(Zero())), 1),  # only the input is keyed
+            (lambda n: is_equal(n, n), 1),
         ]
         for body, keys_per_case in bodies:
             calls.update(input=0, prop=0, key=0)
@@ -315,7 +315,7 @@ class TestDistinctInputs:
         spec = param_spec(list_of(builtin(BaseType.INT)), lambda xs: is_equal(Leaf(xs), Leaf(xs)))
         verdict, _ = run_param(spec, RunConfig(max_tests=25))
         assert verdict.kind == PASSED
-        assert len(keyed) == 2 * 25  # a dataclass: one key per side, none per input
+        assert len(keyed) == 0  # a dataclass is compared without keys too
 
 
 class TestPoly:

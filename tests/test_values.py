@@ -1,4 +1,5 @@
-"""The keying contract of values.canonical: same type and ==, recursively."""
+"""The keying contract of values.canonical: same type and ==, recursively;
+and flat_equal and same_value, which decide key equality without keys."""
 
 import dataclasses
 import enum
@@ -6,6 +7,8 @@ import math
 import random
 import sys
 import threading
+from decimal import Decimal
+from typing import Any
 
 import pytest
 
@@ -13,7 +16,7 @@ from ndcheck.corpus.trees import Leaf, Node, Succ, Zero
 from ndcheck.gen import Ordering
 from ndcheck.prop import SATISFIED, same_set, value_count
 from ndcheck.searchtree import one_of
-from ndcheck.values import canonical, flat_equal
+from ndcheck.values import canonical, flat_equal, same_value
 
 
 class Color(enum.IntEnum):
@@ -353,3 +356,219 @@ class TestFlatEqual:
         assert all(flat_pair_agrees(a, b) for a, b in pairs)
         assert answered.count(True) > 300 and answered.count(False) > 300
         assert answered.count(None) > 300
+
+
+class Shade(enum.IntEnum):
+    """Members == to Color's, of another class."""
+
+    RED = 1
+    BLUE = 2
+
+
+@dataclasses.dataclass(frozen=True)
+class Box:
+    """A dataclass with Leaf's field name, of another type."""
+
+    payload: Any
+
+
+class SelfUnequal:
+    """Hashable, but not == to anything, itself included."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = object.__hash__
+
+
+def keys_alike(a, b):
+    """The reference for same_value: both keys compared as set members and
+    key lists compare them, identity first."""
+    return [canonical(a)] == [canonical(b)]
+
+
+DNAN = Decimal("NaN")
+FNAN = float("nan")
+UNEQUAL = SelfUnequal()
+
+# (a, b, whether a and b are the same value)
+SAME_VALUE_CASES = [
+    (Leaf(FNAN), Leaf(float("nan")), True),
+    ([[FNAN]], [[float("nan")]], True),
+    ([[1.0]], [[FNAN]], False),
+    ([[1]], ([1],), False),
+    ([[1]], [(1,)], False),
+    (Leaf([1]), Box([1]), False),
+    (Leaf(Leaf(1)), Leaf(Box(1)), False),
+    ([{1, 2}], [frozenset({2, 1})], True),
+    ({1: {2}}, {1: frozenset({2})}, True),
+    ([{1, 2}], [[1, 2]], False),
+    # enum members are their own keys, so == members of two classes key alike
+    (Color.RED, Shade.RED, True),
+    ([Color.RED], [Shade.RED], True),
+    (Color.RED, Shade.BLUE, False),
+    (Leaf(Color.RED), Leaf(1), False),
+    ([[True]], [[1]], False),
+    ([[0]], [[False]], False),
+    ([-0.0, [0.0]], [0.0, [-0.0]], True),
+    ([[1]], [[1.0]], False),
+    (["a", [1]], [b"a", [1]], False),
+    ([None, [()]], [None, [()]], True),
+    ([None], [()], False),
+    (DNAN, DNAN, True),
+    (DNAN, Decimal("NaN"), False),
+    ([DNAN], [DNAN], True),
+    (Leaf(DNAN), Leaf(DNAN), True),
+    (Leaf(DNAN), Leaf(Decimal("NaN")), False),
+    (UNEQUAL, UNEQUAL, True),
+    ([UNEQUAL, 1], [UNEQUAL, 1], True),
+    ([SelfUnequal()], [SelfUnequal()], False),
+    ({1: UNEQUAL}, {1: UNEQUAL}, True),
+    ([Unhashable([1])], [Unhashable([1])], True),
+    ([Unhashable(1)], [Unhashable(2)], False),
+    (Tagged([Leaf(1)]), Tagged([Leaf(1)]), True),
+    (Tagged([Leaf(1)]), [Leaf(1)], False),
+    ([Zero(), Succ(Zero())], [Zero(), Succ(Zero())], True),
+    (Succ(Zero()), Succ(Succ(Zero())), False),
+    ([Leaf(1), 2], [Leaf(1), 2, 3], False),
+    (tree(Ordering.LT, Ordering.GT), tree(Ordering.LT, Ordering.GT), True),
+    (tree(Ordering.LT, Ordering.GT), tree(Ordering.GT, Ordering.LT), False),
+    (1, [1], False),
+    (True, 1, False),
+    ([1, 2], [1, 2], True),
+]
+
+
+class TestSameValue:
+    """same_value(a, b) is [canonical(a)] == [canonical(b)], exactly."""
+
+    @pytest.mark.parametrize(
+        "a,b,same", CONTRACT + SAME_VALUE_CASES,
+        ids=[f"{a!r}-{b!r}" for a, b, _ in CONTRACT + SAME_VALUE_CASES],
+    )
+    def test_edge_cases(self, a, b, same):
+        assert keys_alike(a, b) is same
+        assert same_value(a, b) is same
+        assert same_value(b, a) is same
+
+    def test_random_nested_pairs_agree_with_keys(self):
+        rng = random.Random(29)
+        pool = [FNAN, DNAN, UNEQUAL, Unhashable([1]), Leaf(1)]  # objects drawn more than once
+
+        def scalar():
+            return rng.choice([
+                rng.randrange(-2, 3), rng.random() < 0.5, rng.choice([0.0, -0.0, 1.0]),
+                float("nan"), rng.choice(["", "a"]), rng.choice([b"", b"a"]), None,
+                rng.choice(list(Color)), rng.choice(list(Shade)), rng.choice(list(Ordering)),
+                Decimal("NaN"), SelfUnequal(), Unhashable(rng.randrange(2)), Zero(),
+                rng.choice(pool),
+            ])
+
+        def nested(depth=0):
+            r = rng.random()
+            if depth >= 4 or r < 0.3:
+                return scalar()
+            items = [nested(depth + 1) for _ in range(rng.randrange(4))]
+            first = items[0] if items else scalar()
+            if r < 0.45:
+                return items
+            if r < 0.55:
+                return tuple(items)
+            if r < 0.62:
+                return Leaf(first)
+            if r < 0.67:
+                return Box(first)
+            if r < 0.72:
+                return Node(tuple(items))
+            if r < 0.77:
+                return Succ(first)
+            if r < 0.85:
+                return {i: x for i, x in enumerate(items)}
+            members = set()
+            for x in items:
+                try:
+                    members.add(x)
+                except TypeError:   # unhashable
+                    pass
+            return members if r < 0.92 else frozenset(members)
+
+        def swapped(v):
+            """A scalar == to v, or one that differs only in type."""
+            t = type(v)
+            if t is bool:
+                return int(v)
+            if t is int:
+                return bool(v) if v in (0, 1) else float(v)
+            if t is float:
+                return -v
+            if t is str:
+                return v.encode()
+            if t is bytes:
+                return v.decode()
+            return v
+
+        def relative(v, share):
+            """A value built like v.  With share, most parts of v are reused
+            as they are; without, they are copied, some with a part swapped
+            for one that may or may not be the same value."""
+            r = rng.random()
+            if share and r < 0.5:
+                return v
+            t = type(v)
+            if t in (list, tuple):
+                items = [relative(x, share) for x in v]
+                if r < 0.1:
+                    return tuple(items) if t is list else items
+                if r < 0.15 and items:
+                    items.pop()
+                return t(items)
+            if t in (Leaf, Box):
+                return (Box if r < 0.1 else t)(relative(v.payload, share))
+            if t is Succ:
+                return Succ(relative(v.pred, share))
+            if t is Node:
+                return Node(relative(v.children, share))
+            if t is dict:
+                return {k: relative(x, share) for k, x in v.items()}
+            if t in (set, frozenset):
+                return (set if r < 0.5 else frozenset)(v)
+            if t in (Color, Shade):
+                return Shade(v) if r < 0.5 else Color(v)
+            if t is float and v != v:
+                return float("nan")
+            if r < 0.7:
+                return swapped(v)
+            return scalar()
+
+        pairs = []
+        for i in range(3000):
+            a = nested()
+            if i % 3 == 0:   # shared subobjects, or the very same object
+                b = a if rng.random() < 0.2 else relative(a, share=True)
+            else:
+                b = relative(a, share=False) if rng.random() < 0.7 else nested()
+            pairs.append((a, b))
+        got = [(same_value(a, b), same_value(b, a)) for a, b in pairs]
+        expect = [(keys_alike(a, b), keys_alike(b, a)) for a, b in pairs]
+        assert got == expect
+        same = [x for x, _ in expect]
+        assert same.count(True) > 600 and same.count(False) > 600
+        walked = [x for (x, _), (a, b) in zip(expect, pairs) if a is not b and flat_equal(a, b) is None]
+        assert walked.count(True) > 300 and walked.count(False) > 300
+
+    @pytest.mark.parametrize("build", [succ_chain, nested_list])
+    def test_deep_values_without_recursion(self, build):
+        assert same_value(build(3000), build(3000)) is True
+        assert same_value(build(3000), build(2999)) is False
+        assert same_value([build(3000), 1], [build(3000), 2]) is False
+
+    def test_identical_objects_build_no_keys(self, monkeypatch):
+        keyed = []
+        monkeypatch.setattr("ndcheck.values.canonical", lambda v: keyed.append(v) or canonical(v))
+        x = Unhashable([1])
+        for a, b in ((DNAN, DNAN), (UNEQUAL, UNEQUAL), ([x, Color.RED], [x, Color.RED]),
+                     (Leaf(Ordering.LT), Leaf(Ordering.LT)), (tree(Ordering.GT), tree(Ordering.GT))):
+            assert same_value(a, b) is True
+        assert keyed == []
+        assert same_value(Color.RED, Color.BLUE) is False
+        assert keyed == [Color.RED, Color.BLUE]
