@@ -108,15 +108,16 @@ def alt(g1: Generator[A], g2: Generator[A]) -> Generator[A]:
 # -- built-in generators -------------------------------------------------
 
 
-def _positive_tree(low: int = 0, bit: int = 1) -> SearchTree[int]:
+def _positive_tree(leaf: Callable[[int], SearchTree] = value, low: int = 0,
+                   bit: int = 1) -> SearchTree:
     # 1, then n -> 2n and n -> 2n+1: every integer >= 1 exactly once, with
-    # magnitudes growing by tree level.  Built top down, lowest bit first: a
-    # node carries the low bits chosen above it, so a value at depth d is
-    # built in O(1), not through d nested 2n / 2n+1 maps.
+    # magnitudes growing by tree level; each node holds leaf(n).  Built top
+    # down, lowest bit first: a node carries the low bits chosen above it, so
+    # a value at depth d is built in O(1), not through d nested 2n / 2n+1 maps.
     return choice(
-        value(low | bit),
-        OrNode(lambda low=low, bit=bit: _positive_tree(low, bit << 1),
-               lambda low=low, bit=bit: _positive_tree(low | bit, bit << 1)),
+        leaf(low | bit),
+        OrNode(lambda leaf=leaf, low=low, bit=bit: _positive_tree(leaf, low, bit << 1),
+               lambda leaf=leaf, low=low, bit=bit: _positive_tree(leaf, low | bit, bit << 1)),
     )
 
 
@@ -125,11 +126,15 @@ def positive_ints(name: str = "PosInt") -> Generator[int]:
     return Generator(_positive_tree(), name, distinct=True)
 
 
+def _signed(n: int) -> SearchTree[int]:
+    return choice(value(-n), value(n))
+
+
 def _int_tree() -> SearchTree[int]:
     # Each magnitude contributes its negative and positive side by side, so
-    # small values of both signs surface early under every strategy.
-    signed = bind(_positive_tree(), lambda n: choice(value(-n), value(n)))
-    return choice(value(0), signed)
+    # small values of both signs surface early under every strategy.  The
+    # pair is a node's leaf, so the tree is built top down with no bind.
+    return choice(value(0), _positive_tree(_signed))
 
 
 _BUILTIN_TREES: dict[BaseType, tuple[str, Callable[[], SearchTree]]] = {

@@ -5,7 +5,11 @@ node kinds: a value leaf, a failure leaf (no value), and a choice node with
 two subtrees.  Subtrees may be given as thunks so that infinite trees (e.g.
 "all lists of integers") are representable; a thunk is forced at most once.
 A bind node, built by ``bind`` and ``defer``, is the one lazy node: it
-resolves to one of the three kinds once, on its first visit.
+resolves to one of the three kinds once, on its first visit.  A choice node
+reached under pending bind functions resolves to one choice node that keeps
+them, over its two unresolved children; a walk resolves those children when
+it visits them, so a split allocates one node, not a choice node and two bind
+nodes.
 
 Enumeration strategies linearize a tree into a lazy value sequence under a
 node budget.  All strategies are complete: every value at finite depth
@@ -56,22 +60,41 @@ _Child = Union[SearchTree, Callable[[], SearchTree]]
 
 
 class OrNode(SearchTree[A]):
-    """Choice between two subtrees; children may be thunks, forced on access."""
+    """Choice between two subtrees; children may be thunks, forced on access.
 
-    __slots__ = ("_left", "_right")
+    A choice node that a bind split is pending: ``_cont`` holds the chain of
+    functions still to apply to both children, which are raw trees.  A walk
+    resolves the two children where it visits them, writes their normal
+    forms back and clears ``_cont``; ``left`` and ``right`` first unpack a
+    pending node into two bind nodes sharing the chain.  Outside a walk's
+    step a node is wholly pending or wholly resolved.
+    """
 
-    def __init__(self, left: _Child, right: _Child):
+    __slots__ = ("_left", "_right", "_cont")
+
+    def __init__(self, left: _Child, right: _Child, cont: tuple | None = None):
         self._left = left
         self._right = right
+        self._cont = cont
+
+    def _unpack(self) -> None:
+        k = self._cont
+        self._left = BindNode(self._left, k)
+        self._right = BindNode(self._right, k)
+        self._cont = None
 
     @property
     def left(self) -> SearchTree[A]:
+        if self._cont is not None:
+            self._unpack()
         if callable(self._left):
             self._left = self._left()
         return self._left
 
     @property
     def right(self) -> SearchTree[A]:
+        if self._cont is not None:
+            self._unpack()
         if callable(self._right):
             self._right = self._right()
         return self._right
@@ -85,18 +108,13 @@ class BindNode(SearchTree[A]):
 
     The chain is made of pairs ``(f, rest)`` ending in ``None``.  The tree
     slot may hold a thunk instead (``defer``), forced at most once and
-    stored back.  Normalization peels one constructor at a time: a choice
-    node splits into two bind nodes sharing the chain, a value leaf runs the
-    next function.  A nested bind copies its own chain in front of the outer
-    one in a loop, sharing the outer tail, so a join costs the inner chain's
-    length and walking a deeply composed tree costs O(1) Python frames per
-    node.
-
-    The normal form is computed once and kept in ``_norm``; the tree and
-    chain it came from are then dropped.  A walk that resolves a bind node
-    in a choice node's slot stores the normal form in that slot, so the
-    wrapper lives on only where something else refers to it, such as a
-    generator's root or a shared ``defer``.
+    stored back.  The normal form, computed by ``_resolve``, is computed
+    once and kept in ``_norm``; the tree and chain it came from are then
+    dropped.  A walk meets bind nodes that ``bind`` and ``defer`` built, and
+    resolves each in its parent's slot, storing the normal form there, so
+    the wrapper lives on only where something else refers to it, such as a
+    generator's root or a shared ``defer``.  A split under a chain makes no
+    bind node: it is one pending choice node.
     """
 
     __slots__ = ("_tree", "_cont", "_norm")
@@ -111,44 +129,74 @@ class BindNode(SearchTree[A]):
         """Equivalent ValueNode, FailNode, or OrNode; computed once."""
         if self._norm is not None:
             return self._norm
-        t, k = self._tree, self._cont
+        t = self._tree
         if callable(t):
             t = self._tree = t()
-        while True:
-            c = type(t)
-            if c is BindNode:
-                if t._norm is not None:
-                    t = t._norm
-                else:
-                    fns, j = [], t._cont
-                    while j is not None:
-                        fns.append(j[0])
-                        j = j[1]
-                    for f in reversed(fns):
-                        k = (f, k)
-                    inner = t._tree
-                    if callable(inner):
-                        inner = t._tree = inner()
-                    t = inner
-            elif c is ValueNode:
-                if k is None:
-                    break
-                f, k = k
-                t = f(t.payload)
-            elif c is OrNode:
-                if k is not None:
-                    t = OrNode(BindNode(t.left, k), BindNode(t.right, k))
-                break
-            elif c is FailNode:
-                break
-            else:
-                raise TypeError(f"not a search tree: {t!r}")
-        self._norm = t
+        t = self._norm = _resolve(t, self._cont)
         self._tree = self._cont = None
         return t
 
     def __repr__(self) -> str:
         return "BindNode(..)"
+
+
+def _resolve(t: SearchTree, k: tuple | None) -> SearchTree:
+    """Normal form of tree t under chain k: a ValueNode, FailNode or OrNode.
+
+    Peels one constructor at a time: a value leaf runs the next function, a
+    choice node under a non-empty chain becomes one pending choice node over
+    its two children.  A nested bind copies its own chain in front of k in a
+    loop, sharing k as the tail, so a join costs the inner chain's length
+    and resolving a deeply composed tree costs O(1) Python frames per node.
+    """
+    while True:
+        c = type(t)
+        if c is BindNode:
+            if t._norm is not None:
+                t = t._norm
+            else:
+                fns, j = [], t._cont
+                while j is not None:
+                    fns.append(j[0])
+                    j = j[1]
+                for f in reversed(fns):
+                    k = (f, k)
+                inner = t._tree
+                if callable(inner):
+                    inner = t._tree = inner()
+                t = inner
+        elif c is ValueNode:
+            if k is None:
+                return t
+            f, k = k
+            t = f(t.payload)
+        elif c is OrNode:
+            if k is None:
+                return t
+            if t._cont is not None:
+                t._unpack()
+            left = t._left   # force left, then right, as the walks do
+            if callable(left):
+                left = t._left = left()
+            right = t._right
+            if callable(right):
+                right = t._right = right()
+            return OrNode(left, right, k)
+        elif c is FailNode:
+            return t
+        else:
+            raise TypeError(f"not a search tree: {t!r}")
+
+
+def _settle(node: OrNode, raw_left: bool) -> None:
+    """Leave a pending choice node whose other child a walk has resolved and
+    written back wholly resolved: wrap its raw child in a bind node under the
+    node's chain."""
+    if raw_left:
+        node._left = BindNode(node._left, node._cont)
+    else:
+        node._right = BindNode(node._right, node._cont)
+    node._cont = None
 
 
 def value(a: A) -> SearchTree[A]:
@@ -277,9 +325,13 @@ class Enumeration(Generic[A]):
     # resolves within a single visit, to its normal form, which is never a
     # bind node.  Each walk visits a choice node's two children where it
     # holds the choice node: it checks the budget, reads a bind child's memo
-    # or computes it, and stores the normal form in the child's slot, so a
-    # memoised tree keeps normal forms, not their wrappers.  An OrNode child
-    # that is not a search tree is a dead leaf.
+    # or computes it, or resolves a pending node's child under the node's
+    # chain, and stores the normal form in the child's slot, so a memoised
+    # tree keeps normal forms, not their wrappers.  A pending node is cleared
+    # once both children are stored; a walk that stops in between (the
+    # budget ends, a continuation or thunk raises, or bfs hands the first
+    # child's value to the consumer) first wraps the raw child in a bind node
+    # (``_settle``).  An OrNode child that is not a search tree is a dead leaf.
 
     def _walk_bfs(self, root: SearchTree[A]) -> Iterator[A]:
         """Level order over a FIFO of visited choice nodes.
@@ -291,6 +343,7 @@ class Enumeration(Generic[A]):
         budget = self.strategy.node_budget
         expansions = 1   # the root's visit: a node budget is at least 1
         queue: deque[OrNode] = deque()
+        half = None   # a pending node whose left child is resolved, its right raw
         try:
             if type(root) is BindNode:
                 root = root.normalized
@@ -312,12 +365,21 @@ class Enumeration(Generic[A]):
                     self.budget_exceeded = True
                     return
                 expansions += 1
+                k = node._cont
                 kid = node._left
-                t = type(kid)
-                if t is BindNode:
-                    kid = node._left = kid._norm or kid.normalized
+                if k is None:
+                    t = type(kid)
+                    if t is BindNode:
+                        kid = node._left = kid._norm or kid.normalized
+                        t = type(kid)
+                else:   # a pending node: resolve both children under k
+                    kid = node._left = _resolve(kid, k)
+                    half = node
                     t = type(kid)
                 if t is ValueNode:
+                    if half is not None:   # the consumer may walk this tree too
+                        _settle(node, False)
+                        half = None
                     self.expansions = expansions
                     yield kid.payload
                 elif t is OrNode:
@@ -333,9 +395,14 @@ class Enumeration(Generic[A]):
                     return
                 expansions += 1
                 kid = node._right
-                t = type(kid)
-                if t is BindNode:
-                    kid = node._right = kid._norm or kid.normalized
+                if half is None:
+                    t = type(kid)
+                    if t is BindNode:
+                        kid = node._right = kid._norm or kid.normalized
+                        t = type(kid)
+                else:
+                    kid = node._right = _resolve(kid, k)
+                    node._cont = half = None
                     t = type(kid)
                 if t is ValueNode:
                     self.expansions = expansions
@@ -350,6 +417,8 @@ class Enumeration(Generic[A]):
                     queue.append(kid)
             self.exhausted = True
         finally:
+            if half is not None:
+                _settle(half, False)
             self.expansions = expansions
 
     def _walk_level_diag(self, root: SearchTree[A], rng: Random | None) -> Iterator[A]:
@@ -367,6 +436,8 @@ class Enumeration(Generic[A]):
         budget = self.strategy.node_budget
         flip = rng.getrandbits if rng is not None else None
         expansions = 1   # the root's visit: a node budget is at least 1
+        half = None   # a pending node with one child resolved, the other (left if swap) raw
+        swap = False
         try:
             if type(root) is BindNode:
                 root = root.normalized
@@ -409,26 +480,45 @@ class Enumeration(Generic[A]):
                                 self.budget_exceeded = True
                                 return
                             expansions += 1
-                            kid = right if swap else left
-                            if type(kid) is BindNode:
-                                kid = kid._norm or kid.normalized
+                            k = node._cont
+                            if k is None:
+                                kid = right if swap else left
+                                if type(kid) is BindNode:
+                                    kid = kid._norm or kid.normalized
+                                    if swap:
+                                        node._right = kid
+                                    else:
+                                        node._left = kid
+                                below.append(kid)
+                                if expansions >= budget:
+                                    self.budget_exceeded = True
+                                    return
+                                expansions += 1
+                                kid = left if swap else right
+                                if type(kid) is BindNode:
+                                    kid = kid._norm or kid.normalized
+                                    if swap:
+                                        node._left = kid
+                                    else:
+                                        node._right = kid
+                                below.append(kid)
+                            else:   # a pending node: resolve both children under k
                                 if swap:
-                                    node._right = kid
+                                    kid = node._right = _resolve(right, k)
                                 else:
-                                    node._left = kid
-                            below.append(kid)
-                            if expansions >= budget:
-                                self.budget_exceeded = True
-                                return
-                            expansions += 1
-                            kid = left if swap else right
-                            if type(kid) is BindNode:
-                                kid = kid._norm or kid.normalized
+                                    kid = node._left = _resolve(left, k)
+                                half = node
+                                below.append(kid)
+                                if expansions >= budget:
+                                    self.budget_exceeded = True
+                                    return
+                                expansions += 1
                                 if swap:
-                                    node._left = kid
+                                    kid = node._left = _resolve(left, k)
                                 else:
-                                    node._right = kid
-                            below.append(kid)
+                                    kid = node._right = _resolve(right, k)
+                                node._cont = half = None
+                                below.append(kid)
                             if li < lev:
                                 li += 1
                         elif done[li - 1]:
@@ -453,6 +543,8 @@ class Enumeration(Generic[A]):
                 diag += 1
             self.exhausted = True
         finally:
+            if half is not None:
+                _settle(half, swap)
             self.expansions = expansions
 
 

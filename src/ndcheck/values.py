@@ -29,18 +29,23 @@ def _field_names(t: type) -> tuple[str, ...] | None:
         return names
 
 
+# per type: whether its == is object identity; probed once per type
+_IDENTITY_EQ: dict[type, bool] = {}
+
+
 def canonical(v: Any) -> Any:
     """Hashable key such that canonical(a) == canonical(b) iff a and b have
     the same type and are ==, recursively.
 
     True and 1 key apart, as do 1 and 1.0; every float NaN keys alike.
     Containers are frozen recursively (set and frozenset alike), dataclasses
-    keyed by type and fields; other hashable values (enum members) are their
-    own key, unhashable ones are keyed by type and repr.  Keys are compared
-    as sets and lists compare their members, identity first, so a value
-    that is not == to itself (a Decimal NaN) still keys alike with itself.
-    Scalar elements of a list or tuple are keyed inline, without a call of
-    their own.  Two Python frames per nesting level keep ~490 levels within
+    keyed by type and fields; other hashable values are keyed by type and
+    value, or are their own key when their type compares by identity (a
+    plain enum member), and unhashable ones by type and repr.  Keys are
+    compared as sets and lists compare their members, identity first, so a
+    value that is not == to itself (a Decimal NaN) still keys alike with
+    itself.  Scalar elements of a list or tuple are keyed inline, without a
+    call of their own.  Two Python frames per nesting level keep ~490 levels within
     the default recursion limit; same_value compares two values as their
     keys would, at any depth, without building them.
     """
@@ -61,9 +66,13 @@ def canonical(v: Any) -> Any:
         return (frozenset, frozenset([canonical(x) for x in v]))
     try:
         hash(v)
-        return v
     except TypeError:
         return (t, "repr", repr(v))
+    try:
+        own = _IDENTITY_EQ[t]
+    except KeyError:
+        own = _IDENTITY_EQ[t] = t.__eq__ is object.__eq__
+    return v if own else (t, v)
 
 
 def flat_equal(a: Any, b: Any) -> bool | None:

@@ -10,7 +10,7 @@ from heapq import heappop, heappush
 import pytest
 
 from ndcheck.corpus.trees import gen_tree
-from ndcheck.gen import BaseType, builtin, list_of
+from ndcheck.gen import BaseType, builtin, list_of, tuple_of
 from ndcheck.searchtree import (
     BFS,
     DEFAULT_NODE_BUDGET,
@@ -604,6 +604,150 @@ def test_int_list_walk_keeps_few_bind_nodes(kind):
     e = enumerate_tree(tree, Strategy(kind, 0))
     assert sum(1 for _ in itertools.islice(e, 10_001)) == 10_001
     assert live() - before < LIVE_BIND_NODE_BOUNDS[kind]
+
+
+# The memo of list_of(builtin(INT)) after its first 10,001 values at seed 0,
+# once the walk is dropped: (live bind nodes, GC-tracked objects at most).
+# A split is one pending choice node, so only bfs, which forces a choice
+# node's thunks when it queues the node, keeps bind nodes: 19,525 in its
+# frontier.  Tracked objects are 179,965 / 172,625 / 263,967; with a choice
+# node and two bind nodes per split there were 229,489 / 215,682 / 311,177
+# (40,201 / 39,543 / 59,522 bind nodes).
+LEAN_MEMO = {"rand_level_diag": (0, 195_000), "level_diag": (0, 190_000),
+             "bfs": (19_525, 285_000)}
+
+
+@pytest.mark.parametrize("kind", sorted(LEAN_MEMO))
+def test_int_list_memo_holds_no_split_wrappers(kind):
+    def census():
+        gc.collect()
+        objects = gc.get_objects()
+        return sum(1 for o in objects if type(o) is BindNode), len(objects)
+
+    binds_before, tracked_before = census()
+    tree = list_of(builtin(BaseType.INT)).tree
+    e = enumerate_tree(tree, Strategy(kind, 0))
+    assert sum(1 for _ in itertools.islice(e, 10_001)) == 10_001
+    del e
+    binds, tracked = census()
+    want_binds, max_tracked = LEAN_MEMO[kind]
+    assert binds - binds_before == want_binds
+    assert tracked - tracked_before < max_tracked
+
+
+# -- a walk that ends between a choice node's two children ---------------------
+
+
+INTERRUPT_STRATEGIES = [Strategy.bfs(), Strategy.level_diag()] + [
+    Strategy.rand_level_diag(seed) for seed in (0, 1, 7)
+]
+
+
+class _Once(Exception):
+    pass
+
+
+def split_tree(calls, raise_on=None):
+    """bind(bind(inner, f), g) over the leaves 1..4 of inner.  f splits an
+    odd leaf x into 10x and 10x+5 and maps an even one to 10x; g adds 1000.
+    Each call that returns is counted in calls; the first call of f or g on
+    the value raise_on raises _Once instead.  The tests make g raise only on
+    values that f split off, so a raise never discards a call that
+    returned."""
+    raised = []
+
+    def once(name, x):
+        if x == raise_on and not raised:
+            raised.append(x)
+            raise _Once(name, x)
+        calls[name, x] += 1
+
+    def f(x):
+        once("f", x)
+        return choice(value(10 * x), value(10 * x + 5)) if x % 2 else value(10 * x)
+
+    def g(y):
+        once("g", y)
+        return value(y + 1000)
+
+    inner = choice(choice(value(1), value(2)),
+                   choice(value(3), defer(lambda: choice(value(4), fail()))))
+    return bind(bind(inner, f), g)
+
+
+SPLIT_CALLS = {("f", x): 1 for x in (1, 2, 3, 4)} | {
+    ("g", y): 1 for y in (10, 15, 20, 30, 35, 40)
+}
+
+
+def walk_of(tree, strategy):
+    e = Enumeration(tree, strategy)
+    return list(e), e.expansions, e.exhausted, e.budget_exceeded
+
+
+def with_budget(strategy, budget):
+    return Strategy(strategy.kind, strategy.seed, budget)
+
+
+@pytest.mark.parametrize("strategy", INTERRUPT_STRATEGIES)
+class TestInterruptedSplit:
+    """A walk of a memoised tree can end between the two children of a choice
+    node that a bind split: a continuation raises, the node budget ends, or
+    the consumer stops after the first child's value.  Walking the same tree
+    again then gives what a fresh tree gives, and each continuation has run
+    once per leaf."""
+
+    def test_continuation_raising_on_either_child(self, strategy):
+        want = walk_of(split_tree(Counter()), strategy)
+        for raise_on in (1, 2, 3, 4, 10, 15, 30, 35):
+            calls = Counter()
+            t = split_tree(calls, raise_on)
+            with pytest.raises(_Once):
+                list(Enumeration(t, strategy))
+            assert walk_of(t, strategy) == want, raise_on
+            assert calls == SPLIT_CALLS, raise_on
+
+    def test_budget_ending_between_children(self, strategy):
+        want = walk_of(split_tree(Counter()), strategy)
+        for budget in range(1, want[1]):
+            calls = Counter()
+            t = split_tree(calls)
+            cut = walk_of(t, with_budget(strategy, budget))
+            assert cut[3] and cut[0] == want[0][:len(cut[0])], budget
+            assert walk_of(t, strategy) == want, budget
+            assert calls == SPLIT_CALLS, budget
+
+    def test_consumer_stopping_after_a_value(self, strategy):
+        """The stopped walk stays suspended while the tree is walked again,
+        and then goes on with the values a fresh walk gives after the stop."""
+        want = walk_of(split_tree(Counter()), strategy)
+        for n in range(1, len(want[0])):
+            calls = Counter()
+            t = split_tree(calls)
+            stopped = iter(Enumeration(t, strategy))
+            assert list(itertools.islice(stopped, n)) == want[0][:n]
+            assert walk_of(t, strategy) == want, n
+            assert list(stopped) == want[0][n:], n
+            assert calls == SPLIT_CALLS, n
+
+    def test_tuple_chains_on_an_infinite_tree(self, strategy):
+        """tuple_of nests a bind per part, so each split node carries a chain
+        of several functions; a cut walk must not apply any of them twice."""
+        def fresh():
+            return tuple_of(builtin(BaseType.BOOL), builtin(BaseType.BOOL),
+                            list_of(builtin(BaseType.BOOL))).tree
+
+        bounded = with_budget(strategy, 400)
+        want = walk_of(fresh(), bounded)
+        for cut in range(1, 60):
+            t = fresh()
+            stopped = iter(Enumeration(t, strategy))
+            assert list(itertools.islice(stopped, cut)) == want[0][:cut]
+            assert walk_of(t, bounded) == want, cut
+            assert list(itertools.islice(stopped, 20)) == want[0][cut:cut + 20], cut
+            t = fresh()
+            walk_of(t, with_budget(strategy, cut))
+            assert walk_of(t, bounded) == want, cut
 
 
 class TestDefer:

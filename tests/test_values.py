@@ -8,13 +8,14 @@ import random
 import sys
 import threading
 from decimal import Decimal
+from fractions import Fraction
 from typing import Any
 
 import pytest
 
 from ndcheck.corpus.trees import Leaf, Node, Succ, Zero
 from ndcheck.gen import Ordering
-from ndcheck.prop import SATISFIED, same_set, value_count
+from ndcheck.prop import FALSIFIED, SATISFIED, is_equal, same_set, value_count
 from ndcheck.searchtree import one_of
 from ndcheck.values import canonical, flat_equal, same_value
 
@@ -177,9 +178,9 @@ def recursive_canonical(v):
         return (frozenset, frozenset([recursive_canonical(x) for x in v]))
     try:
         hash(v)
-        return v
     except TypeError:
         return (t, "repr", repr(v))
+    return v if t.__eq__ is object.__eq__ else (t, v)
 
 
 class TestInlineScalarElements:
@@ -381,6 +382,34 @@ class SelfUnequal:
     __hash__ = object.__hash__
 
 
+class TestTypedFallbackKeys:
+    """A hashable value whose type defines its own == keys as (type, value),
+    so == values of two types key apart; a value whose type compares by
+    identity (a plain enum member) is still its own key."""
+
+    def test_equal_members_of_two_int_enums_key_apart(self):
+        assert canonical(Color.RED) != canonical(Shade.RED)
+        assert canonical([Color.RED]) != canonical([Shade.RED])
+        assert canonical(Color.RED) == canonical(Color.RED)
+        assert same_value(Color.RED, Shade.RED) is False
+
+    def test_operators_tell_equal_members_of_two_int_enums_apart(self):
+        assert is_equal(Color.RED, Shade.RED).evaluate().status == FALSIFIED
+        assert same_set(one_of([Color.RED, Color.BLUE]),
+                        one_of([Shade.BLUE, Shade.RED])).evaluate().status == FALSIFIED
+        assert same_set(one_of([Color.RED, Color.BLUE]),
+                        one_of([Color.BLUE, Color.RED])).evaluate().status == SATISFIED
+
+    def test_equal_values_of_two_types_key_apart(self):
+        assert canonical(Decimal(1)) != canonical(Fraction(1))
+        assert canonical(Decimal(1)) == canonical(Decimal("1.0"))
+
+    def test_identity_compared_values_are_their_own_key(self):
+        for v in (Ordering.LT, None, object()):
+            assert canonical(v) is v
+        assert [canonical(DNAN)] == [canonical(DNAN)]
+
+
 def keys_alike(a, b):
     """The reference for same_value: both keys compared as set members and
     key lists compare them, identity first."""
@@ -403,9 +432,10 @@ SAME_VALUE_CASES = [
     ([{1, 2}], [frozenset({2, 1})], True),
     ({1: {2}}, {1: frozenset({2})}, True),
     ([{1, 2}], [[1, 2]], False),
-    # enum members are their own keys, so == members of two classes key alike
-    (Color.RED, Shade.RED, True),
-    ([Color.RED], [Shade.RED], True),
+    # IntEnum members are keyed by type and value, so == members of two
+    # classes key apart
+    (Color.RED, Shade.RED, False),
+    ([Color.RED], [Shade.RED], False),
     (Color.RED, Shade.BLUE, False),
     (Leaf(Color.RED), Leaf(1), False),
     ([[True]], [[1]], False),
