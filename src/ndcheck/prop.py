@@ -133,10 +133,19 @@ def _distinct(t: SearchTree, ctx: EvalContext, need: int | None = None) -> tuple
     return [k for k, _ in pairs], [v for _, v in pairs], end
 
 
+def _show(v: Any) -> str:
+    """render, or a placeholder for a value too deep to render: the verdict
+    was decided without rendering, so it stands."""
+    try:
+        return render(v)
+    except RecursionError:
+        return "<value too deep to render>"
+
+
 def _render_side(vals: list, end: str) -> str:
     if len(vals) == 1 and end == EXHAUSTED:
-        return render(vals[0])
-    body = ",".join(render(v) for v in vals)
+        return _show(vals[0])
+    body = ",".join(_show(v) for v in vals)
     return "{" + body + ("" if end == EXHAUSTED else ",..") + "}"
 
 
@@ -331,7 +340,7 @@ def always(e: TreeLike) -> Prop:
         drawn = 0
         for v in enum:
             if v is not True:
-                return Outcome(FALSIFIED, results=f"({render(v)})")
+                return Outcome(FALSIFIED, results=f"({_show(v)})")
             drawn += 1
             if drawn >= ctx.value_budget:
                 return _inconclusive("always", "left", LIMIT)
@@ -375,9 +384,9 @@ def for_all(
             out = pf(v).check(ctx)
             labels += out.labels
             if out.status == FALSIFIED:
-                return replace(out, arguments=render(v), labels=tuple(labels))
+                return replace(out, arguments=_show(v), labels=tuple(labels))
             if out.status == INCONCLUSIVE:
-                return replace(out, detail=f"{out.detail} [element {render(v)}]")
+                return replace(out, detail=f"{out.detail} [element {_show(v)}]")
             if out.status == DROPPED:
                 continue
             checked += 1
@@ -407,7 +416,7 @@ def returns(action: Callable[[Path], Any], expected: Any) -> Prop:
                 got = action(Path(tmp))
         if same_value(got, expected):
             return _SAT
-        return Outcome(FALSIFIED, results=f"({render(got)},{render(expected)})")
+        return Outcome(FALSIFIED, results=f"({_show(got)},{_show(expected)})")
 
     return Prop("returns", check)
 
@@ -426,6 +435,6 @@ def collect(v: Any, p: Prop) -> Prop:
     """Attach the textual form of a value to the outcome."""
 
     def check(ctx: EvalContext) -> Outcome:
-        return p.check(ctx).with_label(render(v))
+        return p.check(ctx).with_label(_show(v))
 
     return Prop("collect", check)

@@ -12,7 +12,10 @@ it visits them, so a split allocates one node, not a choice node and two bind
 nodes.
 
 Enumeration strategies linearize a tree into a lazy value sequence under a
-node budget.  All strategies are complete: every value at finite depth
+node budget.  They share one walk over the tree's levels and differ only in
+the order of its probes: bfs yields the levels in order (breadth-first
+search), and level diagonalization, plain or randomized, yields their
+diagonals.  All strategies are complete: every value at finite depth
 appears in the output if the budget permits reaching it.  Duplicate leaves
 are preserved here; de-duplication is a concern of the property layer.
 """
@@ -20,7 +23,6 @@ are preserved here; de-duplication is a concern of the property layer.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable, Generic, Iterator, TypeVar, Union
@@ -307,11 +309,8 @@ class Enumeration(Generic[A]):
         self.exhausted = False
         self.budget_exceeded = False
         self.expansions = 0
-        if strategy.kind == BFS:
-            self._iter: Iterator[A] = self._walk_bfs(tree)
-        else:
-            rng = Random(strategy.seed) if strategy.kind == RAND_LEVEL_DIAG else None
-            self._iter = self._walk_level_diag(tree, rng)
+        rng = Random(strategy.seed) if strategy.kind == RAND_LEVEL_DIAG else None
+        self._iter: Iterator[A] = self._walk_levels(tree, rng, strategy.kind == BFS)
 
     def __iter__(self) -> Iterator[A]:
         return self._iter
@@ -323,115 +322,31 @@ class Enumeration(Generic[A]):
     # Budget accounting: one unit per node visited (value and fail leaves
     # included); a bind node, deferred trees and nested binds included,
     # resolves within a single visit, to its normal form, which is never a
-    # bind node.  Each walk visits a choice node's two children where it
-    # holds the choice node: it checks the budget, reads a bind child's memo
-    # or computes it, or resolves a pending node's child under the node's
-    # chain, and stores the normal form in the child's slot, so a memoised
-    # tree keeps normal forms, not their wrappers.  A pending node is cleared
-    # once both children are stored; a walk that stops in between (the
-    # budget ends, a continuation or thunk raises, or bfs hands the first
-    # child's value to the consumer) first wraps the raw child in a bind node
-    # (``_settle``).  An OrNode child that is not a search tree is a dead leaf.
+    # bind node.  The walk visits a choice node's two children when it grows
+    # the level below into it: it checks the budget, reads a bind child's
+    # memo or computes it, or resolves a pending node's child under the
+    # node's chain, and stores the normal form in the child's slot, so a
+    # memoised tree keeps normal forms, not their wrappers.  A pending node
+    # is cleared once both children are stored; a walk that stops in between
+    # (the budget ends, or a continuation or thunk raises) first wraps the
+    # raw child in a bind node (``_settle``).  An OrNode child that is not a
+    # search tree is a dead leaf.
 
-    def _walk_bfs(self, root: SearchTree[A]) -> Iterator[A]:
-        """Level order over a FIFO of visited choice nodes.
+    def _walk_levels(self, root: SearchTree[A], rng: Random | None, bfs: bool) -> Iterator[A]:
+        """The tree's levels, probed position by position in one of two orders.
 
-        A choice node's thunk children are forced, left then right, when the
-        node is visited; the children themselves are visited, left then
-        right, when the node is popped.
-        """
-        budget = self.strategy.node_budget
-        expansions = 1   # the root's visit: a node budget is at least 1
-        queue: deque[OrNode] = deque()
-        half = None   # a pending node whose left child is resolved, its right raw
-        try:
-            if type(root) is BindNode:
-                root = root.normalized
-            t = type(root)
-            if t is ValueNode:
-                self.expansions = expansions
-                yield root.payload
-            elif t is OrNode:
-                c = root._left
-                if callable(c):
-                    root._left = c()
-                c = root._right
-                if callable(c):
-                    root._right = c()
-                queue.append(root)
-            while queue:
-                node = queue.popleft()
-                if expansions >= budget:
-                    self.budget_exceeded = True
-                    return
-                expansions += 1
-                k = node._cont
-                kid = node._left
-                if k is None:
-                    t = type(kid)
-                    if t is BindNode:
-                        kid = node._left = kid._norm or kid.normalized
-                        t = type(kid)
-                else:   # a pending node: resolve both children under k
-                    kid = node._left = _resolve(kid, k)
-                    half = node
-                    t = type(kid)
-                if t is ValueNode:
-                    if half is not None:   # the consumer may walk this tree too
-                        _settle(node, False)
-                        half = None
-                    self.expansions = expansions
-                    yield kid.payload
-                elif t is OrNode:
-                    c = kid._left
-                    if callable(c):
-                        kid._left = c()
-                    c = kid._right
-                    if callable(c):
-                        kid._right = c()
-                    queue.append(kid)
-                if expansions >= budget:
-                    self.budget_exceeded = True
-                    return
-                expansions += 1
-                kid = node._right
-                if half is None:
-                    t = type(kid)
-                    if t is BindNode:
-                        kid = node._right = kid._norm or kid.normalized
-                        t = type(kid)
-                else:
-                    kid = node._right = _resolve(kid, k)
-                    node._cont = half = None
-                    t = type(kid)
-                if t is ValueNode:
-                    self.expansions = expansions
-                    yield kid.payload
-                elif t is OrNode:
-                    c = kid._left
-                    if callable(c):
-                        kid._left = c()
-                    c = kid._right
-                    if callable(c):
-                        kid._right = c()
-                    queue.append(kid)
-            self.exhausted = True
-        finally:
-            if half is not None:
-                _settle(half, False)
-            self.expansions = expansions
-
-    def _walk_level_diag(self, root: SearchTree[A], rng: Random | None) -> Iterator[A]:
-        """Cantor diagonalization over (level, position in level).
-
-        A node's level is its number of choice edges from the root; the
-        value leaf at position p of level l comes out on diagonal l+p.  Each
-        level is materialized left to right only as far as probed, so work
-        stays proportional to the emitted prefix, and levels of a binary
-        tree are finite, so every finite-depth value appears after finitely
-        many diagonals.  Growing a level whose feed is starved steps down to
-        grow the level above it and climbs back, without recursion, so deep,
-        narrow trees cannot blow the interpreter recursion limit.
+        A node's level is its number of choice edges from the root.  Under
+        bfs a level is probed to its end before the level below joins, so
+        the levels come out in order.  Otherwise the value leaf at position
+        p of level l comes out on diagonal l+p (Cantor diagonalization, with
+        each choice node's children swapped by a coin of rng if given), and
+        level l+1 joins right after position 0 of level l.  Each level is
+        materialized left to right only as far as probed, so work stays
+        proportional to the emitted prefix, and levels of a binary tree are
+        finite, so every finite-depth value appears after finitely many
+        rounds.  Growing a level whose feed is starved steps down to grow the
+        level above it and climbs back, without recursion, so deep, narrow
+        trees cannot blow the interpreter recursion limit.
         """
         budget = self.strategy.node_budget
         flip = rng.getrandbits if rng is not None else None
@@ -449,96 +364,101 @@ class Enumeration(Generic[A]):
             done = [True]
             active = [0]   # levels still probed, ascending
             diag = 0
-            while active:
+            while active:   # a round: one diagonal, or under bfs one whole level
                 still = []
                 for lev in active:
-                    pos = diag - lev
+                    pos = diag - lev   # 0 under bfs
                     row = nodes[lev]
-                    li = lev
-                    while len(row) <= pos:   # grow level lev up to pos
-                        if done[li]:
-                            if li == lev:
-                                break
-                            li += 1
-                            continue
-                        above = nodes[li - 1]
-                        f = fed[li]
-                        if f < len(above):
-                            fed[li] = f + 1
-                            node = above[f]
-                            if type(node) is not OrNode:
-                                continue   # a leaf has no children
-                            left = node._left   # force left, then right
-                            if callable(left):
-                                left = node._left = left()
-                            right = node._right
-                            if callable(right):
-                                right = node._right = right()
-                            below = nodes[li]
-                            swap = flip is not None and flip(1)
-                            if expansions >= budget:
-                                self.budget_exceeded = True
-                                return
-                            expansions += 1
-                            k = node._cont
-                            if k is None:
-                                kid = right if swap else left
-                                if type(kid) is BindNode:
-                                    kid = kid._norm or kid.normalized
-                                    if swap:
-                                        node._right = kid
-                                    else:
-                                        node._left = kid
-                                below.append(kid)
+                    while True:
+                        li = lev
+                        while len(row) <= pos:   # grow level lev up to pos
+                            if done[li]:
+                                if li == lev:
+                                    break
+                                li += 1
+                                continue
+                            above = nodes[li - 1]
+                            f = fed[li]
+                            if f < len(above):
+                                fed[li] = f + 1
+                                node = above[f]
+                                if type(node) is not OrNode:
+                                    continue   # a leaf has no children
+                                left = node._left   # force left, then right
+                                if callable(left):
+                                    left = node._left = left()
+                                right = node._right
+                                if callable(right):
+                                    right = node._right = right()
+                                below = nodes[li]
+                                swap = flip is not None and flip(1)
                                 if expansions >= budget:
                                     self.budget_exceeded = True
                                     return
                                 expansions += 1
-                                kid = left if swap else right
-                                if type(kid) is BindNode:
-                                    kid = kid._norm or kid.normalized
+                                k = node._cont
+                                if k is None:
+                                    kid = right if swap else left
+                                    if type(kid) is BindNode:
+                                        kid = kid._norm or kid.normalized
+                                        if swap:
+                                            node._right = kid
+                                        else:
+                                            node._left = kid
+                                    below.append(kid)
+                                    if expansions >= budget:
+                                        self.budget_exceeded = True
+                                        return
+                                    expansions += 1
+                                    kid = left if swap else right
+                                    if type(kid) is BindNode:
+                                        kid = kid._norm or kid.normalized
+                                        if swap:
+                                            node._left = kid
+                                        else:
+                                            node._right = kid
+                                    below.append(kid)
+                                else:   # a pending node: resolve both children under k
                                     if swap:
-                                        node._left = kid
+                                        kid = node._right = _resolve(right, k)
                                     else:
-                                        node._right = kid
-                                below.append(kid)
-                            else:   # a pending node: resolve both children under k
-                                if swap:
-                                    kid = node._right = _resolve(right, k)
-                                else:
-                                    kid = node._left = _resolve(left, k)
-                                half = node
-                                below.append(kid)
-                                if expansions >= budget:
-                                    self.budget_exceeded = True
-                                    return
-                                expansions += 1
-                                if swap:
-                                    kid = node._left = _resolve(left, k)
-                                else:
-                                    kid = node._right = _resolve(right, k)
-                                node._cont = half = None
-                                below.append(kid)
-                            if li < lev:
-                                li += 1
-                        elif done[li - 1]:
-                            done[li] = True
-                            if li < lev:
-                                li += 1
-                        else:
-                            li -= 1
-                    if pos >= len(row):
-                        continue   # level lev is shorter: it drops out
-                    still.append(lev)
-                    if pos == 0:   # the level below joins on the next diagonal
-                        still.append(lev + 1)
-                        nodes.append([])
-                        fed.append(0)
-                        done.append(False)
-                    node = row[pos]
-                    if type(node) is ValueNode:
-                        self.expansions = expansions
-                        yield node.payload
+                                        kid = node._left = _resolve(left, k)
+                                    half = node
+                                    below.append(kid)
+                                    if expansions >= budget:
+                                        self.budget_exceeded = True
+                                        return
+                                    expansions += 1
+                                    if swap:
+                                        kid = node._left = _resolve(left, k)
+                                    else:
+                                        kid = node._right = _resolve(right, k)
+                                    node._cont = half = None
+                                    below.append(kid)
+                                if li < lev:
+                                    li += 1
+                            elif done[li - 1]:
+                                done[li] = True
+                                if li < lev:
+                                    li += 1
+                            else:
+                                li -= 1
+                        if pos >= len(row):
+                            break   # level lev ends here: it drops out
+                        if not bfs:
+                            still.append(lev)   # probed again on the next diagonal
+                        if pos == 0:   # the level below joins on the next round
+                            still.append(lev + 1)
+                            nodes.append([])
+                            fed.append(0)
+                            done.append(False)
+                        node = row[pos]
+                        if type(node) is ValueNode:
+                            self.expansions = expansions
+                            yield node.payload
+                        if not bfs:
+                            break
+                        pos += 1
                 active = still
                 diag += 1
             self.exhausted = True

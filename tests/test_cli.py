@@ -230,6 +230,25 @@ def test_other_strategies_match_pinned_digest(capsys, first, strategy, seed, fmt
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
 
 
+# sha256 of the whole-corpus report at default flags printed by
+#   ndcheck --strategy K --seed 0 --format F
+# as first recorded.  Default flags are where node budgets cut the walks;
+# bfs and diag draw no random bits, so one seed covers them.
+PINNED_DEFAULT_FLAG_REPORTS = {
+    ("bfs", "json"): "1df7ee1d77054e3dd4548a54a7aa1edf6f94ba1e17c63bfe2aacdbd1423b0a60",
+    ("bfs", "text"): "02d1078f22c825ad2ba4197d418d8e35d125d54557ed4b82041ab99270a9dca3",
+    ("diag", "json"): "8e8490450d435f8aaf418f06ec4950b6b441cea6fe9e12ca5aed3e8783d08824",
+    ("diag", "text"): "ae6bd917980e2110bfcf33b0bd4d98e4c31aed247c9c6783ae7ab72d1d1697ed",
+}
+
+
+@pytest.mark.parametrize("strategy, fmt", sorted(PINNED_DEFAULT_FLAG_REPORTS))
+def test_default_flag_corpus_matches_pinned_digest(capsys, strategy, fmt):
+    code, out, _ = run_cli(capsys, "--strategy", strategy, "--seed", "0", "--format", fmt)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEFAULT_FLAG_REPORTS[strategy, fmt]
+
+
 # sha256 of the report printed by
 #   ndcheck Rev Sort Perm Trees ConcDup --maxtests 40 --seed 0 --deftype T --format F
 # for the base types other than the default, as first recorded.  Every

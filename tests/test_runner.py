@@ -585,6 +585,31 @@ class TestDeepInputRendering:
         )
 
 
+class TestDeepResultRendering:
+    """A falsification decided on values too deep to render stays Falsified;
+    the results show a placeholder for each value."""
+
+    MODULE = "DeepRender"
+
+    @pytest.fixture(autouse=True)
+    def _clean_registry(self):
+        registry.clear(self.MODULE)
+        yield
+        registry.clear(self.MODULE)
+
+    def test_falsified_on_values_too_deep_to_render(self):
+        x = Zero()
+        for _ in range(600):
+            x = Succ(x)
+        registry.param_test(self.MODULE, "succNotSelf", Generator(value(x), "deep", distinct=True),
+                            lambda v: is_equal(v, Succ(v)))
+        verdict = run_suite(registry.specs_for([self.MODULE]), RunConfig()).entries[0].verdict
+        assert verdict.kind == FALSIFIED_V
+        assert (verdict.tests_executed, verdict.case_index) == (1, 1)
+        assert verdict.arguments == "<input too deep to render>"
+        assert verdict.results == "(<value too deep to render>,<value too deep to render>)"
+
+
 @pytest.fixture
 def gc_state():
     """Give the test the collector to switch; restore it afterwards."""

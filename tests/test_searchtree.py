@@ -4,7 +4,7 @@ import gc
 import itertools
 import random
 import tracemalloc
-from collections import Counter, deque
+from collections import Counter
 from heapq import heappop, heappush
 
 import pytest
@@ -252,7 +252,7 @@ class _BudgetStop(Exception):
 class LevelWalkEnumeration:
     """Enumeration as first written: one ``_visit`` call per node, a
     ``_LevelWalk`` of ``_Level`` cursors and a heap of (diagonal, level)
-    entries.  The reference for the one-loop walks of ``Enumeration``."""
+    entries.  The reference for the one-loop walk of ``Enumeration``."""
 
     def __init__(self, tree, strategy):
         self.strategy = strategy
@@ -280,15 +280,19 @@ class LevelWalkEnumeration:
                 return node
 
     def _walk_bfs(self, root):
-        queue = deque([root])
+        # The levels of the level walk, in order: breadth-first search as
+        # EasyCheck defines it over the same levels as diagonalization.
         try:
-            while queue:
-                node = self._visit(queue.popleft())
-                if isinstance(node, ValueNode):
-                    yield node.payload
-                elif isinstance(node, OrNode):
-                    queue.append(node.left)
-                    queue.append(node.right)
+            walk = _LevelWalk(self, root, None)
+            lev = 0
+            while (node := walk.node_at(lev, 0)) is not None:
+                pos = 0
+                while node is not None:
+                    if isinstance(node, ValueNode):
+                        yield node.payload
+                    pos += 1
+                    node = walk.node_at(lev, pos)
+                lev += 1
         except _BudgetStop:
             return
         self.exhausted = True
@@ -587,10 +591,11 @@ def test_walks_write_normal_forms_into_choice_slots(make, stop):
 
 
 # Live bind nodes after the first 10,001 values of list_of(builtin(INT)) at
-# seed 0 are the walk's unvisited frontier: 40,202 / 39,544 / 59,522.  With
+# seed 0 were the walk's unvisited frontier: 40,202 / 39,544 / 59,522.  With
 # resolved wrappers kept in their parents' slots there were 110,392 /
-# 108,860 / 148,566.
-LIVE_BIND_NODE_BOUNDS = {"rand_level_diag": 44_000, "level_diag": 44_000, "bfs": 65_000}
+# 108,860 / 148,566.  Now that a split allocates no bind node, one is live
+# under every strategy.
+LIVE_BIND_NODE_BOUNDS = {"rand_level_diag": 44_000, "level_diag": 44_000, "bfs": 44_000}
 
 
 @pytest.mark.parametrize("kind", sorted(LIVE_BIND_NODE_BOUNDS))
@@ -608,13 +613,13 @@ def test_int_list_walk_keeps_few_bind_nodes(kind):
 
 # The memo of list_of(builtin(INT)) after its first 10,001 values at seed 0,
 # once the walk is dropped: (live bind nodes, GC-tracked objects at most).
-# A split is one pending choice node, so only bfs, which forces a choice
-# node's thunks when it queues the node, keeps bind nodes: 19,525 in its
-# frontier.  Tracked objects are 179,965 / 172,625 / 263,967; with a choice
-# node and two bind nodes per split there were 229,489 / 215,682 / 311,177
-# (40,201 / 39,543 / 59,522 bind nodes).
+# A split is one pending choice node, and every strategy forces a choice
+# node's thunks when it expands the node, so no bind node is kept.  Tracked
+# objects are 179,965 / 172,625 / 207,274; with a choice node and two bind
+# nodes per split there were 229,489 / 215,682 / 311,177 (40,201 / 39,543 /
+# 59,522 bind nodes).
 LEAN_MEMO = {"rand_level_diag": (0, 195_000), "level_diag": (0, 190_000),
-             "bfs": (19_525, 285_000)}
+             "bfs": (0, 220_000)}
 
 
 @pytest.mark.parametrize("kind", sorted(LEAN_MEMO))
@@ -800,8 +805,9 @@ class TestDefer:
 
 
 # expansions after the first 10,001 values of list_of(builtin(INT)) at seed 0,
-# recorded with the walk as first written
-PINNED_NODE_COUNTS = {"rand_level_diag": 80233, "level_diag": 79319, "bfs": 99046}
+# recorded with the walk as first written (bfs: with its level-order
+# reference, which hands out a left value after visiting its right sibling)
+PINNED_NODE_COUNTS = {"rand_level_diag": 80233, "level_diag": 79319, "bfs": 99047}
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_NODE_COUNTS))
