@@ -31,6 +31,7 @@ from .gen import (
     list_of,
     pair_of,
     positive_ints,
+    recursive,
     tuple_of,
 )
 from .prop import (

@@ -6,10 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..gen import Generator, builtin, list_of
+from ..gen import Generator, alt, builtin, gen_cons, gen_cons0, list_of, recursive
 from ..prop import is_equal
 from ..registry import poly_test
-from ..searchtree import SearchTree, bind, choice, defer, value
 
 MODULE = "Trees"
 
@@ -47,16 +46,11 @@ def mirror(t):
 
 def gen_tree(ga: Generator) -> Generator:
     """Trees over an element generator: a leaf, or a node of generated
-    subtree lists."""
-
-    def rec() -> SearchTree:
-        self_gen = Generator(defer(rec), "Tree")
-        return choice(
-            bind(ga.tree, lambda x: value(Leaf(x))),
-            bind(list_of(self_gen).tree, lambda ts: value(Node(tuple(ts)))),
-        )
-
-    return Generator(defer(rec), f"Tree({ga.name})")
+    subtree lists, built as tuples.  Distinct if the element generator is."""
+    return recursive(
+        lambda tree: alt(gen_cons(Leaf, ga), gen_cons(Node, list_of(tree, seq=tuple))),
+        f"Tree({ga.name})",
+    )
 
 
 @dataclass(frozen=True)
@@ -75,12 +69,8 @@ class Succ:
 
 
 def gen_nat() -> Generator:
-    """Peano numbers: zero, or the successor of a generated number."""
-
-    def rec() -> SearchTree:
-        return choice(value(Zero()), bind(defer(rec), lambda n: value(Succ(n))))
-
-    return Generator(defer(rec), "Nat")
+    """Peano numbers: zero, or the successor of a generated number; distinct."""
+    return recursive(lambda nat: alt(gen_cons0(Zero()), gen_cons(Succ, nat)), "Nat")
 
 
 poly_test(

@@ -5,16 +5,17 @@ name for reports.  Built-in generators enumerate every value of their type
 exactly once; generators for finite types are fully exhaustible.  A
 generator marked ``distinct`` promises that no two values of its tree have
 equal ``canonical`` keys, so the runner draws its inputs without keying them;
-combinators set the mark only where construction proves it.
+combinators derive the mark only where construction proves it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Generic, TypeVar
+from typing import Any, Callable, Generic, TypeVar
 
-from .searchtree import OrNode, SearchTree, bind, choice, one_of, value
+from .searchtree import OrNode, SearchTree, bind, choice, defer, one_of, value
 
 A = TypeVar("A")
 
@@ -46,17 +47,24 @@ class Generator(Generic[A]):
     tree: SearchTree[A]
     name: str = "gen"
     distinct: bool = field(default=False, kw_only=True)  # no two values key alike
+    # The exact types the values can have, or None if unknown.  canonical keys
+    # values of two such types apart, except a set and a frozenset: a set is
+    # recorded as frozenset.
+    types: frozenset[type] | None = field(default=None, kw_only=True)
 
 
 def gen_cons0(v: A, name: str | None = None) -> Generator[A]:
     """Generator with the single value v."""
-    return Generator(value(v), name if name is not None else repr(v), distinct=True)
+    t = frozenset if type(v) is set else type(v)
+    return Generator(value(v), name if name is not None else repr(v), distinct=True,
+                     types=frozenset((t,)))
 
 
-# Generator trees are built by module-level functions (_nested, _positive_tree,
-# _lists): a local closure that names itself would be a reference cycle.  Their
-# thunks and continuations take their state as default arguments, so no
-# closure cell stays alive per node of a memoised tree.
+# Generator trees are built by module-level functions (_nested, _unfold,
+# _positive_tree, _lists): a local closure that names itself would be a
+# reference cycle.  Their thunks and continuations take their state as
+# default arguments, so no closure cell stays alive per node of a memoised
+# tree.
 
 
 def _nested(c: Callable[..., A], gens: tuple[Generator, ...], args: tuple = ()) -> SearchTree[A]:
@@ -65,18 +73,62 @@ def _nested(c: Callable[..., A], gens: tuple[Generator, ...], args: tuple = ()) 
     return bind(gens[len(args)].tree, lambda a, c=c, gens=gens, args=args: _nested(c, gens, args + (a,)))
 
 
+# per class: whether it is a free constructor; probed once per class
+_FREE: dict[type, bool] = {}
+
+
+def _generated(c: type, name: str) -> bool:
+    """Whether c's own method `name` is one the dataclass decorator wrote."""
+    code = getattr(c.__dict__.get(name), "__code__", None)
+    return code is not None and code.co_filename == "<string>"
+
+
+def _free(c: Any) -> bool:
+    """Whether c is a free constructor: calling it builds an instance of
+    exactly class c whose fields hold the arguments unchanged, so canonical,
+    which keys a dataclass by its type and fields, keys the values built
+    from two distinct argument tuples apart.
+
+    That holds for a frozen dataclass with the generated __init__ and
+    __eq__, no __post_init__, and no InitVar or init=False field, built by
+    the plain type call (no own __new__ or metaclass).
+    """
+    if not isinstance(c, type):
+        return False
+    try:
+        return _FREE[c]
+    except KeyError:
+        params = c.__dict__.get("__dataclass_params__")
+        fields = dataclasses.fields(c) if params is not None else ()
+        free = _FREE[c] = (
+            params is not None and params.frozen
+            and _generated(c, "__init__") and _generated(c, "__eq__")
+            and not hasattr(c, "__post_init__")
+            # InitVar (and ClassVar) pseudo-fields are left out of fields()
+            and len(fields) == len(c.__dataclass_fields__)
+            and all(f.init for f in fields)
+            and type(c) is type and c.__new__ is object.__new__
+        )
+        return free
+
+
 def gen_cons(c: Callable[..., A], *gens: Generator, name: str | None = None) -> Generator[A]:
     """Apply an n-ary constructor to every combination of generated arguments.
 
     Realized by nested binds over the argument generators, so the result
     covers the full cross product (n up to 5; wider constructors compose
-    from pairs).  Not marked distinct: the constructor may map two argument
-    tuples to equal values.
+    from pairs).  Marked distinct when every part is and c is a free
+    constructor (a frozen dataclass with the generated __init__ and __eq__,
+    no __post_init__, and no InitVar or init=False field): each argument
+    tuple comes once, and c maps distinct tuples to values that key apart.
+    Any other callable may map two argument tuples to equal values.
     """
     if len(gens) > 5:
         raise ValueError("constructor arity above 5; compose from pairs instead")
     label = name if name is not None else getattr(c, "__name__", "cons")
-    return Generator(_nested(c, gens), label)
+    free = _free(c)
+    return Generator(_nested(c, gens), label, distinct=free and all(g.distinct for g in gens),
+                     types=frozenset((c,)) if free else None)
 
 
 def gen_cons1(c, g1, name=None):
@@ -100,9 +152,41 @@ def gen_cons5(c, g1, g2, g3, g4, g5, name=None):
 
 
 def alt(g1: Generator[A], g2: Generator[A]) -> Generator[A]:
-    """Choice between two generators; not marked distinct, as both may hold
-    the same value."""
-    return Generator(choice(g1.tree, g2.tree), f"{g1.name}|{g2.name}")
+    """Choice between two generators.
+
+    Marked distinct when both parts are and their type sets are known and
+    disjoint, since values of different types key apart; otherwise both
+    parts may hold the same value.
+    """
+    t1, t2 = g1.types, g2.types
+    known = t1 is not None and t2 is not None
+    return Generator(choice(g1.tree, g2.tree), f"{g1.name}|{g2.name}",
+                     distinct=g1.distinct and g2.distinct and known and t1.isdisjoint(t2),
+                     types=t1 | t2 if known else None)
+
+
+def recursive(body: Callable[[Generator[A]], Generator[A]], name: str) -> Generator[A]:
+    """The generator defined by body in terms of itself: body(self), where
+    the tree of the self-reference `self` unfolds body afresh when a walk
+    first visits it.
+
+    The mark is checked coinductively: body gets a self-reference assumed
+    distinct, of unknown types, and the result is distinct only if body
+    derives the mark from that assumption.  Values are finite, and with
+    unknown types alt marks no branch that yields the self-reference's
+    values unchanged, so each marked combinator over it builds larger
+    values injectively: two equal values would need two equal, smaller
+    values of the self-reference.  Each unfolding's thunk takes body as a
+    default argument and no closure names itself, so the generator makes
+    no reference cycle.
+    """
+    return dataclasses.replace(_unfold(body, name), name=name)
+
+
+def _unfold(body: Callable[[Generator[A]], Generator[A]], name: str) -> Generator[A]:
+    me = Generator(defer(lambda body=body, name=name: _unfold(body, name).tree), name,
+                   distinct=True)
+    return body(me)
 
 
 # -- built-in generators -------------------------------------------------
@@ -123,7 +207,7 @@ def _positive_tree(leaf: Callable[[int], SearchTree] = value, low: int = 0,
 
 def positive_ints(name: str = "PosInt") -> Generator[int]:
     """Every integer >= 1, exactly once, small magnitudes first."""
-    return Generator(_positive_tree(), name, distinct=True)
+    return Generator(_positive_tree(), name, distinct=True, types=frozenset((int,)))
 
 
 def _signed(n: int) -> SearchTree[int]:
@@ -137,11 +221,11 @@ def _int_tree() -> SearchTree[int]:
     return choice(value(0), _positive_tree(_signed))
 
 
-_BUILTIN_TREES: dict[BaseType, tuple[str, Callable[[], SearchTree]]] = {
-    BaseType.BOOL: ("Bool", lambda: one_of([False, True])),
-    BaseType.ORDERING: ("Ordering", lambda: one_of(list(Ordering))),
-    BaseType.INT: ("Int", _int_tree),
-    BaseType.CHAR: ("Char", lambda: one_of([chr(c) for c in range(0x20, 0x7F)])),
+_BUILTIN_TREES: dict[BaseType, tuple[str, type, Callable[[], SearchTree]]] = {
+    BaseType.BOOL: ("Bool", bool, lambda: one_of([False, True])),
+    BaseType.ORDERING: ("Ordering", Ordering, lambda: one_of(list(Ordering))),
+    BaseType.INT: ("Int", int, _int_tree),
+    BaseType.CHAR: ("Char", str, lambda: one_of([chr(c) for c in range(0x20, 0x7F)])),
 }
 
 
@@ -151,36 +235,44 @@ def builtin(t: BaseType) -> Generator:
     Bool and Ordering exhaust at 2 and 3 values; Int covers every integer
     exactly once; Char covers printable ASCII (0x20..0x7e) exactly once.
     """
-    name, tree = _BUILTIN_TREES[t]
-    return Generator(tree(), name, distinct=True)
+    name, typ, tree = _BUILTIN_TREES[t]
+    return Generator(tree(), name, distinct=True, types=frozenset((typ,)))
 
 
-def _unlink(drawn: tuple | None) -> list:
-    """The list of a linked (head, rest) chain, oldest head first."""
+def _unlink(drawn: tuple | None, seq: type) -> list | tuple:
+    """The elements of a linked (head, rest) chain, oldest head first, as a
+    list, or as a tuple if seq is tuple."""
     out = []
     while drawn is not None:
         h, drawn = drawn
         out.append(h)
     out.reverse()
-    return out
+    return out if seq is list else tuple(out)
 
 
-def list_of(g: Generator[A]) -> Generator[list[A]]:
+def list_of(g: Generator[A], seq: type = list) -> Generator:
     """Lists over a generator: nil, plus cons of an element and a generated tail.
 
     Each node carries the elements drawn above it as linked (head, rest)
     pairs, and a list is built once, at its nil leaf, so drawing a list of
     length L costs O(L).  A list's elements name the one path to its leaf,
-    so the lists key apart whenever the elements do.
+    so the lists key apart whenever the elements do.  With seq=tuple each
+    list is built as a tuple of the same elements in the same order, over
+    the same tree; list to tuple is injective, so the tuples key apart too.
     """
-    return Generator(_lists(g.tree, None), f"[{g.name}]", distinct=g.distinct)
+    if seq is not list and seq is not tuple:
+        raise ValueError("list_of builds a list or a tuple")
+    return Generator(_lists(g.tree, None, seq), f"[{g.name}]", distinct=g.distinct,
+                     types=frozenset((seq,)))
 
 
-def _lists(elem: SearchTree[A], drawn: tuple | None) -> SearchTree[list[A]]:
+def _lists(elem: SearchTree[A], drawn: tuple | None, seq: type) -> SearchTree:
+    # seq is a builtin type, which the GC does not track, so a nil thunk's
+    # defaults stay untracked, as they were with drawn alone
     return OrNode(
-        lambda drawn=drawn: value(_unlink(drawn)),
-        lambda elem=elem, drawn=drawn: bind(
-            elem, lambda h, elem=elem, drawn=drawn: _lists(elem, (h, drawn))),
+        lambda drawn=drawn, seq=seq: value(_unlink(drawn, seq)),
+        lambda elem=elem, drawn=drawn, seq=seq: bind(
+            elem, lambda h, elem=elem, drawn=drawn, seq=seq: _lists(elem, (h, drawn), seq)),
     )
 
 
@@ -200,4 +292,4 @@ def tuple_of(*gens: Generator) -> Generator[tuple]:
     names = ",".join(g.name for g in gens)
     label = f"({names},)" if len(gens) == 1 else f"({names})"
     return Generator(_nested(lambda *args: args, gens), label,
-                     distinct=all(g.distinct for g in gens))
+                     distinct=all(g.distinct for g in gens), types=frozenset((tuple,)))

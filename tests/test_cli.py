@@ -272,6 +272,26 @@ def test_other_base_types_match_pinned_digest(capsys, deftype, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS_BY_BASE_TYPE[deftype, fmt]
 
 
+# sha256 of the report printed by
+#   ndcheck Trees --maxtests 500 --strategy K --seed 0 --format F
+# as recorded while the runner still keyed every Trees input.  Trees inputs
+# are now drawn unkeyed, since gen_tree's distinct mark is derived; the
+# report is the same under every strategy, as both properties pass.
+PINNED_TREES_500 = {
+    "json": "27d2e58752d03ff0d590cef56b568f2f6134876a3548f97db7c5e4c28ae23426",
+    "text": "6569d3ed444b6a11fb119a7753ebdc27b5e896473e33bcc59e756c80103a5005",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_TREES_500))
+@pytest.mark.parametrize("strategy", ["bfs", "diag", "rdiag"])
+def test_trees_at_benchmark_size_matches_pinned_digest(capsys, strategy, fmt):
+    argv = ["Trees", "--maxtests", "500", "--strategy", strategy, "--seed", "0"]
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TREES_500[fmt]
+
+
 # sha256 of the full `ndcheck --list` output, as first recorded.
 PINNED_LIST = "8aebcb607250b30066d287d6955188f82fe25fd9a73511445570c50e5bfadadf"
 

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+from dataclasses import InitVar, dataclass, field
 
 import pytest
 
@@ -18,12 +19,15 @@ from ndcheck.gen import (
     list_of,
     pair_of,
     positive_ints,
+    recursive,
     tuple_of,
 )
+from ndcheck.corpus.sumup import gen_pos
+from ndcheck.corpus.trees import Leaf, Node, Succ, Zero, gen_nat, gen_tree
 from ndcheck.searchtree import (
-    Strategy, bind, choice, defer, enumerate_tree, fail, one_of, take_values, value,
+    OrNode, Strategy, bind, choice, defer, enumerate_tree, fail, one_of, take_values, value,
 )
-from ndcheck.values import canonical
+from ndcheck.values import canonical, same_value
 
 DIAG = Strategy.level_diag()
 
@@ -76,6 +80,39 @@ def nested_pair_tuple_of(*gens: Generator) -> Generator:
     return Generator(acc.tree, "(" + ",".join(g.name for g in gens) + ")")
 
 
+def hand_written_gen_tree(ga: Generator) -> Generator:
+    """gen_tree as first written: a closure that names itself, and a map of
+    each list of subtrees to a tuple.  The reference for the recursive one."""
+
+    def rec():
+        self_gen = Generator(defer(rec), "Tree")
+        return choice(
+            bind(ga.tree, lambda x: value(Leaf(x))),
+            bind(list_of(self_gen).tree, lambda ts: value(Node(tuple(ts)))),
+        )
+
+    return Generator(defer(rec), f"Tree({ga.name})")
+
+
+def hand_written_gen_nat() -> Generator:
+    """gen_nat as first written.  The reference for the recursive one."""
+
+    def rec():
+        return choice(value(Zero()), bind(defer(rec), lambda n: value(Succ(n))))
+
+    return Generator(defer(rec), "Nat")
+
+
+def logged_elements(log: list) -> Generator:
+    """0, 1, 2, ... down a right spine whose thunks log when they are forced."""
+
+    def spine(n):
+        return OrNode(lambda: log.append(("value", n)) or value(n),
+                      lambda: log.append(("spine", n)) or spine(n + 1))
+
+    return Generator(spine(0), "E")
+
+
 STRATEGY_MAKERS = [Strategy.bfs, Strategy.level_diag] + [
     lambda budget, seed=seed: Strategy.rand_level_diag(seed, budget) for seed in (0, 1, 7, 42)
 ]
@@ -83,7 +120,9 @@ STRATEGY_MAKERS = [Strategy.bfs, Strategy.level_diag] + [
 
 def assert_same_walks(build_new, build_old):
     """Generators freshly built by the two builders give the same values,
-    node counts and end flags for every strategy, seed and budget."""
+    node counts and end flags for every strategy, seed and budget.  Values
+    are compared as same_value does, at any depth (a deep Nat chain would
+    exceed the recursion limit under ==)."""
     for make in STRATEGY_MAKERS:
         for budget in (1, 7, 50, 2000):
             strategy = make(budget)
@@ -91,7 +130,9 @@ def assert_same_walks(build_new, build_old):
             assert new_gen.name == old_gen.name
             new = enumerate_tree(new_gen.tree, strategy)
             old = enumerate_tree(old_gen.tree, strategy)
-            assert new.values() == old.values(), strategy
+            new_values, old_values = new.values(), old.values()
+            assert len(new_values) == len(old_values), strategy
+            assert all(map(same_value, new_values, old_values)), strategy
             assert (new.expansions, new.exhausted, new.budget_exceeded) == (
                 old.expansions, old.exhausted, old.budget_exceeded,
             ), strategy
@@ -222,6 +263,39 @@ class TestBuiltins:
         assert_same_walks(lambda: builtin(BaseType.INT), nested_int)
 
 
+class TestRecursive:
+    @pytest.mark.parametrize("element", [BaseType.BOOL, BaseType.ORDERING, BaseType.INT])
+    def test_gen_tree_same_walk_as_hand_written_definition(self, element):
+        # same tree shape: values, node counts and end flags agree for every
+        # strategy, seed and budget
+        assert_same_walks(lambda: gen_tree(builtin(element)),
+                          lambda: hand_written_gen_tree(builtin(element)))
+
+    def test_gen_nat_same_walk_as_hand_written_definition(self):
+        assert_same_walks(gen_nat, hand_written_gen_nat)
+
+    def test_gen_tree_forces_element_thunks_in_the_same_order(self):
+        for make in STRATEGY_MAKERS:
+            walks = []
+            for define in (gen_tree, hand_written_gen_tree):
+                log = []
+                e = enumerate_tree(define(logged_elements(log)).tree, make(2000))
+                walks.append((e.values(), e.expansions, log))
+            assert walks[0] == walks[1]
+
+    def test_body_sees_a_self_reference_assumed_distinct(self):
+        seen = []
+
+        def body(me):
+            seen.append((me.name, me.distinct, me.types))
+            return alt(gen_cons0(0), list_of(me))
+
+        g = recursive(body, "Rose")
+        assert seen == [("Rose", True, None)]
+        assert g.name == "Rose" and g.distinct and g.types == frozenset((int, list))
+        assert take_values(g.tree, DIAG, 4) == [0, [], [0], [0, 0]]
+
+
 class TestListOf:
     def test_prefix_contains_small_bool_lists(self):
         vs = take_values(list_of(builtin(BaseType.BOOL)).tree, DIAG, 40)
@@ -236,6 +310,16 @@ class TestListOf:
             got = [v for v in vs if len(v) == length]
             for combo in combos:
                 assert got.count(list(combo)) == 1
+
+    def test_tuples_walk_like_lists(self):
+        for element in (BaseType.BOOL, BaseType.INT):
+            as_lists = list_of(builtin(element))
+            as_tuples = list_of(builtin(element), seq=tuple)
+            assert as_tuples.distinct and as_tuples.types == frozenset((tuple,))
+            lists = take_values(as_lists.tree, DIAG, 300)
+            assert take_values(as_tuples.tree, DIAG, 300) == [tuple(v) for v in lists]
+        with pytest.raises(ValueError):
+            list_of(builtin(BaseType.BOOL), seq=set)
 
     def test_list_of_empty_generator_yields_only_nil(self):
         g = Generator(fail(), "none")
@@ -312,6 +396,73 @@ class TestTuples:
                               lambda: nested_pair_tuple_of(make(), make()))
 
 
+@dataclass(frozen=True)
+class Point:
+    x: int
+    up: bool
+
+
+@dataclass(frozen=True)
+class Clamped:
+    n: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", max(self.n, 0))
+
+
+@dataclass(frozen=True)
+class AbsEq:
+    n: int
+
+    def __eq__(self, other):
+        return isinstance(other, AbsEq) and abs(self.n) == abs(other.n)
+
+    __hash__ = object.__hash__
+
+
+@dataclass(frozen=True)
+class AbsInit:
+    n: int
+
+    def __init__(self, n):
+        object.__setattr__(self, "n", abs(n))
+
+
+@dataclass(frozen=True)
+class Scaled:
+    n: int
+    scale: InitVar[int] = 1
+
+
+@dataclass(frozen=True)
+class Tagged:
+    n: int
+    tag: str = field(default="t", init=False)
+
+
+@dataclass
+class Mutable:
+    n: int
+
+
+@dataclass(frozen=True)
+class AbsNew:
+    n: int
+
+    def __new__(cls, n):
+        return abs(n)
+
+
+class _AbsCall(type):
+    def __call__(cls, n):
+        return abs(n)
+
+
+@dataclass(frozen=True)
+class AbsMeta(metaclass=_AbsCall):
+    n: int
+
+
 LAW_STRATEGIES = [Strategy.bfs(10**6), Strategy.level_diag(10**6)] + [
     Strategy.rand_level_diag(seed, 10**6) for seed in (0, 1, 7)
 ]
@@ -336,6 +487,12 @@ MARKED = {
         2000,
     ),
     "(Char,)": (lambda: tuple_of(builtin(BaseType.CHAR)), 200),
+    "Tree(Int)": (lambda: gen_tree(builtin(BaseType.INT)), 2000),
+    "Tree(Ordering)": (lambda: gen_tree(builtin(BaseType.ORDERING)), 2000),
+    "Nat": (gen_nat, 200),
+    "Point": (lambda: gen_cons(Point, builtin(BaseType.INT), builtin(BaseType.BOOL)), 2000),
+    "Bool|Int": (lambda: alt(builtin(BaseType.BOOL), builtin(BaseType.INT)), 2000),
+    "Int|[Bool]": (lambda: alt(builtin(BaseType.INT), list_of(builtin(BaseType.BOOL))), 2000),
 }
 
 
@@ -377,13 +534,33 @@ class TestDistinctMark:
             list_of(alt(b, b)),
             pair_of(b, Generator(value(1))),
             tuple_of(n, b, gen_cons1(abs, n)),
+            gen_cons(Clamped, n),
+            gen_cons(AbsEq, n),
+            gen_cons(AbsInit, n),
+            gen_cons(Scaled, n, n),
+            gen_cons(Tagged, n),
+            gen_cons(Mutable, n),
+            gen_cons(AbsNew, n),
+            gen_cons(AbsMeta, n),
+            alt(n, positive_ints()),
+            alt(gen_cons(Point, n, b), gen_cons(Point, n, b)),
+            gen_pos(),
+            recursive(lambda pos: alt(gen_cons0(1), gen_cons1(lambda k: k + 1, pos)), "Pos"),
         ]
         assert not any(g.distinct for g in unmarked)
 
     def test_unmarked_generators_can_repeat_a_key(self):
-        # why alt and gen_cons may not be marked: both can yield a key twice
+        # why alt and gen_cons are not always marked: both can yield a key
+        # twice, over overlapping types or through a constructor that is not free
+        n = builtin(BaseType.INT)
         for g in (alt(builtin(BaseType.BOOL), builtin(BaseType.BOOL)),
-                  gen_cons1(abs, builtin(BaseType.INT))):
+                  alt(n, positive_ints()),
+                  gen_cons1(abs, n),
+                  gen_cons(Clamped, n),
+                  gen_cons(AbsInit, n),
+                  gen_cons(Scaled, n, n),
+                  gen_cons(AbsNew, n),
+                  gen_cons(AbsMeta, n)):
             vs = take_values(g.tree, DIAG, 40)
             assert len(distinct(vs)) < len(vs)
 
@@ -404,6 +581,9 @@ COMBINATORS = {
     "gen_cons": lambda: gen_cons(lambda a, b: (b, a), builtin(BaseType.BOOL), positive_ints()),
     "tuple_of": lambda: tuple_of(builtin(BaseType.BOOL), builtin(BaseType.ORDERING)),
     "pair_of": lambda: pair_of(list_of(builtin(BaseType.BOOL)), builtin(BaseType.INT)),
+    "gen_tree": lambda: gen_tree(builtin(BaseType.INT)),
+    "gen_nat": gen_nat,
+    "gen_pos": gen_pos,
 }
 
 
