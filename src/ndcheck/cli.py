@@ -67,7 +67,6 @@ def config_from_options(opts: argparse.Namespace) -> RunConfig:
         seed=seed,
         node_budget=opts.budget,
         proof_dir=opts.proofdir,
-        selection=tuple(opts.modules),
     )
 
 
@@ -89,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ndcheck: {exc}", file=sys.stderr)
         return 2
     try:
-        specs = registry.specs_for(cfg.selection)
+        specs = registry.specs_for(opts.modules)
     except KeyError as exc:
         known = ", ".join(registry.suite_names())
         print(f"ndcheck: unknown suite {exc.args[0]!r} (known: {known})", file=sys.stderr)

@@ -86,12 +86,12 @@ def _generated(c: type, name: str) -> bool:
 def _free(c: Any) -> bool:
     """Whether c is a free constructor: calling it builds an instance of
     exactly class c whose fields hold the arguments unchanged, so canonical,
-    which keys a dataclass by its type and fields, keys the values built
-    from two distinct argument tuples apart.
+    which keys a dataclass by its type and compared fields, keys the values
+    built from two distinct argument tuples apart.
 
     That holds for a frozen dataclass with the generated __init__ and
-    __eq__, no __post_init__, and no InitVar or init=False field, built by
-    the plain type call (no own __new__ or metaclass).
+    __eq__, no __post_init__, and no InitVar, init=False or compare=False
+    field, built by the plain type call (no own __new__ or metaclass).
     """
     if not isinstance(c, type):
         return False
@@ -106,7 +106,7 @@ def _free(c: Any) -> bool:
             and not hasattr(c, "__post_init__")
             # InitVar (and ClassVar) pseudo-fields are left out of fields()
             and len(fields) == len(c.__dataclass_fields__)
-            and all(f.init for f in fields)
+            and all(f.init and f.compare for f in fields)
             and type(c) is type and c.__new__ is object.__new__
         )
         return free
@@ -119,8 +119,9 @@ def gen_cons(c: Callable[..., A], *gens: Generator, name: str | None = None) -> 
     covers the full cross product (n up to 5; wider constructors compose
     from pairs).  Marked distinct when every part is and c is a free
     constructor (a frozen dataclass with the generated __init__ and __eq__,
-    no __post_init__, and no InitVar or init=False field): each argument
-    tuple comes once, and c maps distinct tuples to values that key apart.
+    no __post_init__, and no InitVar, init=False or compare=False field):
+    each argument tuple comes once, and c maps distinct tuples to values
+    that key apart.
     Any other callable may map two argument tuples to equal values.
     """
     if len(gens) > 5:

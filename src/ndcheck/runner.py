@@ -81,7 +81,6 @@ class RunConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
     value_budget: int = 10_000
     proof_dir: str | Path | None = None
-    selection: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.max_tests < 1:

@@ -400,7 +400,7 @@ class Enumeration(Generic[A]):
                                 if k is None:
                                     kid = right if swap else left
                                     if type(kid) is BindNode:
-                                        kid = kid._norm or kid.normalized
+                                        kid = kid.normalized
                                         if swap:
                                             node._right = kid
                                         else:
@@ -412,7 +412,7 @@ class Enumeration(Generic[A]):
                                     expansions += 1
                                     kid = left if swap else right
                                     if type(kid) is BindNode:
-                                        kid = kid._norm or kid.normalized
+                                        kid = kid.normalized
                                         if swap:
                                             node._left = kid
                                         else:

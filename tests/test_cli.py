@@ -87,7 +87,6 @@ class TestFlags:
         assert cfg.seed == 42
         assert cfg.node_budget == 555
         assert cfg.proof_dir == "/tmp/p"
-        assert cfg.selection == ("Rev", "Perm")
 
     @pytest.mark.parametrize("strategy", ["bfs", "diag", "rdiag"])
     def test_every_strategy_runs_the_finite_suite(self, capsys, strategy):

@@ -463,6 +463,12 @@ class AbsMeta(metaclass=_AbsCall):
     n: int
 
 
+@dataclass(frozen=True)
+class Noted:
+    n: int
+    note: str = field(compare=False, default="")
+
+
 LAW_STRATEGIES = [Strategy.bfs(10**6), Strategy.level_diag(10**6)] + [
     Strategy.rand_level_diag(seed, 10**6) for seed in (0, 1, 7)
 ]
@@ -542,6 +548,7 @@ class TestDistinctMark:
             gen_cons(Mutable, n),
             gen_cons(AbsNew, n),
             gen_cons(AbsMeta, n),
+            gen_cons(Noted, n, builtin(BaseType.CHAR)),
             alt(n, positive_ints()),
             alt(gen_cons(Point, n, b), gen_cons(Point, n, b)),
             gen_pos(),

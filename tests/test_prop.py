@@ -428,9 +428,10 @@ class SelfUnequal:
 
 DECIMAL_NAN = Decimal("NaN")
 
-# flat values reach each branch of values.flat_equal; the dataclass value is
-# compared in step, the enum member through its key; an object that is not
-# == to itself is still the same value as itself, on a leaf as in a walk
+# values.same_value compares the flat values at each scalar and list step,
+# the dataclass value in step and the enum member through its key; an
+# object that is not == to itself is still the same value as itself, on a
+# leaf as in a walk
 LEAVES = [
     value(1), value([2, 1]), value([2, 1]), value([True]), value(True),
     value("ab"), value(b"ab"), value(()), value(float("nan")), value(float("nan")),

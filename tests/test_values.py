@@ -1,5 +1,5 @@
 """The keying contract of values.canonical: same type and ==, recursively;
-and flat_equal and same_value, which decide key equality without keys."""
+and same_value, which decides key equality without keys."""
 
 import dataclasses
 import enum
@@ -17,7 +17,7 @@ from ndcheck.corpus.trees import Leaf, Node, Succ, Zero
 from ndcheck.gen import Ordering
 from ndcheck.prop import FALSIFIED, SATISFIED, is_equal, same_set, value_count
 from ndcheck.searchtree import one_of
-from ndcheck.values import canonical, flat_equal, same_value
+from ndcheck.values import canonical, same_value
 
 
 class Color(enum.IntEnum):
@@ -44,6 +44,22 @@ class Unhashable:
 
 def tree(*ords):
     return Node(tuple(Leaf(o) for o in ords))
+
+
+@dataclasses.dataclass(frozen=True)
+class Noted:
+    """A dataclass with a field that takes no part in ==."""
+
+    n: int
+    note: str = dataclasses.field(compare=False, default="")
+
+
+@dataclasses.dataclass(eq=False)
+class Unequated:
+    """A dataclass without a generated ==, so compared by identity; still
+    keyed by its fields."""
+
+    n: int
 
 
 # (a, b, whether a and b must key alike)
@@ -85,6 +101,10 @@ CONTRACT = [
     (Unhashable(1), Unhashable(2), False),
     (bytearray(b"ab"), bytearray(b"ab"), True),
     (bytearray(b"ab"), b"ab", False),
+    (Noted(1, "a"), Noted(1, "b"), True),
+    (Noted(1, "a"), Noted(2, "a"), False),
+    (Unequated(1), Unequated(1), True),
+    (Unequated(1), Unequated(2), False),
 ]
 
 
@@ -249,116 +269,6 @@ class TestInlineScalarElements:
         assert len(set(keys)) > 200
 
 
-FLAT_SCALARS = (bool, int, float, str, bytes)
-
-
-def is_flat(v):
-    if type(v) in (list, tuple):
-        return all(type(x) in FLAT_SCALARS for x in v)
-    return type(v) in FLAT_SCALARS
-
-
-def flat_pair_agrees(a, b):
-    """flat_equal answers exactly, as the keys do, for two scalars and for
-    two lists (or two tuples) of scalars, and leaves every other pair to
-    the keys."""
-    got = flat_equal(a, b)
-    if type(a) in FLAT_SCALARS and type(b) in FLAT_SCALARS:
-        flat_pair = True
-    else:
-        flat_pair = type(a) is type(b) and type(a) in (list, tuple) and is_flat(a) and is_flat(b)
-    if not flat_pair:
-        return got is None
-    return got is (canonical(a) == canonical(b))
-
-
-class TestFlatEqual:
-    @pytest.mark.parametrize("a,b,same", CONTRACT, ids=[f"{a!r}-{b!r}" for a, b, _ in CONTRACT])
-    def test_contract_table(self, a, b, same):
-        assert flat_pair_agrees(a, b)
-        assert flat_pair_agrees(b, a)
-        assert flat_equal(a, b) in (None, same)
-
-    @pytest.mark.parametrize("a,b,same", [
-        (True, 1, False),
-        ([True, 2], [1, 2], False),
-        ((True, 2), (1, 2), False),
-        (1, 1.0, False),
-        (0.0, -0.0, True),
-        ([0.0], [-0.0], True),
-        (float("nan"), float("nan"), True),
-        ([float("nan"), 1], [float("nan"), 1], True),
-        ((1, float("nan")), (1, float("nan")), True),
-        ([float("nan")], [math.inf], False),
-        ("ab", b"ab", False),
-        (["ab"], [b"ab"], False),
-        ([1, 2], [1, 2, 3], False),
-        ([], [], True),
-        ([], (), None),
-        (1, [1], None),
-        (Color.RED, 1, None),
-        ([Color.RED], [1], None),
-        (Leaf(1), Leaf(1), None),
-        ([Leaf(1)], [Leaf(1)], None),
-        ([[1]], [[1]], None),
-    ])
-    def test_edge_cases(self, a, b, same):
-        assert a is not b
-        assert flat_equal(a, b) is same
-        assert flat_equal(b, a) is same
-        if same is not None:
-            assert same is (canonical(a) == canonical(b))
-
-    def test_random_values_agree_with_keys(self):
-        rng = random.Random(17)
-
-        def scalar():
-            return rng.choice([
-                rng.randrange(-2, 3), rng.random() < 0.5, rng.choice([0.0, -0.0, 1.0]),
-                float("nan"), rng.choice(["", "a"]), rng.choice([b"", b"a"]),
-            ])
-
-        def flat():
-            if rng.random() < 0.3:
-                return scalar()
-            items = [scalar() for _ in range(rng.randrange(4))]
-            return items if rng.random() < 0.6 else tuple(items)
-
-        def nested():
-            r = rng.random()
-            if r < 0.3:
-                return [flat(), scalar()]
-            if r < 0.5:
-                return Leaf(flat())
-            if r < 0.7:
-                return rng.choice([Color.RED, Ordering.GT, None, {1, 2}])
-            return (scalar(), [scalar()])
-
-        def relative(v):
-            """A value like v: a copy with at most one element swapped for
-            one that may or may not key alike."""
-            swaps = {True: 1, 1: True, 0.0: -0.0, "a": b"a", b"a": "a"}
-            if type(v) in (list, tuple):
-                items = list(v)
-                if items and rng.random() < 0.5:
-                    i = rng.randrange(len(items))
-                    x = items[i]
-                    items[i] = float("nan") if x != x else swaps.get(x, x) if rng.random() < 0.5 else scalar()
-                return type(v)(items)
-            return float("nan") if v != v else swaps.get(v, v) if rng.random() < 0.5 else scalar()
-
-        pairs = []
-        for _ in range(3000):
-            a = flat() if rng.random() < 0.8 else nested()
-            r = rng.random()
-            b = relative(a) if r < 0.5 and is_flat(a) else flat() if r < 0.8 else nested()
-            pairs.append((a, b))
-        answered = [flat_equal(a, b) for a, b in pairs]
-        assert all(flat_pair_agrees(a, b) for a, b in pairs)
-        assert answered.count(True) > 300 and answered.count(False) > 300
-        assert answered.count(None) > 300
-
-
 class Shade(enum.IntEnum):
     """Members == to Color's, of another class."""
 
@@ -408,6 +318,18 @@ class TestTypedFallbackKeys:
         for v in (Ordering.LT, None, object()):
             assert canonical(v) is v
         assert [canonical(DNAN)] == [canonical(DNAN)]
+
+
+class TestUncomparedFields:
+    """A dataclass field declared compare=False takes no part in the value,
+    as it takes none in ==."""
+
+    def test_operators_treat_values_differing_there_as_one(self):
+        a, b = Noted(1, "a"), Noted(1, "b")
+        assert a == b
+        assert is_equal(a, b).evaluate().status == SATISFIED
+        assert value_count(one_of([a, b]), 1).evaluate().status == SATISFIED
+        assert is_equal(a, Noted(2, "a")).evaluate().status == FALSIFIED
 
 
 def keys_alike(a, b):
@@ -466,7 +388,28 @@ SAME_VALUE_CASES = [
     (1, [1], False),
     (True, 1, False),
     ([1, 2], [1, 2], True),
+    # flat pairs: scalars, and lists or tuples of scalars
+    ([True, 2], [1, 2], False),
+    ((True, 2), (1, 2), False),
+    ([0.0], [-0.0], True),
+    (float("nan"), float("nan"), True),
+    ([float("nan"), 1], [float("nan"), 1], True),
+    ((1, float("nan")), (1, float("nan")), True),
+    ([float("nan")], [math.inf], False),
+    ("ab", b"ab", False),
+    (["ab"], [b"ab"], False),
+    ([1, 2], [1, 2, 3], False),
+    ([], [], True),
 ]
+
+
+FLAT_SCALARS = (bool, int, float, str, bytes)
+
+
+def is_flat(v):
+    if type(v) in (list, tuple):
+        return all(type(x) in FLAT_SCALARS for x in v)
+    return type(v) in FLAT_SCALARS
 
 
 class TestSameValue:
@@ -583,8 +526,57 @@ class TestSameValue:
         assert got == expect
         same = [x for x, _ in expect]
         assert same.count(True) > 600 and same.count(False) > 600
-        walked = [x for (x, _), (a, b) in zip(expect, pairs) if a is not b and flat_equal(a, b) is None]
+        walked = [x for (x, _), (a, b) in zip(expect, pairs) if a is not b]
         assert walked.count(True) > 300 and walked.count(False) > 300
+
+    def test_random_flat_pairs_agree_with_keys(self):
+        rng = random.Random(17)
+
+        def scalar():
+            return rng.choice([
+                rng.randrange(-2, 3), rng.random() < 0.5, rng.choice([0.0, -0.0, 1.0]),
+                float("nan"), rng.choice(["", "a"]), rng.choice([b"", b"a"]),
+            ])
+
+        def flat():
+            if rng.random() < 0.3:
+                return scalar()
+            items = [scalar() for _ in range(rng.randrange(4))]
+            return items if rng.random() < 0.6 else tuple(items)
+
+        def nested():
+            r = rng.random()
+            if r < 0.3:
+                return [flat(), scalar()]
+            if r < 0.5:
+                return Leaf(flat())
+            if r < 0.7:
+                return rng.choice([Color.RED, Ordering.GT, None, {1, 2}])
+            return (scalar(), [scalar()])
+
+        def relative(v):
+            """A value like v: a copy with at most one element swapped for
+            one that may or may not key alike."""
+            swaps = {True: 1, 1: True, 0.0: -0.0, "a": b"a", b"a": "a"}
+            if type(v) in (list, tuple):
+                items = list(v)
+                if items and rng.random() < 0.5:
+                    i = rng.randrange(len(items))
+                    x = items[i]
+                    items[i] = float("nan") if x != x else swaps.get(x, x) if rng.random() < 0.5 else scalar()
+                return type(v)(items)
+            return float("nan") if v != v else swaps.get(v, v) if rng.random() < 0.5 else scalar()
+
+        pairs = []
+        for _ in range(3000):
+            a = flat() if rng.random() < 0.8 else nested()
+            r = rng.random()
+            b = relative(a) if r < 0.5 and is_flat(a) else flat() if r < 0.8 else nested()
+            pairs.append((a, b))
+        got = [same_value(a, b) for a, b in pairs]
+        assert got == [keys_alike(a, b) for a, b in pairs]
+        assert got == [same_value(b, a) for a, b in pairs]
+        assert got.count(True) > 300 and got.count(False) > 300
 
     @pytest.mark.parametrize("build", [succ_chain, nested_list])
     def test_deep_values_without_recursion(self, build):
