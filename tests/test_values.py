@@ -388,18 +388,6 @@ SAME_VALUE_CASES = [
     (1, [1], False),
     (True, 1, False),
     ([1, 2], [1, 2], True),
-    # flat pairs: scalars, and lists or tuples of scalars
-    ([True, 2], [1, 2], False),
-    ((True, 2), (1, 2), False),
-    ([0.0], [-0.0], True),
-    (float("nan"), float("nan"), True),
-    ([float("nan"), 1], [float("nan"), 1], True),
-    ((1, float("nan")), (1, float("nan")), True),
-    ([float("nan")], [math.inf], False),
-    ("ab", b"ab", False),
-    (["ab"], [b"ab"], False),
-    ([1, 2], [1, 2, 3], False),
-    ([], [], True),
 ]
 
 
@@ -594,3 +582,62 @@ class TestSameValue:
         assert keyed == []
         assert same_value(Color.RED, Color.BLUE) is False
         assert keyed == [Color.RED, Color.BLUE]
+
+
+def flat_pair(a, b):
+    """Two scalars, or two lists (or two tuples) of scalars."""
+    if type(a) in FLAT_SCALARS and type(b) in FLAT_SCALARS:
+        return True
+    return type(a) is type(b) and type(a) in (list, tuple) and is_flat(a) and is_flat(b)
+
+
+def keys_built(monkeypatch, a, b):
+    """same_value(a, b), and the values it keyed on the way."""
+    keyed = []
+    monkeypatch.setattr("ndcheck.values.canonical", lambda v: keyed.append(v) or canonical(v))
+    return same_value(a, b), keyed
+
+
+class TestFlatPairs:
+    """same_value decides a flat pair (two scalars, or two lists or tuples
+    of scalars) exactly as the keys do, and without building a key."""
+
+    def check(self, monkeypatch, a, b, same):
+        for x, y in ((a, b), (b, a)):
+            got, keyed = keys_built(monkeypatch, x, y)
+            assert got is same
+            if flat_pair(x, y):
+                assert keyed == []
+
+    @pytest.mark.parametrize("a,b,same", CONTRACT, ids=[f"{a!r}-{b!r}" for a, b, _ in CONTRACT])
+    def test_contract_table(self, monkeypatch, a, b, same):
+        self.check(monkeypatch, a, b, same)
+
+    @pytest.mark.parametrize("a,b,same", [
+        (True, 1, False),
+        ([True, 2], [1, 2], False),
+        ((True, 2), (1, 2), False),
+        (1, 1.0, False),
+        (0.0, -0.0, True),
+        ([0.0], [-0.0], True),
+        (float("nan"), float("nan"), True),
+        ([float("nan"), 1], [float("nan"), 1], True),
+        ((1, float("nan")), (1, float("nan")), True),
+        ([float("nan")], [math.inf], False),
+        ("ab", b"ab", False),
+        (["ab"], [b"ab"], False),
+        ([1, 2], [1, 2, 3], False),
+        ([], [], True),
+        # not flat: decided through keys or the walk
+        ([], (), False),
+        (1, [1], False),
+        (Color.RED, 1, False),
+        ([Color.RED], [1], False),
+        (Leaf(1), Leaf(1), True),
+        ([Leaf(1)], [Leaf(1)], True),
+        ([[1]], [[1]], True),
+    ])
+    def test_edge_cases(self, monkeypatch, a, b, same):
+        assert a is not b
+        assert keys_alike(a, b) is same
+        self.check(monkeypatch, a, b, same)
