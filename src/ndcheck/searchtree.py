@@ -68,8 +68,9 @@ class OrNode(SearchTree[A]):
     functions still to apply to both children, which are raw trees.  A walk
     resolves the two children where it visits them, writes their normal
     forms back and clears ``_cont``; ``left`` and ``right`` first unpack a
-    pending node into two bind nodes sharing the chain.  Outside a walk's
-    step a node is wholly pending or wholly resolved.
+    pending node into two bind nodes sharing the chain, as ``_resolve``
+    does inline when it splits a choice node under a chain.  Outside a
+    walk's step a node is wholly pending or wholly resolved.
     """
 
     __slots__ = ("_left", "_right", "_cont")
@@ -175,9 +176,12 @@ def _resolve(t: SearchTree, k: tuple | None) -> SearchTree:
         elif c is OrNode:
             if k is None:
                 return t
+            # what t.left and t.right do, inline: on CPython 3.11 a property
+            # call per child made the int_lists benchmark's cold pass 5-10%
+            # slower
             if t._cont is not None:
                 t._unpack()
-            left = t._left   # force left, then right, as the walks do
+            left = t._left   # force left, then right, as the walk does
             if callable(left):
                 left = t._left = left()
             right = t._right
@@ -323,14 +327,16 @@ class Enumeration(Generic[A]):
     # included); a bind node, deferred trees and nested binds included,
     # resolves within a single visit, to its normal form, which is never a
     # bind node.  The walk visits a choice node's two children when it grows
-    # the level below into it: it checks the budget, reads a bind child's
-    # memo or computes it, or resolves a pending node's child under the
-    # node's chain, and stores the normal form in the child's slot, so a
-    # memoised tree keeps normal forms, not their wrappers.  A pending node
-    # is cleared once both children are stored; a walk that stops in between
-    # (the budget ends, or a continuation or thunk raises) first wraps the
-    # raw child in a bind node (``_settle``).  An OrNode child that is not a
-    # search tree is a dead leaf.
+    # the level below into it, each through one child step: it checks the
+    # budget, resolves the child under the node's chain if the node is
+    # pending, or else reads a bind child's memo or computes it, and always
+    # writes the child back to its slot, so a memoised tree keeps normal
+    # forms, not their wrappers.  A pending node's chain is cleared once its
+    # second child is resolved (a plain node's is left alone: clearing it on
+    # every node made warm walks about 5% slower); a walk that stops in
+    # between (the budget ends, or a continuation or thunk raises) first
+    # wraps the raw child in a bind node (``_settle``).  An OrNode child
+    # that is not a search tree is a dead leaf.
 
     def _walk_levels(self, root: SearchTree[A], rng: Random | None, bfs: bool) -> Iterator[A]:
         """The tree's levels, probed position by position in one of two orders.
@@ -397,44 +403,32 @@ class Enumeration(Generic[A]):
                                     return
                                 expansions += 1
                                 k = node._cont
-                                if k is None:
-                                    kid = right if swap else left
-                                    if type(kid) is BindNode:
-                                        kid = kid.normalized
-                                        if swap:
-                                            node._right = kid
-                                        else:
-                                            node._left = kid
-                                    below.append(kid)
-                                    if expansions >= budget:
-                                        self.budget_exceeded = True
-                                        return
-                                    expansions += 1
-                                    kid = left if swap else right
-                                    if type(kid) is BindNode:
-                                        kid = kid.normalized
-                                        if swap:
-                                            node._left = kid
-                                        else:
-                                            node._right = kid
-                                    below.append(kid)
-                                else:   # a pending node: resolve both children under k
-                                    if swap:
-                                        kid = node._right = _resolve(right, k)
-                                    else:
-                                        kid = node._left = _resolve(left, k)
+                                kid = right if swap else left
+                                if k is not None:
+                                    kid = _resolve(kid, k)
                                     half = node
-                                    below.append(kid)
-                                    if expansions >= budget:
-                                        self.budget_exceeded = True
-                                        return
-                                    expansions += 1
-                                    if swap:
-                                        kid = node._left = _resolve(left, k)
-                                    else:
-                                        kid = node._right = _resolve(right, k)
+                                elif type(kid) is BindNode:
+                                    kid = kid.normalized
+                                if swap:
+                                    node._right = kid
+                                else:
+                                    node._left = kid
+                                below.append(kid)
+                                if expansions >= budget:
+                                    self.budget_exceeded = True
+                                    return
+                                expansions += 1
+                                kid = left if swap else right
+                                if k is not None:
+                                    kid = _resolve(kid, k)
                                     node._cont = half = None
-                                    below.append(kid)
+                                elif type(kid) is BindNode:
+                                    kid = kid.normalized
+                                if swap:
+                                    node._left = kid
+                                else:
+                                    node._right = kid
+                                below.append(kid)
                                 if li < lev:
                                     li += 1
                             elif done[li - 1]:

@@ -3,7 +3,9 @@ report rendering.
 
 Test data and results are ordinary Python values (ints, bools, strings,
 lists, frozen dataclasses, ...).  Two of them are the same value when they
-have the same type and are ==, recursively.  De-duplication needs a
+have the same type and are ==, recursively, except that a dataclass is
+compared by its type and the fields it compares, whatever its own == says
+(one that defines __eq__, or has eq=False).  De-duplication needs a
 hashable key that says so (canonical), the operators compare two plain
 values without keys (same_value, the one key-free comparison), and failure
 reports need a stable textual form.
@@ -38,14 +40,18 @@ _IDENTITY_EQ: dict[type, bool] = {}
 
 def canonical(v: Any) -> Any:
     """Hashable key such that canonical(a) == canonical(b) iff a and b have
-    the same type and are ==, recursively.
+    the same type and are ==, recursively, a dataclass compared by its
+    fields.
 
     True and 1 key apart, as do 1 and 1.0; every float NaN keys alike.
     Containers are frozen recursively (set and frozenset alike), dataclasses
     keyed by type and the fields they compare (a field declared
-    compare=False takes no part); other hashable values are keyed by type
-    and value, or are their own key when their type compares by identity (a
-    plain enum member), and unhashable ones by type and repr.  Keys are
+    compare=False takes no part), whatever their own == says: one that
+    defines __eq__ or has eq=False is still keyed by its fields, so values
+    == by their own __eq__ may key apart, and values that are not == may
+    key alike.  Other hashable values are keyed by type and value, or are
+    their own key when their type compares by identity (a plain enum
+    member), and unhashable ones by type and repr.  Keys are
     compared as sets and lists compare their members, identity first, so a
     value that is not == to itself (a Decimal NaN) still keys alike with
     itself.  Two Python frames per nesting level keep ~490 levels within

@@ -804,6 +804,15 @@ class TestDefer:
         assert take_values(OrNode(lambda: 5, value(1)), strategy) == [1]
         assert take_values(choice(value(1), 5), strategy) == [1]
 
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_split_forces_left_thunk_before_right(self, strategy):
+        """A choice node reached under a chain forces its left thunk before
+        its right one, as a walk expanding a choice node does."""
+        log = []
+        t = bind(OrNode(logged("l", value(1), log), logged("r", value(2), log)), value)
+        assert sorted(enumerate_tree(t, strategy)) == [1, 2]
+        assert log == ["l", "r"]
+
 
 # expansions after the first 10,001 values of list_of(builtin(INT)) at seed 0,
 # recorded with the walk as first written (bfs: with its level-order

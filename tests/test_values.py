@@ -1,5 +1,6 @@
-"""The keying contract of values.canonical: same type and ==, recursively;
-and same_value, which decides key equality without keys."""
+"""The keying contract of values.canonical: same type and ==, recursively,
+a dataclass by its type and compared fields; and same_value, which decides
+key equality without keys."""
 
 import dataclasses
 import enum
@@ -62,6 +63,20 @@ class Unequated:
     n: int
 
 
+@dataclasses.dataclass(frozen=True)
+class AbsEq:
+    """A dataclass with its own ==, which ignores the sign; still keyed by
+    its fields."""
+
+    n: int
+
+    def __eq__(self, other):
+        return isinstance(other, AbsEq) and abs(self.n) == abs(other.n)
+
+    def __hash__(self):
+        return hash(abs(self.n))
+
+
 # (a, b, whether a and b must key alike)
 CONTRACT = [
     (True, 1, False),
@@ -105,6 +120,7 @@ CONTRACT = [
     (Noted(1, "a"), Noted(2, "a"), False),
     (Unequated(1), Unequated(1), True),
     (Unequated(1), Unequated(2), False),
+    (AbsEq(1), AbsEq(-1), False),
 ]
 
 
@@ -291,6 +307,9 @@ class SelfUnequal:
 
     __hash__ = object.__hash__
 
+    def __repr__(self):
+        return "SelfUnequal()"
+
 
 class TestTypedFallbackKeys:
     """A hashable value whose type defines its own == keys as (type, value),
@@ -330,6 +349,18 @@ class TestUncomparedFields:
         assert is_equal(a, b).evaluate().status == SATISFIED
         assert value_count(one_of([a, b]), 1).evaluate().status == SATISFIED
         assert is_equal(a, Noted(2, "a")).evaluate().status == FALSIFIED
+
+
+class TestOwnEq:
+    """A dataclass is compared by its type and compared fields, whatever its
+    own == says."""
+
+    def test_operators_tell_values_equal_by_own_eq_apart(self):
+        a, b = AbsEq(1), AbsEq(-1)
+        assert a == b
+        assert is_equal(a, b).evaluate().status == FALSIFIED
+        assert value_count(one_of([a, b]), 1).evaluate().status == FALSIFIED
+        assert is_equal(a, AbsEq(1)).evaluate().status == SATISFIED
 
 
 def keys_alike(a, b):
