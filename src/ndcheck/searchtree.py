@@ -68,9 +68,10 @@ class OrNode(SearchTree[A]):
     functions still to apply to both children, which are raw trees.  A walk
     resolves the two children where it visits them, writes their normal
     forms back and clears ``_cont``; ``left`` and ``right`` first unpack a
-    pending node into two bind nodes sharing the chain, as ``_resolve``
-    does inline when it splits a choice node under a chain.  Outside a
-    walk's step a node is wholly pending or wholly resolved.
+    pending node into two bind nodes sharing the chain.  ``_resolve`` reads
+    ``left`` then ``right`` to split a choice node under a chain, so no
+    other code outside the walk splits a node.  Outside a walk's step a
+    node is wholly pending or wholly resolved.
     """
 
     __slots__ = ("_left", "_right", "_cont")
@@ -174,20 +175,7 @@ def _resolve(t: SearchTree, k: tuple | None) -> SearchTree:
             f, k = k
             t = f(t.payload)
         elif c is OrNode:
-            if k is None:
-                return t
-            # what t.left and t.right do, inline: on CPython 3.11 a property
-            # call per child made the int_lists benchmark's cold pass 5-10%
-            # slower
-            if t._cont is not None:
-                t._unpack()
-            left = t._left   # force left, then right, as the walk does
-            if callable(left):
-                left = t._left = left()
-            right = t._right
-            if callable(right):
-                right = t._right = right()
-            return OrNode(left, right, k)
+            return t if k is None else OrNode(t.left, t.right, k)
         elif c is FailNode:
             return t
         else:
@@ -331,12 +319,11 @@ class Enumeration(Generic[A]):
     # budget, resolves the child under the node's chain if the node is
     # pending, or else reads a bind child's memo or computes it, and always
     # writes the child back to its slot, so a memoised tree keeps normal
-    # forms, not their wrappers.  A pending node's chain is cleared once its
-    # second child is resolved (a plain node's is left alone: clearing it on
-    # every node made warm walks about 5% slower); a walk that stops in
-    # between (the budget ends, or a continuation or thunk raises) first
-    # wraps the raw child in a bind node (``_settle``).  An OrNode child
-    # that is not a search tree is a dead leaf.
+    # forms, not their wrappers.  The node's chain is cleared once its
+    # second child is resolved; a walk that stops in between (the budget
+    # ends, or a continuation or thunk raises) first wraps the raw child in
+    # a bind node (``_settle``).  An OrNode child that is not a search tree
+    # is a dead leaf.
 
     def _walk_levels(self, root: SearchTree[A], rng: Random | None, bfs: bool) -> Iterator[A]:
         """The tree's levels, probed position by position in one of two orders.
@@ -421,7 +408,6 @@ class Enumeration(Generic[A]):
                                 kid = left if swap else right
                                 if k is not None:
                                     kid = _resolve(kid, k)
-                                    node._cont = half = None
                                 elif type(kid) is BindNode:
                                     kid = kid.normalized
                                 if swap:
@@ -429,6 +415,7 @@ class Enumeration(Generic[A]):
                                 else:
                                     node._right = kid
                                 below.append(kid)
+                                node._cont = half = None
                                 if li < lev:
                                     li += 1
                             elif done[li - 1]:

@@ -339,28 +339,27 @@ class TestTypedFallbackKeys:
         assert [canonical(DNAN)] == [canonical(DNAN)]
 
 
-class TestUncomparedFields:
-    """A dataclass field declared compare=False takes no part in the value,
-    as it takes none in ==."""
-
-    def test_operators_treat_values_differing_there_as_one(self):
-        a, b = Noted(1, "a"), Noted(1, "b")
-        assert a == b
-        assert is_equal(a, b).evaluate().status == SATISFIED
-        assert value_count(one_of([a, b]), 1).evaluate().status == SATISFIED
-        assert is_equal(a, Noted(2, "a")).evaluate().status == FALSIFIED
-
-
-class TestOwnEq:
+class TestDataclassEquality:
     """A dataclass is compared by its type and compared fields, whatever its
-    own == says."""
+    own == says: a field declared compare=False takes no part in the value,
+    and an own __eq__ merges no values."""
 
-    def test_operators_tell_values_equal_by_own_eq_apart(self):
-        a, b = AbsEq(1), AbsEq(-1)
+    # (a, b with a == b, a third value, whether a and b are one value; the
+    # third value is the other way round)
+    @pytest.mark.parametrize(
+        "a, b, other, one",
+        [
+            (Noted(1, "a"), Noted(1, "b"), Noted(2, "a"), True),
+            (AbsEq(1), AbsEq(-1), AbsEq(1), False),
+        ],
+        ids=["Noted", "AbsEq"],
+    )
+    def test_operators_follow_compared_fields(self, a, b, other, one):
+        status, other_status = (SATISFIED, FALSIFIED) if one else (FALSIFIED, SATISFIED)
         assert a == b
-        assert is_equal(a, b).evaluate().status == FALSIFIED
-        assert value_count(one_of([a, b]), 1).evaluate().status == FALSIFIED
-        assert is_equal(a, AbsEq(1)).evaluate().status == SATISFIED
+        assert is_equal(a, b).evaluate().status == status
+        assert value_count(one_of([a, b]), 1).evaluate().status == status
+        assert is_equal(a, other).evaluate().status == other_status
 
 
 def keys_alike(a, b):
