@@ -62,9 +62,12 @@ def gen_cons0(v: A, name: str | None = None) -> Generator[A]:
 
 # Generator trees are built by module-level functions (_nested, _unfold,
 # _positive_tree, _lists): a local closure that names itself would be a
-# reference cycle.  Their thunks and continuations take their state as
-# default arguments, so no closure cell stays alive per node of a memoised
-# tree.
+# reference cycle.  The thunks and continuations of _nested, _unfold and
+# _positive_tree take their state as default arguments, so no closure cell
+# stays alive per node of a memoised tree.  A list node, the most numerous
+# node of the memo, keeps its state in one slotted _ListCell, whose bound
+# methods are its thunks and which is itself its continuation: no function
+# object or defaults tuple per node.
 
 
 def _nested(c: Callable[..., A], gens: tuple[Generator, ...], args: tuple = ()) -> SearchTree[A]:
@@ -260,6 +263,9 @@ def list_of(g: Generator[A], seq: type = list) -> Generator:
     so the lists key apart whenever the elements do.  With seq=tuple each
     list is built as a tuple of the same elements in the same order, over
     the same tree; list to tuple is injective, so the tuples key apart too.
+    A node keeps its state in one _ListCell, which refers to the shared
+    element tree, the drawn chain and seq, never to its own node, so the
+    tree makes no reference cycle.
     """
     if seq is not list and seq is not tuple:
         raise ValueError("list_of builds a list or a tuple")
@@ -267,14 +273,32 @@ def list_of(g: Generator[A], seq: type = list) -> Generator:
                      types=frozenset((seq,)))
 
 
+class _ListCell:
+    """The state of one list node: the element tree, the elements drawn above
+    the node, and the sequence type.  Its bound methods nil and cons are the
+    node's two thunks, and the cell itself is the bind continuation that
+    grows the tree below a drawn head h."""
+
+    __slots__ = ("elem", "drawn", "seq")
+
+    def __init__(self, elem: SearchTree[A], drawn: tuple | None, seq: type):
+        self.elem = elem
+        self.drawn = drawn
+        self.seq = seq
+
+    def nil(self) -> SearchTree:
+        return value(_unlink(self.drawn, self.seq))
+
+    def cons(self) -> SearchTree:
+        return bind(self.elem, self)
+
+    def __call__(self, h: A) -> SearchTree:
+        return _lists(self.elem, (h, self.drawn), self.seq)
+
+
 def _lists(elem: SearchTree[A], drawn: tuple | None, seq: type) -> SearchTree:
-    # seq is a builtin type, which the GC does not track, so a nil thunk's
-    # defaults stay untracked, as they were with drawn alone
-    return OrNode(
-        lambda drawn=drawn, seq=seq: value(_unlink(drawn, seq)),
-        lambda elem=elem, drawn=drawn, seq=seq: bind(
-            elem, lambda h, elem=elem, drawn=drawn, seq=seq: _lists(elem, (h, drawn), seq)),
-    )
+    cell = _ListCell(elem, drawn, seq)
+    return OrNode(cell.nil, cell.cons)
 
 
 def pair_of(g1: Generator, g2: Generator) -> Generator[tuple]:

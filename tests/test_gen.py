@@ -584,6 +584,8 @@ COMBINATORS = {
     "builtin(Char)": lambda: builtin(BaseType.CHAR),
     "positive_ints": positive_ints,
     "list_of": lambda: list_of(builtin(BaseType.INT)),
+    "list_of(seq=tuple)": lambda: list_of(builtin(BaseType.INT), seq=tuple),
+    "list_of(list_of)": lambda: list_of(list_of(builtin(BaseType.BOOL))),
     "alt": lambda: alt(builtin(BaseType.BOOL), builtin(BaseType.ORDERING)),
     "gen_cons": lambda: gen_cons(lambda a, b: (b, a), builtin(BaseType.BOOL), positive_ints()),
     "tuple_of": lambda: tuple_of(builtin(BaseType.BOOL), builtin(BaseType.ORDERING)),

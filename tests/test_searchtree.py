@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import tracemalloc
+import types
 from collections import Counter
 from heapq import heappop, heappush
 
@@ -249,10 +250,28 @@ class _BudgetStop(Exception):
     pass
 
 
+def forced_children(node):
+    """A choice node's two children, left then right, each thunk forced once
+    and stored back in its slot."""
+    if callable(node._left):
+        node._left = node._left()
+    if callable(node._right):
+        node._right = node._right()
+    return node._left, node._right
+
+
 class LevelWalkEnumeration:
     """Enumeration as first written: one ``_visit`` call per node, a
     ``_LevelWalk`` of ``_Level`` cursors and a heap of (diagonal, level)
-    entries.  The reference for the one-loop walk of ``Enumeration``."""
+    entries.  The reference for the one-loop walk of ``Enumeration``.
+
+    It resolves bind nodes itself, reading only the tree a bind node was
+    built over and its chain, never ``BindNode.normalized`` or the module's
+    ``_resolve``, so a fault there shows as a difference.  A visited node is
+    kept with the chain of functions still to apply to its value leaves;
+    only a choice node keeps a non-empty one, a split, whose two thunks are
+    forced, left then right, when it is reached.
+    """
 
     def __init__(self, tree, strategy):
         self.strategy = strategy
@@ -268,16 +287,32 @@ class LevelWalkEnumeration:
     def __iter__(self):
         return self._iter
 
-    def _visit(self, node):
+    def _visit(self, node, chain):
+        """The node, with chain pending, resolved: a value or fail leaf, or a
+        choice node, each paired with the functions still pending on it.
+        A chain is linked (f, rest) pairs ending in None, f applied first."""
         if self.expansions >= self.strategy.node_budget:
             self.budget_exceeded = True
             raise _BudgetStop
         self.expansions += 1
         while True:
             if isinstance(node, BindNode):
-                node = node.normalized
+                if callable(node._tree):
+                    node._tree = node._tree()
+                fns, inner = [], node._cont
+                while inner is not None:
+                    fns.append(inner[0])
+                    inner = inner[1]
+                for f in reversed(fns):
+                    chain = (f, chain)
+                node = node._tree
+            elif isinstance(node, ValueNode) and chain is not None:
+                f, chain = chain
+                node = f(node.payload)
             else:
-                return node
+                if isinstance(node, OrNode) and chain is not None:
+                    forced_children(node)
+                return node, chain
 
     def _walk_bfs(self, root):
         # The levels of the level walk, in order: breadth-first search as
@@ -328,7 +363,7 @@ class _Level:
     __slots__ = ("nodes", "feed_pos", "done")
 
     def __init__(self):
-        self.nodes = []     # classified nodes, left to right
+        self.nodes = []     # (resolved node, pending chain) pairs, left to right
         self.feed_pos = 0   # next parent node index to consume
         self.done = False   # no further nodes can ever appear
 
@@ -344,9 +379,8 @@ class _LevelWalk:
         self.levels = [lvl0]
         self._append(lvl0, root)
 
-    def _append(self, level, node):
-        node = self._enum._visit(node)
-        level.nodes.append(node)
+    def _append(self, level, node, chain=None):
+        level.nodes.append(self._enum._visit(node, chain))
 
     def node_at(self, lev, pos):
         """Node at position pos of level lev, or None if the level is shorter."""
@@ -357,7 +391,7 @@ class _LevelWalk:
         while len(level.nodes) <= pos and not level.done:
             if not self._grow(lev):
                 break
-        return level.nodes[pos] if pos < len(level.nodes) else None
+        return level.nodes[pos][0] if pos < len(level.nodes) else None
 
     def _grow(self, lev):
         """Append nodes to level lev; False once the level is complete."""
@@ -371,14 +405,14 @@ class _LevelWalk:
                 continue
             parent = self.levels[li - 1]
             if level.feed_pos < len(parent.nodes):
-                node = parent.nodes[level.feed_pos]
+                node, chain = parent.nodes[level.feed_pos]
                 level.feed_pos += 1
                 if isinstance(node, OrNode):
-                    left, right = node.left, node.right
+                    left, right = forced_children(node)
                     if self._rng is not None and self._rng.getrandbits(1):
                         left, right = right, left
-                    self._append(level, left)
-                    self._append(level, right)
+                    self._append(level, left, chain)
+                    self._append(level, right, chain)
                     if li == lev:
                         return True
                     li += 1
@@ -616,11 +650,13 @@ def test_int_list_walk_keeps_few_bind_nodes(kind):
 # once the walk is dropped: (live bind nodes, GC-tracked objects at most).
 # A split is one pending choice node, and every strategy forces a choice
 # node's thunks when it expands the node, so no bind node is kept.  Tracked
-# objects are 179,965 / 172,625 / 207,274; with a choice node and two bind
-# nodes per split there were 229,489 / 215,682 / 311,177 (40,201 / 39,543 /
-# 59,522 bind nodes).
-LEAN_MEMO = {"rand_level_diag": (0, 195_000), "level_diag": (0, 190_000),
-             "bfs": (0, 220_000)}
+# objects are 163,710 / 157,245 / 196,700 now that a list node keeps its
+# state in one cell; with a nil thunk, a cons thunk and a continuation per
+# list node there were 179,798 / 172,665 / 210,817, and with a choice node
+# and two bind nodes per split 229,489 / 215,682 / 311,177 (40,201 / 39,543
+# / 59,522 bind nodes).
+LEAN_MEMO = {"rand_level_diag": (0, 177_000), "level_diag": (0, 170_000),
+             "bfs": (0, 212_000)}
 
 
 @pytest.mark.parametrize("kind", sorted(LEAN_MEMO))
@@ -639,6 +675,28 @@ def test_int_list_memo_holds_no_split_wrappers(kind):
     want_binds, max_tracked = LEAN_MEMO[kind]
     assert binds - binds_before == want_binds
     assert tracked - tracked_before < max_tracked
+
+
+# Function objects left live by the memo of list_of(builtin(INT)) after its
+# first 10,001 values at seed 0: 872 / 64 / 1,024 (rand_level_diag /
+# level_diag / bfs), all of them thunks of Int's shared _positive_tree.  When
+# a list node kept its state in a nil thunk, a cons thunk and one
+# continuation per drawn head there were 30,865 / 29,841 / 50,073.
+MAX_LIVE_FUNCTIONS = 2_000
+
+
+@pytest.mark.parametrize("kind", sorted(LEAN_MEMO))
+def test_int_list_memo_holds_no_function_per_list_node(kind):
+    def functions():
+        gc.collect()
+        return sum(1 for o in gc.get_objects() if type(o) is types.FunctionType)
+
+    before = functions()
+    tree = list_of(builtin(BaseType.INT)).tree
+    e = enumerate_tree(tree, Strategy(kind, 0))
+    assert sum(1 for _ in itertools.islice(e, 10_001)) == 10_001
+    del e
+    assert functions() - before < MAX_LIVE_FUNCTIONS
 
 
 # -- a walk that ends between a choice node's two children ---------------------
