@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import tempfile
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, Union
@@ -64,9 +65,14 @@ class EvalContext:
             raise ValueError("value budget must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Prop:
-    """A named, deferred check; evaluation is repeatable given equal context."""
+    """A named, deferred check; evaluation is repeatable given equal context.
+
+    kind names the operator that built it; check maps an EvalContext to an
+    Outcome.  A property is one small slotted object, built per test case,
+    and it compares and hashes by identity.  Its fields are not meant to be
+    reassigned: dataclasses.replace makes a changed copy."""
 
     kind: str
     check: Callable[[EvalContext], Outcome]
@@ -82,6 +88,16 @@ class Prop:
         finally:
             if gc_was_enabled:
                 gc.enable()
+
+
+def not_a_prop(exc: Exception, got: Any, what: str) -> Exception:
+    """The error to report for exc, raised while checking got: a TypeError
+    that names got's type when got stands where a property belongs but has
+    no check at all (a body that returned a bool), else exc itself.  Called
+    on the error path only, so a passing case pays nothing for it."""
+    if isinstance(exc, AttributeError) and not hasattr(got, "check"):
+        return TypeError(f"{what} {type(got).__name__}, not a property")
+    return exc
 
 
 TreeLike = Union[SearchTree, Any]
@@ -153,18 +169,30 @@ def _results(lvals: list, lend: str, rvals: list, rend: str) -> str:
     return f"({_render_side(lvals, lend)},{_render_side(rvals, rend)})"
 
 
-def _leaf_pair(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome | None:
-    """The outcome of comparing two value leaves; None: not two value leaves.
+def _leaf_pair(kind: str, a: Any, b: Any, ctx: EvalContext) -> Outcome:
+    """The outcome of is_equal, same_set or reduces_to (kind) on two single
+    values, each a plain value or the payload of a value leaf.
 
-    With a value budget of at least 2, a value leaf is one exhausted value, so
-    is_equal, same_set and reduces_to each hold iff the two values key
-    alike, and each reports the same results when they do not."""
-    if type(lt) is ValueNode and type(rt) is ValueNode and ctx.value_budget >= 2:
-        a, b = lt.payload, rt.payload
+    With a value budget of at least 2, one value is an exhausted value set,
+    so each of the three holds iff the two values are the same, and reports
+    the same results when they are not.  With a budget of 1 the side that
+    kind decides first is undecided, as in a walk."""
+    if ctx.value_budget >= 2:
         if same_value(a, b):
             return _SAT
         return Outcome(FALSIFIED, results=_results([a], EXHAUSTED, [b], EXHAUSTED))
-    return None
+    return _inconclusive(kind, "right" if kind == "reduces_to" else "left", LIMIT)
+
+
+def _two_sided(kind: str, decide: Callable[[SearchTree, SearchTree, EvalContext], Outcome],
+               l: TreeLike, r: TreeLike) -> Prop:
+    """The property of operator kind on l and r.  Two single values, plain
+    or in value leaves, are decided by _leaf_pair, and no tree is built for
+    them; any other pair by decide(lt, rt, ctx) on both sides as trees."""
+    lt, rt = isinstance(l, SearchTree), isinstance(r, SearchTree)
+    if (lt and type(l) is not ValueNode) or (rt and type(r) is not ValueNode):
+        return Prop(kind, partial(decide, as_tree(l), as_tree(r)))
+    return Prop(kind, partial(_leaf_pair, kind, l.payload if lt else l, r.payload if rt else r))
 
 
 def _inconclusive(op: str, side: str, end: str) -> Outcome:
@@ -177,78 +205,69 @@ def _inconclusive(op: str, side: str, end: str) -> Outcome:
 
 def is_equal(l: TreeLike, r: TreeLike) -> Prop:
     """Satisfied iff both sides have exactly one value and the values match."""
-    lt, rt = as_tree(l), as_tree(r)
+    return _two_sided("is_equal", _is_equal, l, r)
 
-    def check(ctx: EvalContext) -> Outcome:
-        if (out := _leaf_pair(lt, rt, ctx)) is not None:
-            return out
-        lkeys, lvals, lend = _distinct(lt, ctx, need=2)
-        rkeys, rvals, rend = _distinct(rt, ctx, need=2)
-        # a side is decided once it exhausts or shows a second value
-        if lend != EXHAUSTED and len(lvals) < 2:
-            return _inconclusive("is_equal", "left", lend)
-        if rend != EXHAUSTED and len(rvals) < 2:
-            return _inconclusive("is_equal", "right", rend)
-        if len(lkeys) == 1 and lkeys == rkeys:
-            return _SAT
-        return Outcome(FALSIFIED, results=_results(lvals, lend, rvals, rend))
 
-    return Prop("is_equal", check)
+def _is_equal(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome:
+    lkeys, lvals, lend = _distinct(lt, ctx, need=2)
+    rkeys, rvals, rend = _distinct(rt, ctx, need=2)
+    # a side is decided once it exhausts or shows a second value
+    if lend != EXHAUSTED and len(lvals) < 2:
+        return _inconclusive("is_equal", "left", lend)
+    if rend != EXHAUSTED and len(rvals) < 2:
+        return _inconclusive("is_equal", "right", rend)
+    if len(lkeys) == 1 and lkeys == rkeys:
+        return _SAT
+    return Outcome(FALSIFIED, results=_results(lvals, lend, rvals, rend))
 
 
 def same_set(l: TreeLike, r: TreeLike) -> Prop:
     """Satisfied iff both sides produce the same set of values (multiplicity
     and order ignored); needs both sides exhausted to decide."""
-    lt, rt = as_tree(l), as_tree(r)
+    return _two_sided("same_set", _same_set, l, r)
 
-    def check(ctx: EvalContext) -> Outcome:
-        if (out := _leaf_pair(lt, rt, ctx)) is not None:
-            return out
-        lkeys, lvals, lend = _distinct(lt, ctx)
-        if lend != EXHAUSTED:
-            return _inconclusive("same_set", "left", lend)
-        rkeys, rvals, rend = _distinct(rt, ctx)
-        if rend != EXHAUSTED:
-            return _inconclusive("same_set", "right", rend)
-        if set(lkeys) == set(rkeys):
-            return _SAT
-        return Outcome(FALSIFIED, results=_results(lvals, lend, rvals, rend))
 
-    return Prop("same_set", check)
+def _same_set(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome:
+    lkeys, lvals, lend = _distinct(lt, ctx)
+    if lend != EXHAUSTED:
+        return _inconclusive("same_set", "left", lend)
+    rkeys, rvals, rend = _distinct(rt, ctx)
+    if rend != EXHAUSTED:
+        return _inconclusive("same_set", "right", rend)
+    if set(lkeys) == set(rkeys):
+        return _SAT
+    return Outcome(FALSIFIED, results=_results(lvals, lend, rvals, rend))
 
 
 def reduces_to(l: TreeLike, r: TreeLike) -> Prop:
     """Satisfied iff every value of the right side is among the values of the
     left side.  The right side must exhaust; the left side is searched lazily
     and may be left unexplored once all targets are found."""
-    lt, rt = as_tree(l), as_tree(r)
+    return _two_sided("reduces_to", _reduces_to, l, r)
 
-    def check(ctx: EvalContext) -> Outcome:
-        if (out := _leaf_pair(lt, rt, ctx)) is not None:
-            return out
-        rkeys, rvals, rend = _distinct(rt, ctx)
-        if rend != EXHAUSTED:
-            return _inconclusive("reduces_to", "right", rend)
-        missing = set(rkeys)
+
+def _reduces_to(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome:
+    rkeys, rvals, rend = _distinct(rt, ctx)
+    if rend != EXHAUSTED:
+        return _inconclusive("reduces_to", "right", rend)
+    missing = set(rkeys)
+    if not missing:
+        return _SAT
+    enum = enumerate_tree(lt, ctx.strategy)
+    observed: list = []
+    for k, v in islice(keyed(enum), ctx.value_budget):
+        observed.append(v)
+        missing.discard(k)
         if not missing:
             return _SAT
-        enum = enumerate_tree(lt, ctx.strategy)
-        observed: list = []
-        for k, v in islice(keyed(enum), ctx.value_budget):
-            observed.append(v)
-            missing.discard(k)
-            if not missing:
-                return _SAT
-        if len(observed) == ctx.value_budget:
-            return _inconclusive("reduces_to", "left", LIMIT)
-        if enum.exhausted:
-            return Outcome(
-                FALSIFIED,
-                results=_results(observed, EXHAUSTED, rvals, EXHAUSTED),
-            )
-        return _inconclusive("reduces_to", "left", BUDGET)
-
-    return Prop("reduces_to", check)
+    if len(observed) == ctx.value_budget:
+        return _inconclusive("reduces_to", "left", LIMIT)
+    if enum.exhausted:
+        return Outcome(
+            FALSIFIED,
+            results=_results(observed, EXHAUSTED, rvals, EXHAUSTED),
+        )
+    return _inconclusive("reduces_to", "left", BUDGET)
 
 
 def value_count(e: TreeLike, n: int) -> Prop:
@@ -298,16 +317,22 @@ def implies(cond: bool, p: Prop | Callable[[], Prop]) -> Prop:
 
     The consequent may be passed as a thunk so that guarded expressions
     (e.g. ones that diverge on bad inputs) are only built when the guard
-    holds.
+    holds.  A false guard's property shares one check and builds nothing
+    else.
     """
+    return Prop("implies", partial(_implied, p) if cond else _dropped)
 
-    def check(ctx: EvalContext) -> Outcome:
-        if not cond:
-            return _DROP
-        q = p() if callable(p) and not isinstance(p, Prop) else p
+
+def _dropped(ctx: EvalContext) -> Outcome:
+    return _DROP
+
+
+def _implied(p: Prop | Callable[[], Prop], ctx: EvalContext) -> Outcome:
+    q = p() if callable(p) and not isinstance(p, Prop) else p
+    try:
         return q.check(ctx)
-
-    return Prop("implies", check)
+    except AttributeError as exc:
+        raise not_a_prop(exc, q, "implies got")
 
 
 def eventually(e: TreeLike) -> Prop:

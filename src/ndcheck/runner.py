@@ -21,6 +21,7 @@ from .prop import (
     EvalContext,
     Prop,
     keyed,
+    not_a_prop,
 )
 from .searchtree import DEFAULT_NODE_BUDGET, Strategy, enumerate_tree
 from .values import render_args
@@ -174,8 +175,9 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
     body per input, and account executed and dropped cases.  Inputs of a
     generator marked distinct are drawn without keying them."""
     ctx = ctx or _context(cfg, None)
-    gen = spec.input_gen
-    assert gen is not None and spec.body is not None
+    gen, body, arity = spec.input_gen, spec.body, spec.arity
+    assert gen is not None and body is not None
+    max_tests, drop_limit = cfg.max_tests, cfg.drop_limit
     inputs = enumerate_tree(gen.tree, ctx.strategy)
     cursor = iter(inputs) if gen.distinct else (v for _, v in keyed(inputs))
     labels: Counter = Counter()
@@ -184,6 +186,9 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
 
     def verdict(kind: str, **fields) -> tuple[Verdict, Counter]:
         return Verdict(kind, tests_executed=executed, tests_dropped=dropped, **fields), labels
+
+    def error(exc: Exception, raw: Any) -> tuple[Verdict, Counter]:
+        return verdict(ERROR, message=f"{_message(exc)} (input {_render_input(raw, arity)})")
 
     while True:
         try:
@@ -197,18 +202,18 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
                 message=f"{type(exc).__name__}: {exc} (while drawing input {executed + dropped + 1})",
             )
         try:
-            prop = spec.body(*raw) if spec.arity > 1 else spec.body(raw)
-            out = prop.check(ctx)
+            prop = body(*raw) if arity > 1 else body(raw)
         except Exception as exc:  # noqa: BLE001 - a failing test body is a verdict
-            return verdict(
-                ERROR,
-                message=f"{type(exc).__name__}: {exc} (input {_render_input(raw, spec.arity)})",
-            )
+            return error(exc, raw)
+        try:
+            out = prop.check(ctx)
+        except Exception as exc:  # noqa: BLE001 - so is a failing check
+            return error(not_a_prop(exc, prop, "body returned"), raw)
         if out.labels:
             labels.update(out.labels)
         if out.status == DROPPED:
             dropped += 1
-            if dropped >= cfg.drop_limit:
+            if dropped >= drop_limit:
                 break
             continue
         if out.status == FALSIFIED:
@@ -216,14 +221,14 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
             return verdict(
                 FALSIFIED_V,
                 case_index=executed,
-                arguments=_render_input(raw, spec.arity),
+                arguments=_render_input(raw, arity),
                 results=out.results,
                 counterexample=raw,
             )
         if out.status == INCONCLUSIVE:
-            return verdict(ERROR, message=f"{out.detail} (input {_render_input(raw, spec.arity)})")
+            return verdict(ERROR, message=f"{out.detail} (input {_render_input(raw, arity)})")
         executed += 1
-        if executed >= cfg.max_tests:
+        if executed >= max_tests:
             return verdict(PASSED)
     if inputs.budget_exceeded:
         return verdict(
@@ -240,12 +245,16 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
     return verdict(EXHAUSTED_V)
 
 
+def _message(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_prop_once(spec: TestSpec, ctx: EvalContext) -> tuple[Verdict, Counter]:
     labels: Counter = Counter()
     try:
         out = spec.prop.check(ctx)
     except Exception as exc:  # noqa: BLE001
-        return Verdict(ERROR, message=f"{type(exc).__name__}: {exc}"), labels
+        return Verdict(ERROR, message=_message(not_a_prop(exc, spec.prop, "unit test is"))), labels
     labels.update(out.labels)
     if out.status == SATISFIED:
         return Verdict(PASSED, tests_executed=1), labels

@@ -89,15 +89,17 @@ def same_value(a: Any, b: Any) -> bool:
 
     The list compares the keys as sets and key lists do, identity first, so
     an object is the same value as itself even when it is not == to itself
-    (a Decimal NaN).  Each step matches identical objects first, so
-    is_equal(xs, xs) is decided at once, at any length.  Otherwise two
-    scalars (bool, int, float, str, bytes) match when their exact types are
-    one and they are == or both NaN, two lists or two tuples of equal length
-    match elementwise, and two instances of one dataclass match on the
-    fields they compare; any other pair (dicts, sets, enum members, mixed
-    kinds) is decided by its two keys.  No recursion: nesting depth is
+    (a Decimal NaN).  Identical objects match first, before the stack is
+    built and at each step, so is_equal(xs, xs) is decided at once, at any
+    length.  Otherwise two scalars (bool, int, float, str, bytes) match when
+    their exact types are one and they are == or both NaN, two lists or two
+    tuples of equal length match elementwise, and two instances of one
+    dataclass match on the fields they compare; any other pair (dicts, sets,
+    enum members, mixed kinds) is decided by its two keys.  No recursion: nesting depth is
     unbounded.
     """
+    if a is b:
+        return True
     stack = [(a, b)]
     pop, push = stack.pop, stack.extend
     while stack:

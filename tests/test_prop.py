@@ -1,5 +1,6 @@
 """The property operator algebra."""
 
+import dataclasses
 import gc
 import random
 from decimal import Decimal
@@ -32,6 +33,7 @@ from ndcheck.prop import (
     value_count,
     value_count_less,
 )
+from ndcheck.runner import TestSpec
 from ndcheck.searchtree import Strategy, choice, defer, enumerate_tree, fail, one_of, value
 from ndcheck.values import canonical
 
@@ -378,6 +380,60 @@ class TestEvalContext:
         p = same_set(one_of([3, 1, 3]), one_of([1, 3]))
         ctx = EvalContext(strategy=Strategy.rand_level_diag(seed=12))
         assert p.evaluate(ctx) == p.evaluate(ctx)
+
+
+# (kind, a thunk building a property of that kind, its outcome's status):
+# every operator, and each two-sided one on plain values and on trees
+EVERY_OPERATOR = [
+    ("is_equal", lambda: is_equal([1], [1]), SATISFIED),
+    ("is_equal", lambda: is_equal(one_of([1, 2]), 1), FALSIFIED),
+    ("same_set", lambda: same_set([1], [2]), FALSIFIED),
+    ("same_set", lambda: same_set(one_of([1, 2]), one_of([2, 1])), SATISFIED),
+    ("reduces_to", lambda: reduces_to(Leaf(1), Leaf(1)), SATISFIED),
+    ("reduces_to", lambda: reduces_to(one_of([1, 2]), 2), SATISFIED),
+    ("value_count", lambda: value_count(one_of([1, 2]), 2), SATISFIED),
+    ("value_count_less", lambda: value_count_less(one_of([1, 2]), 2), FALSIFIED),
+    ("implies", lambda: implies(True, lambda: is_equal(1, 1)), SATISFIED),
+    ("implies", lambda: implies(False, lambda: is_equal(1, 1)), DROPPED),
+    ("eventually", lambda: eventually(one_of([False, True])), SATISFIED),
+    ("always", lambda: always(one_of([True, False])), FALSIFIED),
+    ("for_all", lambda: for_all([1, 2], lambda v: is_equal(v, v)), SATISFIED),
+    ("returns", lambda: returns(lambda _: [1], [1]), SATISFIED),
+    ("classify", lambda: classify(True, "small", is_equal(1, 1)), SATISFIED),
+    ("collect", lambda: collect(1, is_equal(1, 2)), FALSIFIED),
+]
+
+
+class TestPropContract:
+    """What code that wraps a property's check relies on (the benchmark's
+    tracer does, for every property it runs): a copy made by
+    dataclasses.replace keeps the kind and takes the new check, both are
+    hashable, also inside a frozen TestSpec, and evaluating the copy gives
+    the original's outcome, through the new check."""
+
+    @pytest.mark.parametrize(
+        "kind,build,want", EVERY_OPERATOR,
+        ids=[f"{kind}-{i}" for i, (kind, _, _) in enumerate(EVERY_OPERATOR)],
+    )
+    def test_replace_hash_and_evaluate(self, tmp_path, kind, build, want):
+        ctx = EvalContext(scratch_dir=tmp_path)
+        p = build()
+        assert p.kind == kind
+        calls = []
+
+        def wrapped(c):
+            calls.append(c)
+            return p.check(c)
+
+        q = dataclasses.replace(p, check=wrapped)
+        assert q.kind == kind and q.check is wrapped and p.check is not wrapped
+        assert isinstance(hash(p), int) and isinstance(hash(q), int)
+        assert hash(TestSpec("t", "M", prop=q)) == hash(TestSpec("t", "M", prop=q))
+        assert p == p and q != p  # compared by identity
+        out = p.evaluate(ctx)
+        assert out.status == want
+        assert q.evaluate(ctx) == out == p.evaluate(ctx)
+        assert calls == [ctx]
 
 
 class TestEvaluatePausesGC:

@@ -13,7 +13,7 @@ from ndcheck.gen import (
     BaseType, Generator, Ordering, alt, builtin, gen_cons0, gen_cons1, list_of, pair_of,
     positive_ints, tuple_of,
 )
-from ndcheck.prop import EvalContext, classify, implies, is_equal, returns
+from ndcheck.prop import EvalContext, Prop, classify, implies, is_equal, returns
 from ndcheck.runner import (
     ERROR,
     EXHAUSTED_V,
@@ -171,6 +171,40 @@ class TestRunParam:
         verdict, _ = run_param(spec, RunConfig(max_tests=5))
         assert verdict.kind == ERROR
         assert "boom" in verdict.message
+
+    @pytest.mark.parametrize("body,message", [
+        (lambda xs: xs == xs, "TypeError: body returned bool, not a property (input [])"),
+        (lambda xs: None, "TypeError: body returned NoneType, not a property (input [])"),
+        (lambda xs: implies(True, lambda: xs == xs), "TypeError: implies got bool, not a property (input [])"),
+        (lambda xs: implies(True, xs == xs), "TypeError: implies got bool, not a property (input [])"),
+    ], ids=["bool", "none", "implies-thunk", "implies-value"])
+    def test_no_property_names_what_came_back(self, body, message):
+        verdict, _ = run_param(param_spec(list_of(builtin(BaseType.INT)), body), RunConfig())
+        assert (verdict.kind, verdict.message, verdict.tests_executed) == (ERROR, message, 0)
+
+    def test_attribute_errors_of_a_body_or_a_check_are_reported_as_raised(self):
+        def check(ctx):
+            raise AttributeError("no such field")
+
+        cases = [
+            (lambda xs: xs.check, "AttributeError: 'list' object has no attribute 'check' (input [])"),
+            (lambda xs: classify(True, "x", Prop("bad", check)), "AttributeError: no such field (input [])"),
+            (lambda xs: implies(True, Prop("bad", check)), "AttributeError: no such field (input [])"),
+        ]
+        for body, message in cases:
+            verdict, _ = run_param(param_spec(list_of(builtin(BaseType.INT)), body), RunConfig())
+            assert (verdict.kind, verdict.message) == (ERROR, message)
+
+    def test_unit_test_that_is_no_property_names_what_it_is(self):
+        specs = [
+            TestSpec(name="flag", module="T", kind=UNIT, prop=True),
+            TestSpec(name="guarded", module="T", kind=UNIT, prop=implies(True, lambda: 1 == 1)),
+        ]
+        report = run_suite(specs, RunConfig())
+        assert [e.verdict.message for e in report.entries] == [
+            "TypeError: unit test is bool, not a property",
+            "TypeError: implies got bool, not a property",
+        ]
 
     def test_inconclusive_outcome_is_an_error_verdict(self):
         spec = param_spec(

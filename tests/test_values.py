@@ -16,8 +16,8 @@ import pytest
 
 from ndcheck.corpus.trees import Leaf, Node, Succ, Zero
 from ndcheck.gen import Ordering
-from ndcheck.prop import FALSIFIED, SATISFIED, is_equal, same_set, value_count
-from ndcheck.searchtree import one_of
+from ndcheck.prop import FALSIFIED, SATISFIED, EvalContext, is_equal, reduces_to, same_set, value_count
+from ndcheck.searchtree import defer, one_of, value
 from ndcheck.values import canonical, same_value
 
 
@@ -628,9 +628,22 @@ def keys_built(monkeypatch, a, b):
     return same_value(a, b), keyed
 
 
+def no_tree(*args):
+    raise AssertionError("a plain value was lifted into a tree")
+
+
 class TestFlatPairs:
     """same_value decides a flat pair (two scalars, or two lists or tuples
-    of scalars) exactly as the keys do, and without building a key."""
+    of scalars) exactly as the keys do, and without building a key.  The
+    operators that compare two values decide every pair of the tables as
+    they decide it lifted into value leaves or walked behind a deferred
+    node, at value budgets 2 and 1, and lift neither value."""
+
+    OPERATORS = (is_equal, same_set, reduces_to)
+    CONTEXTS = (EvalContext(value_budget=2), EvalContext(value_budget=1))
+
+    def outcomes(self, a, b, wrap):
+        return [op(wrap(a), wrap(b)).evaluate(ctx) for op in self.OPERATORS for ctx in self.CONTEXTS]
 
     def check(self, monkeypatch, a, b, same):
         for x, y in ((a, b), (b, a)):
@@ -638,6 +651,13 @@ class TestFlatPairs:
             assert got is same
             if flat_pair(x, y):
                 assert keyed == []
+        leaves = self.outcomes(a, b, value)
+        walked = self.outcomes(a, b, lambda v: defer(lambda: value(v)))
+        monkeypatch.setattr("ndcheck.prop.value", no_tree)
+        monkeypatch.setattr("ndcheck.prop.as_tree", no_tree)
+        plain = self.outcomes(a, b, lambda v: v)
+        assert plain == leaves == walked
+        assert [o.status for o in plain[::2]] == [SATISFIED if same else FALSIFIED] * 3
 
     @pytest.mark.parametrize("a,b,same", CONTRACT, ids=[f"{a!r}-{b!r}" for a, b, _ in CONTRACT])
     def test_contract_table(self, monkeypatch, a, b, same):
