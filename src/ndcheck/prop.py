@@ -189,10 +189,10 @@ def _two_sided(kind: str, decide: Callable[[SearchTree, SearchTree, EvalContext]
     """The property of operator kind on l and r.  Two single values, plain
     or in value leaves, are decided by _leaf_pair, and no tree is built for
     them; any other pair by decide(lt, rt, ctx) on both sides as trees."""
-    lt, rt = isinstance(l, SearchTree), isinstance(r, SearchTree)
-    if (lt and type(l) is not ValueNode) or (rt and type(r) is not ValueNode):
+    ltree, rtree = isinstance(l, SearchTree), isinstance(r, SearchTree)
+    if (ltree and type(l) is not ValueNode) or (rtree and type(r) is not ValueNode):
         return Prop(kind, partial(decide, as_tree(l), as_tree(r)))
-    return Prop(kind, partial(_leaf_pair, kind, l.payload if lt else l, r.payload if rt else r))
+    return Prop(kind, partial(_leaf_pair, kind, l.payload if ltree else l, r.payload if rtree else r))
 
 
 def _inconclusive(op: str, side: str, end: str) -> Outcome:
