@@ -14,7 +14,7 @@ from . import corpus  # noqa: F401  (importing registers the bundled suites)
 from . import registry
 from .contracts import ConfigError
 from .gen import BaseType
-from .runner import RunConfig, TestSpec, render_report, run_suite
+from .runner import CONTRACT, RunConfig, TestSpec, render_report, run_suite
 from .searchtree import DEFAULT_NODE_BUDGET
 
 _STRATEGIES = {"bfs": "bfs", "diag": "level_diag", "rdiag": "rand_level_diag"}
@@ -74,7 +74,7 @@ def list_tests(specs: list[TestSpec]) -> str:
     lines = []
     for s in specs:
         loc = f"line {s.line}" if s.line is not None else "line ?"
-        origin = "synthesized" if s.origin == "contract" else "user"
+        origin = "synthesized" if s.origin == CONTRACT else "user"
         lines.append(f"{s.module} {s.name} ({loc}, {s.kind}, {origin})")
     return "\n".join(lines)
 

@@ -1,11 +1,12 @@
 """Generator combinators: search trees of test data for base and user types.
 
 A generator is a (possibly infinite) search tree of candidate values plus a
-name for reports.  Built-in generators enumerate every value of their type
-exactly once; generators for finite types are fully exhaustible.  A
-generator marked ``distinct`` promises that no two values of its tree have
-equal ``canonical`` keys, so the runner draws its inputs without keying them;
-combinators derive the mark only where construction proves it.
+name that combinators compose from their parts' names, for reading a
+generator's repr; no report shows it.  Built-in generators enumerate every
+value of their type exactly once; generators for finite types are fully
+exhaustible.  A generator marked ``distinct`` promises that no two values of
+its tree have equal ``canonical`` keys, so the runner draws its inputs without
+keying them; combinators derive the mark only where construction proves it.
 """
 
 from __future__ import annotations

@@ -18,9 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .gen import Generator
-from .searchtree import (
-    FailNode, SearchTree, Strategy, ValueNode, enumerate_tree, value,
-)
+from .searchtree import SearchTree, Strategy, ValueNode, enumerate_tree, value
 from .values import canonical, render, same_value
 
 SATISFIED = "satisfied"
@@ -100,7 +98,17 @@ def not_a_prop(exc: Exception, got: Any, what: str) -> Exception:
     return exc
 
 
+def _inner(p: Prop, ctx: EvalContext, what: str) -> Outcome:
+    """The outcome of p, which stands inside another property; what says
+    where, for not_a_prop."""
+    try:
+        return p.check(ctx)
+    except AttributeError as exc:
+        raise not_a_prop(exc, p, what)
+
+
 TreeLike = Union[SearchTree, Any]
+Decide = Callable[[SearchTree, SearchTree, EvalContext], Outcome]  # an operator's tree check
 
 
 def as_tree(x: TreeLike) -> SearchTree:
@@ -129,20 +137,11 @@ def _distinct(t: SearchTree, ctx: EvalContext, need: int | None = None) -> tuple
     """(keys, values, end) of at most `need` distinct values, within the
     value budget (which also ends the draw with LIMIT).
 
-    Every operator gets its value sets here.  A leaf side, such as a plain
-    value lifted by ``as_tree``, is decided in one step, with no walk: a
-    value leaf is keyed once, and a walk would reach it, as a node budget
-    is at least 1.  Any other side is walked and keyed up to the cap, and
-    the walk's own ``exhausted`` flag tells EXHAUSTED from BUDGET."""
+    Every operator gets its value sets here.  Each side is walked and keyed
+    up to the cap, a leaf side in a one-node walk that any node budget
+    covers, and the walk's own ``exhausted`` flag tells EXHAUSTED from
+    BUDGET."""
     cap = ctx.value_budget if need is None else min(need, ctx.value_budget)
-    if cap < 1:
-        return [], [], LIMIT
-    c = type(t)
-    if c is ValueNode:
-        v = t.payload
-        return [canonical(v)], [v], LIMIT if cap == 1 else EXHAUSTED
-    if c is FailNode:
-        return [], [], EXHAUSTED
     enum = enumerate_tree(t, ctx.strategy)
     pairs = list(islice(keyed(enum), cap))
     end = LIMIT if len(pairs) == cap else EXHAUSTED if enum.exhausted else BUDGET
@@ -169,30 +168,29 @@ def _results(lvals: list, lend: str, rvals: list, rend: str) -> str:
     return f"({_render_side(lvals, lend)},{_render_side(rvals, rend)})"
 
 
-def _leaf_pair(kind: str, a: Any, b: Any, ctx: EvalContext) -> Outcome:
-    """The outcome of is_equal, same_set or reduces_to (kind) on two single
-    values, each a plain value or the payload of a value leaf.
+def _leaf_pair(decide: Decide, a: Any, b: Any, ctx: EvalContext) -> Outcome:
+    """The outcome of decide, the tree check of is_equal, same_set or
+    reduces_to, on two single values, each plain or a value leaf's payload.
 
     With a value budget of at least 2, one value is an exhausted value set,
     so each of the three holds iff the two values are the same, and reports
-    the same results when they are not.  With a budget of 1 the side that
-    kind decides first is undecided, as in a walk."""
+    the same results when they are not.  Below that, decide walks the two
+    values as leaves."""
     if ctx.value_budget >= 2:
         if same_value(a, b):
             return _SAT
         return Outcome(FALSIFIED, results=_results([a], EXHAUSTED, [b], EXHAUSTED))
-    return _inconclusive(kind, "right" if kind == "reduces_to" else "left", LIMIT)
+    return decide(ValueNode(a), ValueNode(b), ctx)
 
 
-def _two_sided(kind: str, decide: Callable[[SearchTree, SearchTree, EvalContext], Outcome],
-               l: TreeLike, r: TreeLike) -> Prop:
+def _two_sided(kind: str, decide: Decide, l: TreeLike, r: TreeLike) -> Prop:
     """The property of operator kind on l and r.  Two single values, plain
     or in value leaves, are decided by _leaf_pair, and no tree is built for
     them; any other pair by decide(lt, rt, ctx) on both sides as trees."""
     ltree, rtree = isinstance(l, SearchTree), isinstance(r, SearchTree)
     if (ltree and type(l) is not ValueNode) or (rtree and type(r) is not ValueNode):
         return Prop(kind, partial(decide, as_tree(l), as_tree(r)))
-    return Prop(kind, partial(_leaf_pair, kind, l.payload if ltree else l, r.payload if rtree else r))
+    return Prop(kind, partial(_leaf_pair, decide, l.payload if ltree else l, r.payload if rtree else r))
 
 
 def _inconclusive(op: str, side: str, end: str) -> Outcome:
@@ -328,11 +326,7 @@ def _dropped(ctx: EvalContext) -> Outcome:
 
 
 def _implied(p: Prop | Callable[[], Prop], ctx: EvalContext) -> Outcome:
-    q = p() if callable(p) and not isinstance(p, Prop) else p
-    try:
-        return q.check(ctx)
-    except AttributeError as exc:
-        raise not_a_prop(exc, q, "implies got")
+    return _inner(p() if callable(p) and not isinstance(p, Prop) else p, ctx, "implies got")
 
 
 def eventually(e: TreeLike) -> Prop:
@@ -406,7 +400,7 @@ def for_all(
         checked = 0
         labels: list[str] = []
         for v in source:
-            out = pf(v).check(ctx)
+            out = _inner(pf(v), ctx, "for_all body returned")
             labels += out.labels
             if out.status == FALSIFIED:
                 return replace(out, arguments=_show(v), labels=tuple(labels))
@@ -450,7 +444,7 @@ def classify(cond: bool, label: str, p: Prop) -> Prop:
     """Attach a label to the outcome when the condition holds."""
 
     def check(ctx: EvalContext) -> Outcome:
-        out = p.check(ctx)
+        out = _inner(p, ctx, "classify got")
         return out.with_label(label) if cond else out
 
     return Prop("classify", check)
@@ -460,6 +454,6 @@ def collect(v: Any, p: Prop) -> Prop:
     """Attach the textual form of a value to the outcome."""
 
     def check(ctx: EvalContext) -> Outcome:
-        return p.check(ctx).with_label(_show(v))
+        return _inner(p, ctx, "collect got").with_label(_show(v))
 
     return Prop("collect", check)

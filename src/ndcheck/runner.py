@@ -197,10 +197,8 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
             break
         except Exception as exc:  # noqa: BLE001 - a failing generator is a verdict too
             # not rendered: the input itself may be what failed (too deep to key)
-            return verdict(
-                ERROR,
-                message=f"{type(exc).__name__}: {exc} (while drawing input {executed + dropped + 1})",
-            )
+            where = f"while drawing input {executed + dropped + 1}"
+            return verdict(ERROR, message=f"{_message(exc)} ({where})")
         try:
             prop = body(*raw) if arity > 1 else body(raw)
         except Exception as exc:  # noqa: BLE001 - a failing test body is a verdict
@@ -313,7 +311,7 @@ def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext) -> TestEntry:
             inst = instantiate_poly(spec, cfg)
         except Exception as exc:  # noqa: BLE001 - a failing gen_for is a verdict too
             where = f"while instantiating for base type {cfg.default_base_type.value}"
-            verdict = Verdict(ERROR, message=f"{type(exc).__name__}: {exc} ({where})")
+            verdict = Verdict(ERROR, message=f"{_message(exc)} ({where})")
         else:
             name = inst.name
             verdict, labels = run_param(inst, cfg, ctx)

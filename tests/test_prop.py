@@ -370,6 +370,16 @@ class TestLabels:
         assert falsified.status == FALSIFIED
         assert falsified.labels == tuple(str(i) for i in range(n))
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: for_all([1], lambda v: v == v), "for_all body returned bool, not a property"),
+        (lambda: classify(True, "x", True), "classify got bool, not a property"),
+        (lambda: collect(1, None), "collect got NoneType, not a property"),
+    ], ids=["for_all", "classify", "collect"])
+    def test_an_inner_value_that_is_not_a_property_is_named(self, build, message):
+        with pytest.raises(TypeError) as err:
+            build().evaluate(CTX)
+        assert str(err.value) == message
+
 
 class TestEvalContext:
     def test_value_budget_must_be_positive(self):
@@ -517,9 +527,10 @@ def leaf_props(wrap):
 class TestLeafFastPath:
     @pytest.mark.parametrize("ctx", LEAF_CONTEXTS)
     def test_leaf_roots_decide_like_a_walked_tree(self, ctx):
-        """A value or fail root skips the Enumeration, and two value roots
-        are compared without keys; the same tree behind a deferred node is
-        walked and keyed.  Every outcome must agree, budgets of 1 included."""
+        """Two value roots are compared without a walk or keys, and any
+        other leaf root is walked as a one-node tree; the same tree behind a
+        deferred node is walked and keyed.  Every outcome must agree, budgets
+        of 1 included."""
         fast = leaf_props(lambda t: t)
         walked = leaf_props(lambda t: defer(lambda: t))
         for p, q in zip(fast, walked):
@@ -550,11 +561,11 @@ class TestLeafFastPath:
 
         monkeypatch.setattr("ndcheck.prop.keyed", counting_keyed)
         xs = [3, 1, 2]
-        plain = [
-            is_equal(xs, xs), is_equal(xs, fail()), same_set(xs, [3, 1, 2]),
-            value_count(xs, 1), value_count(fail(), 0), value_count_less(xs, 2),
-        ]
-        assert [p.evaluate().status for p in plain] == [SATISFIED, FALSIFIED] + [SATISFIED] * 4
+        walked = [is_equal(xs, fail()), value_count(xs, 1), value_count(fail(), 0), value_count_less(xs, 2)]
+        assert [p.evaluate().status for p in walked] == [FALSIFIED] + [SATISFIED] * 3
+        draws.clear()  # a side that is not one of a pair of plain values is walked
+        plain = [is_equal(xs, xs), same_set(xs, [3, 1, 2])]
+        assert [p.evaluate().status for p in plain] == [SATISFIED] * 2
         assert draws == []
         assert status(same_set(one_of([1, 2]), one_of([2, 1]))) == SATISFIED
         assert len(draws) == 2
@@ -569,6 +580,12 @@ class TestLeafFastPath:
         bfs = EvalContext(strategy=Strategy.bfs())
         assert reduces_to(one_of([1, 2]), 2).evaluate(bfs).status == SATISFIED
         assert keyed == [2, 1, 2]  # the right side, then the left side up to its 2
+        keyed.clear()
+        assert value_count(5, 1).evaluate().status == SATISFIED
+        assert keyed == [5]  # a walked leaf side is keyed once
+        keyed.clear()
+        assert is_equal(one_of([1, 2]), 1).evaluate(bfs).status == FALSIFIED
+        assert keyed == [1, 2, 1]  # the left side up to its second value, then the right-hand 1
 
     def test_reduces_to_keys_both_sides_alike(self):
         assert status(reduces_to(one_of([1, 2]), 11)) == FALSIFIED

@@ -13,7 +13,7 @@ from ndcheck.gen import (
     BaseType, Generator, Ordering, alt, builtin, gen_cons0, gen_cons1, list_of, pair_of,
     positive_ints, tuple_of,
 )
-from ndcheck.prop import EvalContext, Prop, classify, implies, is_equal, returns
+from ndcheck.prop import EvalContext, Prop, classify, collect, for_all, implies, is_equal, returns
 from ndcheck.runner import (
     ERROR,
     EXHAUSTED_V,
@@ -177,7 +177,10 @@ class TestRunParam:
         (lambda xs: None, "TypeError: body returned NoneType, not a property (input [])"),
         (lambda xs: implies(True, lambda: xs == xs), "TypeError: implies got bool, not a property (input [])"),
         (lambda xs: implies(True, xs == xs), "TypeError: implies got bool, not a property (input [])"),
-    ], ids=["bool", "none", "implies-thunk", "implies-value"])
+        (lambda xs: for_all([xs], lambda ys: ys == ys), "TypeError: for_all body returned bool, not a property (input [])"),
+        (lambda xs: classify(True, "x", xs == xs), "TypeError: classify got bool, not a property (input [])"),
+        (lambda xs: collect(xs, xs == xs), "TypeError: collect got bool, not a property (input [])"),
+    ], ids=["bool", "none", "implies-thunk", "implies-value", "for_all", "classify", "collect"])
     def test_no_property_names_what_came_back(self, body, message):
         verdict, _ = run_param(param_spec(list_of(builtin(BaseType.INT)), body), RunConfig())
         assert (verdict.kind, verdict.message, verdict.tests_executed) == (ERROR, message, 0)
