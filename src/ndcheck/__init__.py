@@ -23,13 +23,7 @@ from .gen import (
     builtin,
     gen_cons,
     gen_cons0,
-    gen_cons1,
-    gen_cons2,
-    gen_cons3,
-    gen_cons4,
-    gen_cons5,
     list_of,
-    pair_of,
     positive_ints,
     recursive,
     tuple_of,

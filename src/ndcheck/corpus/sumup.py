@@ -3,7 +3,7 @@ once through a guard and once through an explicit positive generator."""
 
 from __future__ import annotations
 
-from ..gen import BaseType, Generator, alt, builtin, gen_cons0, gen_cons1, recursive
+from ..gen import BaseType, Generator, alt, builtin, gen_cons, gen_cons0, recursive
 from ..prop import for_all, implies, is_equal
 from ..registry import param_test, unit_test
 
@@ -22,7 +22,7 @@ def sum_up(n: int) -> int:
 def gen_pos() -> Generator[int]:
     """Positive integers as a degenerate chain: 1, 2, 3, ...  Not marked
     distinct: n + 1 is no free constructor."""
-    return recursive(lambda pos: alt(gen_cons0(1), gen_cons1(lambda n: n + 1, pos)), "Pos")
+    return recursive(lambda pos: alt(gen_cons0(1), gen_cons(lambda n: n + 1, pos)))
 
 
 param_test(

@@ -48,9 +48,7 @@ def gen_tree(ga: Generator) -> Generator:
     """Trees over an element generator: a leaf, or a node of generated
     subtree lists, built as tuples.  Distinct if the element generator is."""
     return recursive(
-        lambda tree: alt(gen_cons(Leaf, ga), gen_cons(Node, list_of(tree, seq=tuple))),
-        f"Tree({ga.name})",
-    )
+        lambda tree: alt(gen_cons(Leaf, ga), gen_cons(Node, list_of(tree, seq=tuple))))
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class Succ:
 
 def gen_nat() -> Generator:
     """Peano numbers: zero, or the successor of a generated number; distinct."""
-    return recursive(lambda nat: alt(gen_cons0(Zero()), gen_cons(Succ, nat)), "Nat")
+    return recursive(lambda nat: alt(gen_cons0(Zero()), gen_cons(Succ, nat)))
 
 
 poly_test(

@@ -1,12 +1,13 @@
 """Generator combinators: search trees of test data for base and user types.
 
-A generator is a (possibly infinite) search tree of candidate values plus a
-name that combinators compose from their parts' names, for reading a
-generator's repr; no report shows it.  Built-in generators enumerate every
-value of their type exactly once; generators for finite types are fully
-exhaustible.  A generator marked ``distinct`` promises that no two values of
-its tree have equal ``canonical`` keys, so the runner draws its inputs without
-keying them; combinators derive the mark only where construction proves it.
+A generator is a (possibly infinite) search tree of candidate values plus two
+facts that its construction proves: whether its values key apart, and which
+types they can have.  Built-in generators enumerate every value of their type
+exactly once; generators for finite types are fully exhaustible.  A generator
+marked ``distinct`` promises that no two values of its tree have equal
+``canonical`` keys, so the runner draws its inputs without keying them;
+combinators derive the mark only where construction proves it.  ``gen_cons``
+applies a constructor of any arity, so no combinator is numbered by arity.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class BaseType(enum.Enum):
 @dataclass(frozen=True)
 class Generator(Generic[A]):
     tree: SearchTree[A]
-    name: str = "gen"
     distinct: bool = field(default=False, kw_only=True)  # no two values key alike
     # The exact types the values can have, or None if unknown.  canonical keys
     # values of two such types apart, except a set and a frozenset: a set is
@@ -54,16 +54,15 @@ class Generator(Generic[A]):
     types: frozenset[type] | None = field(default=None, kw_only=True)
 
 
-def gen_cons0(v: A, name: str | None = None) -> Generator[A]:
+def gen_cons0(v: A) -> Generator[A]:
     """Generator with the single value v."""
     t = frozenset if type(v) is set else type(v)
-    return Generator(value(v), name if name is not None else repr(v), distinct=True,
-                     types=frozenset((t,)))
+    return Generator(value(v), distinct=True, types=frozenset((t,)))
 
 
-# Generator trees are built by module-level functions (_nested, _unfold,
+# Generator trees are built by module-level functions (_nested, recursive,
 # _positive_tree, _lists): a local closure that names itself would be a
-# reference cycle.  The thunks and continuations of _nested, _unfold and
+# reference cycle.  The thunks and continuations of _nested, recursive and
 # _positive_tree take their state as default arguments, so no closure cell
 # stays alive per node of a memoised tree.  A list node, the most numerous
 # node of the memo, keeps its state in one slotted _ListCell, whose bound
@@ -116,44 +115,20 @@ def _free(c: Any) -> bool:
         return free
 
 
-def gen_cons(c: Callable[..., A], *gens: Generator, name: str | None = None) -> Generator[A]:
+def gen_cons(c: Callable[..., A], *gens: Generator) -> Generator[A]:
     """Apply an n-ary constructor to every combination of generated arguments.
 
     Realized by nested binds over the argument generators, so the result
-    covers the full cross product (n up to 5; wider constructors compose
-    from pairs).  Marked distinct when every part is and c is a free
-    constructor (a frozen dataclass with the generated __init__ and __eq__,
-    no __post_init__, and no InitVar, init=False or compare=False field):
-    each argument tuple comes once, and c maps distinct tuples to values
-    that key apart.
+    covers the full cross product, at any arity.  Marked distinct when
+    every part is and c is a free constructor (a frozen dataclass with the
+    generated __init__ and __eq__, no __post_init__, and no InitVar,
+    init=False or compare=False field): each argument tuple comes once, and
+    c maps distinct tuples to values that key apart.
     Any other callable may map two argument tuples to equal values.
     """
-    if len(gens) > 5:
-        raise ValueError("constructor arity above 5; compose from pairs instead")
-    label = name if name is not None else getattr(c, "__name__", "cons")
     free = _free(c)
-    return Generator(_nested(c, gens), label, distinct=free and all(g.distinct for g in gens),
+    return Generator(_nested(c, gens), distinct=free and all(g.distinct for g in gens),
                      types=frozenset((c,)) if free else None)
-
-
-def gen_cons1(c, g1, name=None):
-    return gen_cons(c, g1, name=name)
-
-
-def gen_cons2(c, g1, g2, name=None):
-    return gen_cons(c, g1, g2, name=name)
-
-
-def gen_cons3(c, g1, g2, g3, name=None):
-    return gen_cons(c, g1, g2, g3, name=name)
-
-
-def gen_cons4(c, g1, g2, g3, g4, name=None):
-    return gen_cons(c, g1, g2, g3, g4, name=name)
-
-
-def gen_cons5(c, g1, g2, g3, g4, g5, name=None):
-    return gen_cons(c, g1, g2, g3, g4, g5, name=name)
 
 
 def alt(g1: Generator[A], g2: Generator[A]) -> Generator[A]:
@@ -165,12 +140,12 @@ def alt(g1: Generator[A], g2: Generator[A]) -> Generator[A]:
     """
     t1, t2 = g1.types, g2.types
     known = t1 is not None and t2 is not None
-    return Generator(choice(g1.tree, g2.tree), f"{g1.name}|{g2.name}",
+    return Generator(choice(g1.tree, g2.tree),
                      distinct=g1.distinct and g2.distinct and known and t1.isdisjoint(t2),
                      types=t1 | t2 if known else None)
 
 
-def recursive(body: Callable[[Generator[A]], Generator[A]], name: str) -> Generator[A]:
+def recursive(body: Callable[[Generator[A]], Generator[A]]) -> Generator[A]:
     """The generator defined by body in terms of itself: body(self), where
     the tree of the self-reference `self` unfolds body afresh when a walk
     first visits it.
@@ -185,13 +160,7 @@ def recursive(body: Callable[[Generator[A]], Generator[A]], name: str) -> Genera
     default argument and no closure names itself, so the generator makes
     no reference cycle.
     """
-    return dataclasses.replace(_unfold(body, name), name=name)
-
-
-def _unfold(body: Callable[[Generator[A]], Generator[A]], name: str) -> Generator[A]:
-    me = Generator(defer(lambda body=body, name=name: _unfold(body, name).tree), name,
-                   distinct=True)
-    return body(me)
+    return body(Generator(defer(lambda body=body: recursive(body).tree), distinct=True))
 
 
 # -- built-in generators -------------------------------------------------
@@ -210,9 +179,9 @@ def _positive_tree(leaf: Callable[[int], SearchTree] = value, low: int = 0,
     )
 
 
-def positive_ints(name: str = "PosInt") -> Generator[int]:
+def positive_ints() -> Generator[int]:
     """Every integer >= 1, exactly once, small magnitudes first."""
-    return Generator(_positive_tree(), name, distinct=True, types=frozenset((int,)))
+    return Generator(_positive_tree(), distinct=True, types=frozenset((int,)))
 
 
 def _signed(n: int) -> SearchTree[int]:
@@ -226,11 +195,11 @@ def _int_tree() -> SearchTree[int]:
     return choice(value(0), _positive_tree(_signed))
 
 
-_BUILTIN_TREES: dict[BaseType, tuple[str, type, Callable[[], SearchTree]]] = {
-    BaseType.BOOL: ("Bool", bool, lambda: one_of([False, True])),
-    BaseType.ORDERING: ("Ordering", Ordering, lambda: one_of(list(Ordering))),
-    BaseType.INT: ("Int", int, _int_tree),
-    BaseType.CHAR: ("Char", str, lambda: one_of([chr(c) for c in range(0x20, 0x7F)])),
+_BUILTIN_TREES: dict[BaseType, tuple[type, Callable[[], SearchTree]]] = {
+    BaseType.BOOL: (bool, lambda: one_of([False, True])),
+    BaseType.ORDERING: (Ordering, lambda: one_of(list(Ordering))),
+    BaseType.INT: (int, _int_tree),
+    BaseType.CHAR: (str, lambda: one_of([chr(c) for c in range(0x20, 0x7F)])),
 }
 
 
@@ -240,8 +209,8 @@ def builtin(t: BaseType) -> Generator:
     Bool and Ordering exhaust at 2 and 3 values; Int covers every integer
     exactly once; Char covers printable ASCII (0x20..0x7e) exactly once.
     """
-    name, typ, tree = _BUILTIN_TREES[t]
-    return Generator(tree(), name, distinct=True, types=frozenset((typ,)))
+    typ, tree = _BUILTIN_TREES[t]
+    return Generator(tree(), distinct=True, types=frozenset((typ,)))
 
 
 def _unlink(drawn: tuple | None, seq: type) -> list | tuple:
@@ -270,8 +239,7 @@ def list_of(g: Generator[A], seq: type = list) -> Generator:
     """
     if seq is not list and seq is not tuple:
         raise ValueError("list_of builds a list or a tuple")
-    return Generator(_lists(g.tree, None, seq), f"[{g.name}]", distinct=g.distinct,
-                     types=frozenset((seq,)))
+    return Generator(_lists(g.tree, None, seq), distinct=g.distinct, types=frozenset((seq,)))
 
 
 class _ListCell:
@@ -302,11 +270,6 @@ def _lists(elem: SearchTree[A], drawn: tuple | None, seq: type) -> SearchTree:
     return OrNode(cell.nil, cell.cons)
 
 
-def pair_of(g1: Generator, g2: Generator) -> Generator[tuple]:
-    """All pairs of two generators' values; distinct if both parts are."""
-    return tuple_of(g1, g2)
-
-
 def tuple_of(*gens: Generator) -> Generator[tuple]:
     """All tuples across the given generators, by nested binds.
 
@@ -315,7 +278,5 @@ def tuple_of(*gens: Generator) -> Generator[tuple]:
     """
     if not gens:
         raise ValueError("tuple_of needs at least one generator")
-    names = ",".join(g.name for g in gens)
-    label = f"({names},)" if len(gens) == 1 else f"({names})"
-    return Generator(_nested(lambda *args: args, gens), label,
+    return Generator(_nested(lambda *args: args, gens),
                      distinct=all(g.distinct for g in gens), types=frozenset((tuple,)))

@@ -158,10 +158,14 @@ def _show(v: Any) -> str:
 
 
 def _render_side(vals: list, end: str) -> str:
+    """One side's values: a lone exhausted value bare, else a set, ending
+    in .. if the side did not exhaust."""
     if len(vals) == 1 and end == EXHAUSTED:
         return _show(vals[0])
-    body = ",".join(_show(v) for v in vals)
-    return "{" + body + ("" if end == EXHAUSTED else ",..") + "}"
+    shown = [_show(v) for v in vals]
+    if end != EXHAUSTED:
+        shown.append("..")
+    return "{" + ",".join(shown) + "}"
 
 
 def _results(lvals: list, lend: str, rvals: list, rend: str) -> str:
@@ -268,8 +272,15 @@ def _reduces_to(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome:
     return _inconclusive("reduces_to", "left", BUDGET)
 
 
+def _check_count(op: str, n: int) -> None:
+    """Reject a negative count when the property is built."""
+    if n < 0:
+        raise ValueError(f"{op}: n must be >= 0")
+
+
 def value_count(e: TreeLike, n: int) -> Prop:
     """Satisfied iff the computation has exactly n distinct values."""
+    _check_count("value_count", n)
     t = as_tree(e)
 
     def check(ctx: EvalContext) -> Outcome:
@@ -294,6 +305,7 @@ def value_count(e: TreeLike, n: int) -> Prop:
 def value_count_less(e: TreeLike, n: int) -> Prop:
     """Satisfied iff the computation has fewer than n distinct values;
     falsified as soon as n distinct values are observed."""
+    _check_count("value_count_less", n)
     t = as_tree(e)
 
     def check(ctx: EvalContext) -> Outcome:
@@ -326,7 +338,7 @@ def _dropped(ctx: EvalContext) -> Outcome:
 
 
 def _implied(p: Prop | Callable[[], Prop], ctx: EvalContext) -> Outcome:
-    return _inner(p() if callable(p) and not isinstance(p, Prop) else p, ctx, "implies got")
+    return _inner(p() if callable(p) else p, ctx, "implies got")
 
 
 def eventually(e: TreeLike) -> Prop:

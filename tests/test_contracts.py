@@ -169,7 +169,7 @@ class TestProofScanning:
 
 class TestApplyProofs:
     def _specs(self):
-        g = Generator(one_of([1]), "one")
+        g = Generator(one_of([1]))
         return [
             TestSpec(name="sortlength", module="Sort", kind="param", input_gen=g, body=lambda x: None),
             TestSpec(name="revLength", module="Rev", kind="param", input_gen=g, body=lambda x: None),

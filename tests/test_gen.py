@@ -14,10 +14,7 @@ from ndcheck.gen import (
     builtin,
     gen_cons,
     gen_cons0,
-    gen_cons1,
-    gen_cons2,
     list_of,
-    pair_of,
     positive_ints,
     recursive,
     tuple_of,
@@ -42,7 +39,7 @@ def nested_bind_list_of(g: Generator) -> Generator:
             bind(g.tree, lambda h: bind(defer(rec), lambda t: value([h] + t))),
         )
 
-    return Generator(defer(rec), f"[{g.name}]")
+    return Generator(defer(rec))
 
 
 def nested_bind_positive_ints() -> Generator:
@@ -58,13 +55,12 @@ def nested_bind_positive_ints() -> Generator:
             ),
         )
 
-    return Generator(defer(rec), "PosInt")
+    return Generator(defer(rec))
 
 
 def nested_pair(g1: Generator, g2: Generator) -> Generator:
-    """pair_of as first written: a bind for each part."""
-    return Generator(bind(g1.tree, lambda a: bind(g2.tree, lambda b: value((a, b)))),
-                     f"({g1.name},{g2.name})")
+    """A pair as first written: a bind for each part."""
+    return Generator(bind(g1.tree, lambda a: bind(g2.tree, lambda b: value((a, b)))))
 
 
 def nested_pair_tuple_of(*gens: Generator) -> Generator:
@@ -72,12 +68,12 @@ def nested_pair_tuple_of(*gens: Generator) -> Generator:
     flatten it.  The reference for the nested-bind definition."""
     if len(gens) == 1:
         g = gens[0]
-        return Generator(bind(g.tree, lambda a: value((a,))), f"({g.name},)")
+        return Generator(bind(g.tree, lambda a: value((a,))))
     acc = nested_pair(gens[0], gens[1])
     for g in gens[2:]:
         nested = nested_pair(acc, g)
-        acc = Generator(bind(nested.tree, lambda p: value(p[0] + (p[1],))), nested.name)
-    return Generator(acc.tree, "(" + ",".join(g.name for g in gens) + ")")
+        acc = Generator(bind(nested.tree, lambda p: value(p[0] + (p[1],))))
+    return acc
 
 
 def hand_written_gen_tree(ga: Generator) -> Generator:
@@ -85,13 +81,13 @@ def hand_written_gen_tree(ga: Generator) -> Generator:
     each list of subtrees to a tuple.  The reference for the recursive one."""
 
     def rec():
-        self_gen = Generator(defer(rec), "Tree")
+        self_gen = Generator(defer(rec))
         return choice(
             bind(ga.tree, lambda x: value(Leaf(x))),
             bind(list_of(self_gen).tree, lambda ts: value(Node(tuple(ts)))),
         )
 
-    return Generator(defer(rec), f"Tree({ga.name})")
+    return Generator(defer(rec))
 
 
 def hand_written_gen_nat() -> Generator:
@@ -100,7 +96,7 @@ def hand_written_gen_nat() -> Generator:
     def rec():
         return choice(value(Zero()), bind(defer(rec), lambda n: value(Succ(n))))
 
-    return Generator(defer(rec), "Nat")
+    return Generator(defer(rec))
 
 
 def logged_elements(log: list) -> Generator:
@@ -110,7 +106,7 @@ def logged_elements(log: list) -> Generator:
         return OrNode(lambda: log.append(("value", n)) or value(n),
                       lambda: log.append(("spine", n)) or spine(n + 1))
 
-    return Generator(spine(0), "E")
+    return Generator(spine(0))
 
 
 STRATEGY_MAKERS = [Strategy.bfs, Strategy.level_diag] + [
@@ -127,7 +123,6 @@ def assert_same_walks(build_new, build_old):
         for budget in (1, 7, 50, 2000):
             strategy = make(budget)
             new_gen, old_gen = build_new(), build_old()
-            assert new_gen.name == old_gen.name
             new = enumerate_tree(new_gen.tree, strategy)
             old = enumerate_tree(old_gen.tree, strategy)
             new_values, old_values = new.values(), old.values()
@@ -166,11 +161,11 @@ class TestConstructors:
 
     def test_gen_cons1_over_single_leaf(self):
         succ = lambda n: ("S", n)
-        vs, exhausted = full_values(gen_cons1(succ, gen_cons0(("Z",))))
+        vs, exhausted = full_values(gen_cons(succ, gen_cons0(("Z",))))
         assert vs == [("S", ("Z",))] and exhausted
 
     def test_gen_cons2_cross_product(self):
-        g = gen_cons2(lambda a, b: (a, b), builtin(BaseType.BOOL), builtin(BaseType.BOOL))
+        g = gen_cons(lambda a, b: (a, b), builtin(BaseType.BOOL), builtin(BaseType.BOOL))
         vs, exhausted = full_values(g)
         assert exhausted
         assert sorted(vs) == sorted(itertools.product([False, True], repeat=2))
@@ -180,7 +175,7 @@ class TestConstructors:
         succ = lambda n: ("S", n)
 
         def nat() -> Generator:
-            return alt(gen_cons0(zero), gen_cons1(succ, Generator(defer(lambda: nat().tree))))
+            return alt(gen_cons0(zero), gen_cons(succ, Generator(defer(lambda: nat().tree))))
 
         prefix = take_values(nat().tree, DIAG, 3)
         assert prefix == [zero, succ(zero), succ(succ(zero))]
@@ -197,9 +192,17 @@ class TestConstructors:
             vs, exhausted = full_values(product)
             assert exhausted and len(vs) == n1 * n2 and len(distinct(vs)) == n1 * n2
 
-    def test_arity_cap(self):
-        with pytest.raises(ValueError):
-            gen_cons(lambda *a: a, *(gen_cons0(i) for i in range(6)))
+    def test_any_arity_cross_product(self):
+        # no arity cap: six parts give the full cross product, and a free
+        # constructor of six fields is marked distinct
+        b = builtin(BaseType.BOOL)
+        vs, exhausted = full_values(gen_cons(lambda *a: a, *(b for _ in range(6))))
+        assert exhausted
+        assert sorted(vs) == sorted(itertools.product([False, True], repeat=6))
+        g = gen_six_fields()
+        vs, exhausted = full_values(g)
+        assert g.distinct and g.types == frozenset((Six,))
+        assert exhausted and len(vs) == 2 ** 5 * 3 and len(distinct(vs)) == len(vs)
 
 
 class TestAlt:
@@ -209,7 +212,7 @@ class TestAlt:
 
     def test_linear_positive_chain_prefix(self):
         def pos() -> Generator:
-            return alt(gen_cons0(1), gen_cons1(lambda n: n + 1, Generator(defer(lambda: pos().tree))))
+            return alt(gen_cons0(1), gen_cons(lambda n: n + 1, Generator(defer(lambda: pos().tree))))
 
         assert take_values(pos().tree, DIAG, 3) == [1, 2, 3]
 
@@ -258,7 +261,7 @@ class TestBuiltins:
     def test_int_same_walk_as_nested_bind_definition(self):
         def nested_int():
             signed = bind(nested_bind_positive_ints().tree, lambda n: choice(value(-n), value(n)))
-            return Generator(choice(value(0), signed), "Int")
+            return Generator(choice(value(0), signed))
 
         assert_same_walks(lambda: builtin(BaseType.INT), nested_int)
 
@@ -287,12 +290,12 @@ class TestRecursive:
         seen = []
 
         def body(me):
-            seen.append((me.name, me.distinct, me.types))
+            seen.append((me.distinct, me.types))
             return alt(gen_cons0(0), list_of(me))
 
-        g = recursive(body, "Rose")
-        assert seen == [("Rose", True, None)]
-        assert g.name == "Rose" and g.distinct and g.types == frozenset((int, list))
+        g = recursive(body)
+        assert seen == [(True, None)]
+        assert g.distinct and g.types == frozenset((int, list))
         assert take_values(g.tree, DIAG, 4) == [0, [], [0], [0, 0]]
 
 
@@ -322,7 +325,7 @@ class TestListOf:
             list_of(builtin(BaseType.BOOL), seq=set)
 
     def test_list_of_empty_generator_yields_only_nil(self):
-        g = Generator(fail(), "none")
+        g = Generator(fail())
         vs, exhausted = full_values(list_of(g))
         assert vs == [[]] and exhausted
 
@@ -342,23 +345,23 @@ class TestListOf:
         # strategy, seed and budget, also under an outer bind (None: an
         # element generator with no value)
         def gen(define):
-            elements = builtin(element) if element is not None else Generator(fail(), "none")
+            elements = builtin(element) if element is not None else Generator(fail())
             lists = define(elements)
-            return pair_of(lists, builtin(BaseType.BOOL)) if nested else lists
+            return tuple_of(lists, builtin(BaseType.BOOL)) if nested else lists
 
         assert_same_walks(lambda: gen(list_of), lambda: gen(nested_bind_list_of))
 
 class TestTuples:
     def test_pair_of_bools(self):
-        vs, exhausted = full_values(pair_of(builtin(BaseType.BOOL), builtin(BaseType.BOOL)))
+        vs, exhausted = full_values(tuple_of(builtin(BaseType.BOOL), builtin(BaseType.BOOL)))
         assert exhausted and len(vs) == 4 and len(distinct(vs)) == 4
 
     def test_pair_of_singletons(self):
-        vs, exhausted = full_values(pair_of(gen_cons0(1), gen_cons0("a")))
+        vs, exhausted = full_values(tuple_of(gen_cons0(1), gen_cons0("a")))
         assert vs == [(1, "a")] and exhausted
 
     def test_pair_ordering_bool(self):
-        vs, exhausted = full_values(pair_of(builtin(BaseType.ORDERING), builtin(BaseType.BOOL)))
+        vs, exhausted = full_values(tuple_of(builtin(BaseType.ORDERING), builtin(BaseType.BOOL)))
         assert exhausted and len(vs) == 6
 
     def test_triple_flattens(self):
@@ -392,7 +395,7 @@ class TestTuples:
             lambda: nested_pair_tuple_of(*(make() for _ in range(arity))),
         )
         if arity == 2:
-            assert_same_walks(lambda: pair_of(make(), make()),
+            assert_same_walks(lambda: tuple_of(make(), make()),
                               lambda: nested_pair_tuple_of(make(), make()))
 
 
@@ -469,6 +472,22 @@ class Noted:
     note: str = field(compare=False, default="")
 
 
+@dataclass(frozen=True)
+class Six:
+    a: bool
+    b: bool
+    c: bool
+    d: bool
+    e: bool
+    f: Ordering
+
+
+def gen_six_fields() -> Generator:
+    """A free constructor of six fields over five Bools and an Ordering."""
+    b = builtin(BaseType.BOOL)
+    return gen_cons(Six, b, b, b, b, b, builtin(BaseType.ORDERING))
+
+
 LAW_STRATEGIES = [Strategy.bfs(10**6), Strategy.level_diag(10**6)] + [
     Strategy.rand_level_diag(seed, 10**6) for seed in (0, 1, 7)
 ]
@@ -485,8 +504,8 @@ MARKED = {
     "[Ordering]": (lambda: list_of(builtin(BaseType.ORDERING)), 2000),
     "[[Bool]]": (lambda: list_of(list_of(builtin(BaseType.BOOL))), 2000),
     "[Int]": (lambda: list_of(builtin(BaseType.INT)), 20_000),
-    "(Int,[Char])": (lambda: pair_of(builtin(BaseType.INT), list_of(builtin(BaseType.CHAR))), 2000),
-    "(Ordering,Bool)": (lambda: pair_of(builtin(BaseType.ORDERING), builtin(BaseType.BOOL)), 10),
+    "(Int,[Char])": (lambda: tuple_of(builtin(BaseType.INT), list_of(builtin(BaseType.CHAR))), 2000),
+    "(Ordering,Bool)": (lambda: tuple_of(builtin(BaseType.ORDERING), builtin(BaseType.BOOL)), 10),
     "(Bool,PosInt,[Ordering],0)": (
         lambda: tuple_of(builtin(BaseType.BOOL), positive_ints(),
                          list_of(builtin(BaseType.ORDERING)), gen_cons0(0)),
@@ -534,12 +553,12 @@ class TestDistinctMark:
             alt(b, b),
             alt(gen_cons0(1), gen_cons0(2)),
             gen_cons(lambda x: x, b),
-            gen_cons1(abs, n),
-            gen_cons2(lambda x, y: (x, y), b, b),
-            Generator(one_of([1, 2]), "plain"),
+            gen_cons(abs, n),
+            gen_cons(lambda x, y: (x, y), b, b),
+            Generator(one_of([1, 2])),
             list_of(alt(b, b)),
-            pair_of(b, Generator(value(1))),
-            tuple_of(n, b, gen_cons1(abs, n)),
+            tuple_of(b, Generator(value(1))),
+            tuple_of(n, b, gen_cons(abs, n)),
             gen_cons(Clamped, n),
             gen_cons(AbsEq, n),
             gen_cons(AbsInit, n),
@@ -552,7 +571,7 @@ class TestDistinctMark:
             alt(n, positive_ints()),
             alt(gen_cons(Point, n, b), gen_cons(Point, n, b)),
             gen_pos(),
-            recursive(lambda pos: alt(gen_cons0(1), gen_cons1(lambda k: k + 1, pos)), "Pos"),
+            recursive(lambda pos: alt(gen_cons0(1), gen_cons(lambda k: k + 1, pos))),
         ]
         assert not any(g.distinct for g in unmarked)
 
@@ -562,7 +581,7 @@ class TestDistinctMark:
         n = builtin(BaseType.INT)
         for g in (alt(builtin(BaseType.BOOL), builtin(BaseType.BOOL)),
                   alt(n, positive_ints()),
-                  gen_cons1(abs, n),
+                  gen_cons(abs, n),
                   gen_cons(Clamped, n),
                   gen_cons(AbsInit, n),
                   gen_cons(Scaled, n, n),
@@ -573,8 +592,8 @@ class TestDistinctMark:
 
     def test_distinct_is_keyword_only(self):
         with pytest.raises(TypeError):
-            Generator(value(1), "one", True)
-        assert Generator(value(1), "one", distinct=True).distinct
+            Generator(value(1), True)
+        assert Generator(value(1), distinct=True).distinct
 
 
 COMBINATORS = {
@@ -589,7 +608,8 @@ COMBINATORS = {
     "alt": lambda: alt(builtin(BaseType.BOOL), builtin(BaseType.ORDERING)),
     "gen_cons": lambda: gen_cons(lambda a, b: (b, a), builtin(BaseType.BOOL), positive_ints()),
     "tuple_of": lambda: tuple_of(builtin(BaseType.BOOL), builtin(BaseType.ORDERING)),
-    "pair_of": lambda: pair_of(list_of(builtin(BaseType.BOOL)), builtin(BaseType.INT)),
+    "pair_of": lambda: tuple_of(list_of(builtin(BaseType.BOOL)), builtin(BaseType.INT)),
+    "gen_cons(Six)": gen_six_fields,
     "gen_tree": lambda: gen_tree(builtin(BaseType.INT)),
     "gen_nat": gen_nat,
     "gen_pos": gen_pos,

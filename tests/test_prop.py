@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ndcheck.corpus.trees import Leaf, Succ, Zero
-from ndcheck.gen import BaseType, Generator, Ordering, builtin, list_of, pair_of
+from ndcheck.gen import BaseType, Generator, Ordering, builtin, list_of, tuple_of
 from ndcheck.prop import (
     DROPPED,
     FALSIFIED,
@@ -176,6 +176,20 @@ class TestCounting:
 
     def test_less_than_zero_impossible(self):
         assert status(value_count_less(fail(), 0)) == FALSIFIED
+
+    @pytest.mark.parametrize("op", [value_count, value_count_less])
+    def test_negative_count_rejected_when_built(self, op):
+        with pytest.raises(ValueError, match=op.__name__):
+            op(choice(value(1), value(2)), -1)
+
+    @pytest.mark.parametrize("tree, n, results", [
+        (value(1), 0, "({..} reaches 0 values)"),
+        (fail(), 0, "({..} reaches 0 values)"),
+        (value(1), 1, "({1,..} reaches 1 values)"),
+    ])
+    def test_undecided_side_renders_its_values_then_dots(self, tree, n, results):
+        out = value_count_less(tree, n).evaluate(CTX)
+        assert (out.status, out.results) == (FALSIFIED, results)
 
 
 class TestImplication:
@@ -646,7 +660,7 @@ class TestDistinctFlag:
             fail(),
             one_of([1, 2, 3]),
             builtin(BaseType.INT).tree,
-            pair_of(builtin(BaseType.BOOL), list_of(builtin(BaseType.ORDERING))).tree,
+            tuple_of(builtin(BaseType.BOOL), list_of(builtin(BaseType.ORDERING))).tree,
         ):
             direct = enumerate_tree(tree, strategy)
             values = list(islice(direct, cap))

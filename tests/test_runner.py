@@ -10,7 +10,7 @@ import pytest
 from ndcheck import registry
 from ndcheck.corpus.trees import Leaf, Succ, Zero
 from ndcheck.gen import (
-    BaseType, Generator, Ordering, alt, builtin, gen_cons0, gen_cons1, list_of, pair_of,
+    BaseType, Generator, Ordering, alt, builtin, gen_cons, gen_cons0, list_of,
     positive_ints, tuple_of,
 )
 from ndcheck.prop import EvalContext, Prop, classify, collect, for_all, implies, is_equal, returns
@@ -64,7 +64,7 @@ def input_order(gen, cfg, n):
 
 class TestRunParam:
     def test_finite_domain_pass_is_exhaustive(self):
-        gen = pair_of(builtin(BaseType.BOOL), builtin(BaseType.BOOL))
+        gen = tuple_of(builtin(BaseType.BOOL), builtin(BaseType.BOOL))
         spec = param_spec(gen, lambda a, b: is_equal(not (a or b), (not a) and (not b)), arity=2)
         verdict, _ = run_param(spec, RunConfig())
         assert verdict.kind == PASSED_EXHAUSTIVE
@@ -76,7 +76,7 @@ class TestRunParam:
         assert verdict.kind == PASSED and verdict.tests_executed == 37
 
     def test_domain_exactly_max_tests_counts_as_plain_pass(self):
-        gen = Generator(one_of(range(10)), "ten")
+        gen = Generator(one_of(range(10)))
         spec = param_spec(gen, lambda n: is_equal(n, n))
         verdict, _ = run_param(spec, RunConfig(max_tests=10))
         assert verdict.kind == PASSED and verdict.tests_executed == 10
@@ -107,7 +107,7 @@ class TestRunParam:
         # the runner does not look past the drop limit, so a finite domain
         # whose last input is the limit-th drop reads Exhausted: too little
         # is claimed, never too much
-        gen = Generator(one_of([0, 1, 2]), "three")
+        gen = Generator(one_of([0, 1, 2]))
         spec = param_spec(gen, lambda n: implies(n == 0, lambda: is_equal(n, n)))
         at_limit, _ = run_param(spec, RunConfig(drop_limit=2, strategy_kind="bfs"))
         assert (at_limit.kind, at_limit.tests_executed, at_limit.tests_dropped) == (EXHAUSTED_V, 1, 2)
@@ -115,7 +115,7 @@ class TestRunParam:
         assert (below.kind, below.tests_executed, below.tests_dropped) == (PASSED_EXHAUSTIVE, 1, 2)
 
     def test_finite_domain_with_drops_passes_exhaustively(self):
-        gen = Generator(one_of(range(8)), "eight")
+        gen = Generator(one_of(range(8)))
         spec = param_spec(gen, lambda n: implies(n % 2 == 0, lambda: is_equal(n, n)))
         verdict, _ = run_param(spec, RunConfig())
         assert verdict.kind == PASSED_EXHAUSTIVE
@@ -123,14 +123,14 @@ class TestRunParam:
         assert verdict.tests_dropped == 4
 
     def test_drop_accounting_sums_to_drawn_inputs(self):
-        gen = Generator(one_of(range(8)), "eight")
+        gen = Generator(one_of(range(8)))
         spec = param_spec(gen, lambda n: implies(n % 2 == 0, lambda: is_equal(n, n)))
         verdict, _ = run_param(spec, RunConfig())
         assert verdict.tests_executed + verdict.tests_dropped == 8
 
     def test_falsification_records_case_and_counterexample(self):
         cfg = RunConfig()
-        gen = Generator(one_of(range(10)), "ten")
+        gen = Generator(one_of(range(10)))
         bad = input_order(gen, cfg, 10)[2]  # third drawn input will fail
         spec = param_spec(gen, lambda n, bad=bad: is_equal(n == bad, False))
         verdict, _ = run_param(spec, cfg)
@@ -141,7 +141,7 @@ class TestRunParam:
 
     def test_case_index_ignores_dropped_cases(self):
         cfg = RunConfig()
-        gen = Generator(one_of(range(12)), "twelve")
+        gen = Generator(one_of(range(12)))
         order = input_order(gen, cfg, 12)
         evens = [n for n in order if n % 2 == 0]
         bad = evens[1]  # second executed case
@@ -220,7 +220,7 @@ class TestRunParam:
         assert "undecided" in verdict.message
 
     def test_input_budget_exhaustion_is_an_error_not_exhaustive_pass(self):
-        spec = param_spec(Generator(nat_chain(), "nats"), lambda n: is_equal(n, n))
+        spec = param_spec(Generator(nat_chain()), lambda n: is_equal(n, n))
         verdict, _ = run_param(spec, RunConfig(max_tests=100_000, node_budget=60))
         assert verdict.kind == ERROR
         assert "budget" in verdict.message
@@ -237,7 +237,7 @@ class TestRunParam:
         guards = [lambda v: True, lambda v: str(v) < "4"]
         for domain in domains:
             for guard in guards:
-                gen = Generator(one_of(domain), "dom")
+                gen = Generator(one_of(domain))
                 spec = param_spec(
                     gen,
                     lambda v, g=guard: implies(g(v), lambda: is_equal(v, v)),
@@ -273,7 +273,7 @@ class TestRunParam:
         ]
         for body, keys_per_case in bodies:
             calls.update(input=0, prop=0, key=0)
-            spec = param_spec(Generator(nat_chain(), "Nat"), body)
+            spec = param_spec(Generator(nat_chain()), body)
             verdict, _ = run_param(spec, RunConfig(max_tests=25))
             assert verdict.kind == PASSED
             assert calls == {"input": 1, "prop": 0, "key": keys_per_case * 25}
@@ -289,7 +289,7 @@ MARKED = {
     "[Ordering]": lambda: list_of(builtin(BaseType.ORDERING)),
     "[[Bool]]": lambda: list_of(list_of(builtin(BaseType.BOOL))),
     "[Int]": lambda: list_of(builtin(BaseType.INT)),
-    "(Bool,Bool)": lambda: pair_of(builtin(BaseType.BOOL), builtin(BaseType.BOOL)),
+    "(Bool,Bool)": lambda: tuple_of(builtin(BaseType.BOOL), builtin(BaseType.BOOL)),
     "(Char,[Bool],Int)": lambda: tuple_of(
         builtin(BaseType.CHAR), list_of(builtin(BaseType.BOOL)), builtin(BaseType.INT),
     ),
@@ -336,7 +336,7 @@ class TestDistinctInputs:
         assert verdict.tests_executed == 2
 
     def test_unmarked_gen_cons_is_still_deduplicated(self):
-        gen = gen_cons1(lambda b: 0, builtin(BaseType.BOOL))  # not injective
+        gen = gen_cons(lambda b: 0, builtin(BaseType.BOOL))  # not injective
         assert not gen.distinct
         verdict, _ = run_param(param_spec(gen, lambda n: is_equal(n, n)), RunConfig())
         assert verdict.kind == PASSED_EXHAUSTIVE
@@ -366,11 +366,11 @@ class TestPoly:
         inst = instantiate_poly(self.poly(), RunConfig())
         assert inst.name == "prop_ON_BASETYPE"
         assert inst.kind == PARAM
-        assert inst.input_gen.name == "Ordering"
+        assert inst.input_gen.types == frozenset({Ordering})
 
     def test_configured_base_type_selected(self):
         inst = instantiate_poly(self.poly(), RunConfig(default_base_type=BaseType.INT))
-        assert inst.input_gen.name == "Int"
+        assert inst.input_gen.types == frozenset({int})
 
     def test_non_poly_specs_unchanged(self):
         spec = param_spec(builtin(BaseType.INT), lambda n: is_equal(n, n))
@@ -511,7 +511,7 @@ class TestRunSuite:
         assert report.entries[1].verdict.kind == PASSED
 
     def test_labels_aggregate_into_frequency_table(self):
-        gen = Generator(one_of(range(10)), "ten")
+        gen = Generator(one_of(range(10)))
         spec = param_spec(
             gen,
             lambda n: classify(n % 2 == 0, "even", is_equal(n, n)),
@@ -536,7 +536,7 @@ class TestRunSuite:
                 raise ValueError("no constructor for True")
             return b
 
-        verdict = self.run_after_bad_input(gen_cons1(cons, builtin(BaseType.BOOL)))
+        verdict = self.run_after_bad_input(gen_cons(cons, builtin(BaseType.BOOL)))
         assert verdict.kind == ERROR
         assert verdict.message.startswith("ValueError: no constructor for True")
         assert "while drawing input" in verdict.message
@@ -545,7 +545,7 @@ class TestRunSuite:
         deep = Zero()
         for _ in range(600):
             deep = Succ(deep)
-        verdict = self.run_after_bad_input(Generator(one_of([Zero(), deep]), "Nat"))
+        verdict = self.run_after_bad_input(Generator(one_of([Zero(), deep])))
         assert verdict.kind == ERROR
         assert verdict.message.startswith("RecursionError: ")
         assert "while drawing input" in verdict.message
@@ -583,7 +583,7 @@ class TestDeepInputRendering:
         for _ in range(self.DEPTH):
             deep = [deep]
         # bfs draws [] first, then the deep list
-        spec = param_spec(Generator(one_of([[], deep]), "Nested"), body)
+        spec = param_spec(Generator(one_of([[], deep])), body)
         report = run_on_fresh_thread(
             lambda: run_suite([spec], RunConfig(strategy_kind="bfs", **cfg))
         )
@@ -638,7 +638,7 @@ class TestDeepResultRendering:
         x = Zero()
         for _ in range(600):
             x = Succ(x)
-        registry.param_test(self.MODULE, "succNotSelf", Generator(value(x), "deep", distinct=True),
+        registry.param_test(self.MODULE, "succNotSelf", Generator(value(x), distinct=True),
                             lambda v: is_equal(v, Succ(v)))
         verdict = run_suite(registry.specs_for([self.MODULE]), RunConfig()).entries[0].verdict
         assert verdict.kind == FALSIFIED_V
