@@ -62,7 +62,7 @@ def config_from_options(opts: argparse.Namespace) -> RunConfig:
     return RunConfig(
         max_tests=opts.maxtests,
         drop_limit=opts.droplimit,
-        default_base_type=BaseType.from_token(opts.deftype),
+        default_base_type=BaseType(opts.deftype),
         strategy_kind=_STRATEGIES[opts.strategy],
         seed=seed,
         node_budget=opts.budget,

@@ -39,10 +39,6 @@ class BaseType(enum.Enum):
     INT = "int"
     CHAR = "char"
 
-    @staticmethod
-    def from_token(token: str) -> "BaseType":
-        return BaseType(token.lower())
-
 
 @dataclass(frozen=True)
 class Generator(Generic[A]):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import islice
@@ -63,29 +64,35 @@ class EvalContext:
             raise ValueError("value budget must be >= 1")
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause automatic cyclic GC for the block and hand the collector back
+    as it was found: trees and walks make no reference cycles, so a
+    collection would only rescan the memo of the tree being walked."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
 @dataclass(slots=True, eq=False)
 class Prop:
-    """A named, deferred check; evaluation is repeatable given equal context.
+    """A deferred check; evaluation is repeatable given equal context.
 
-    kind names the operator that built it; check maps an EvalContext to an
-    Outcome.  A property is one small slotted object, built per test case,
-    and it compares and hashes by identity.  Its fields are not meant to be
-    reassigned: dataclasses.replace makes a changed copy."""
+    check maps an EvalContext to an Outcome; its qualified name shows the
+    operator that built it.  A property is one small slotted object, built
+    per test case, and it compares and hashes by identity.  Its field is not
+    meant to be reassigned: dataclasses.replace makes a changed copy."""
 
-    kind: str
     check: Callable[[EvalContext], Outcome]
 
     def evaluate(self, ctx: EvalContext | None = None) -> Outcome:
-        """Run the check with automatic cyclic GC paused, as ``run_suite``
-        does: trees and walks make no reference cycles, so a collection
-        would only rescan the memo of the tree being walked."""
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        """Run the check under gc_paused, as ``run_suite`` does."""
+        with gc_paused():
             return self.check(ctx or EvalContext())
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
 
 def not_a_prop(exc: Exception, got: Any, what: str) -> Exception:
@@ -187,14 +194,14 @@ def _leaf_pair(decide: Decide, a: Any, b: Any, ctx: EvalContext) -> Outcome:
     return decide(ValueNode(a), ValueNode(b), ctx)
 
 
-def _two_sided(kind: str, decide: Decide, l: TreeLike, r: TreeLike) -> Prop:
-    """The property of operator kind on l and r.  Two single values, plain
+def _two_sided(decide: Decide, l: TreeLike, r: TreeLike) -> Prop:
+    """The property of tree check decide on l and r.  Two single values, plain
     or in value leaves, are decided by _leaf_pair, and no tree is built for
     them; any other pair by decide(lt, rt, ctx) on both sides as trees."""
     ltree, rtree = isinstance(l, SearchTree), isinstance(r, SearchTree)
     if (ltree and type(l) is not ValueNode) or (rtree and type(r) is not ValueNode):
-        return Prop(kind, partial(decide, as_tree(l), as_tree(r)))
-    return Prop(kind, partial(_leaf_pair, decide, l.payload if ltree else l, r.payload if rtree else r))
+        return Prop(partial(decide, as_tree(l), as_tree(r)))
+    return Prop(partial(_leaf_pair, decide, l.payload if ltree else l, r.payload if rtree else r))
 
 
 def _inconclusive(op: str, side: str, end: str) -> Outcome:
@@ -207,7 +214,7 @@ def _inconclusive(op: str, side: str, end: str) -> Outcome:
 
 def is_equal(l: TreeLike, r: TreeLike) -> Prop:
     """Satisfied iff both sides have exactly one value and the values match."""
-    return _two_sided("is_equal", _is_equal, l, r)
+    return _two_sided(_is_equal, l, r)
 
 
 def _is_equal(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome:
@@ -226,7 +233,7 @@ def _is_equal(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome:
 def same_set(l: TreeLike, r: TreeLike) -> Prop:
     """Satisfied iff both sides produce the same set of values (multiplicity
     and order ignored); needs both sides exhausted to decide."""
-    return _two_sided("same_set", _same_set, l, r)
+    return _two_sided(_same_set, l, r)
 
 
 def _same_set(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome:
@@ -245,7 +252,7 @@ def reduces_to(l: TreeLike, r: TreeLike) -> Prop:
     """Satisfied iff every value of the right side is among the values of the
     left side.  The right side must exhaust; the left side is searched lazily
     and may be left unexplored once all targets are found."""
-    return _two_sided("reduces_to", _reduces_to, l, r)
+    return _two_sided(_reduces_to, l, r)
 
 
 def _reduces_to(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome:
@@ -299,7 +306,7 @@ def value_count(e: TreeLike, n: int) -> Prop:
             )
         return _inconclusive("value_count", "left", end)
 
-    return Prop("value_count", check)
+    return Prop(check)
 
 
 def value_count_less(e: TreeLike, n: int) -> Prop:
@@ -319,7 +326,7 @@ def value_count_less(e: TreeLike, n: int) -> Prop:
             return _SAT
         return _inconclusive("value_count_less", "left", end)
 
-    return Prop("value_count_less", check)
+    return Prop(check)
 
 
 def implies(cond: bool, p: Prop | Callable[[], Prop]) -> Prop:
@@ -330,7 +337,7 @@ def implies(cond: bool, p: Prop | Callable[[], Prop]) -> Prop:
     holds.  A false guard's property shares one check and builds nothing
     else.
     """
-    return Prop("implies", partial(_implied, p) if cond else _dropped)
+    return Prop(partial(_implied, p) if cond else _dropped)
 
 
 def _dropped(ctx: EvalContext) -> Outcome:
@@ -358,7 +365,7 @@ def eventually(e: TreeLike) -> Prop:
             return Outcome(FALSIFIED, results="(no True value)")
         return _inconclusive("eventually", "left", BUDGET)
 
-    return Prop("eventually", check)
+    return Prop(check)
 
 
 def always(e: TreeLike) -> Prop:
@@ -381,7 +388,7 @@ def always(e: TreeLike) -> Prop:
             return _SAT
         return _inconclusive("always", "left", BUDGET)
 
-    return Prop("always", check)
+    return Prop(check)
 
 
 def for_all(
@@ -427,7 +434,7 @@ def for_all(
             return _inconclusive("for_all", "left", BUDGET)
         return Outcome(SATISFIED, labels=tuple(labels))
 
-    return Prop("for_all", check)
+    return Prop(check)
 
 
 def returns(action: Callable[[Path], Any], expected: Any) -> Prop:
@@ -449,7 +456,7 @@ def returns(action: Callable[[Path], Any], expected: Any) -> Prop:
             return _SAT
         return Outcome(FALSIFIED, results=f"({_show(got)},{_show(expected)})")
 
-    return Prop("returns", check)
+    return Prop(check)
 
 
 def classify(cond: bool, label: str, p: Prop) -> Prop:
@@ -459,7 +466,7 @@ def classify(cond: bool, label: str, p: Prop) -> Prop:
         out = _inner(p, ctx, "classify got")
         return out.with_label(label) if cond else out
 
-    return Prop("classify", check)
+    return Prop(check)
 
 
 def collect(v: Any, p: Prop) -> Prop:
@@ -468,4 +475,4 @@ def collect(v: Any, p: Prop) -> Prop:
     def check(ctx: EvalContext) -> Outcome:
         return _inner(p, ctx, "collect got").with_label(_show(v))
 
-    return Prop("collect", check)
+    return Prop(check)

@@ -31,9 +31,10 @@ def suite_names() -> list[str]:
 
 
 def specs_for(selection: Iterable[str] = ()) -> list[TestSpec]:
-    """Specs of the selected suites in registration order; empty selection
-    means every registered suite.  Unknown names raise KeyError."""
-    names = list(selection) or suite_names()
+    """Specs of the selected suites, each once, in the order their names are
+    first given; empty selection means every registered suite in
+    registration order.  Unknown names raise KeyError."""
+    names = list(dict.fromkeys(selection)) or suite_names()
     out: list[TestSpec] = []
     for name in names:
         if name not in _SUITES:

@@ -20,6 +20,7 @@ from .prop import (
     SATISFIED,
     EvalContext,
     Prop,
+    gc_paused,
     keyed,
     not_a_prop,
 )
@@ -283,21 +284,14 @@ def run_suite(specs: list[TestSpec], cfg: RunConfig) -> TestReport:
 
         specs = apply_proofs(specs, scan_proofs(cfg.proof_dir))
     entries: list[TestEntry] = []
-    # Generators, the trees they build and the walks over them make no
-    # reference cycles, so automatic cyclic GC would only rescan the memoised
-    # generator trees; a young collection after each spec frees the cycles a
-    # property body makes.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with tempfile.TemporaryDirectory(prefix="ndcheck-") as scratch:
-            ctx = _context(cfg, Path(scratch))
-            for spec in specs:
-                entries.append(_run_spec(spec, cfg, ctx))
-                gc.collect(0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    # Automatic GC, paused here, would only rescan the memoised generator
+    # trees; a young collection after each spec frees the cycles a property
+    # body makes.
+    with gc_paused(), tempfile.TemporaryDirectory(prefix="ndcheck-") as scratch:
+        ctx = _context(cfg, Path(scratch))
+        for spec in specs:
+            entries.append(_run_spec(spec, cfg, ctx))
+            gc.collect(0)
     return TestReport(tuple(entries))
 
 

@@ -272,18 +272,6 @@ class Strategy:
         if self.node_budget < 1:
             raise ValueError("node budget must be positive")
 
-    @staticmethod
-    def bfs(node_budget: int = DEFAULT_NODE_BUDGET) -> "Strategy":
-        return Strategy(BFS, 0, node_budget)
-
-    @staticmethod
-    def level_diag(node_budget: int = DEFAULT_NODE_BUDGET) -> "Strategy":
-        return Strategy(LEVEL_DIAG, 0, node_budget)
-
-    @staticmethod
-    def rand_level_diag(seed: int = 0, node_budget: int = DEFAULT_NODE_BUDGET) -> "Strategy":
-        return Strategy(RAND_LEVEL_DIAG, seed, node_budget)
-
 
 class Enumeration(Generic[A]):
     """Single-consumer cursor over a tree's values under one strategy.
@@ -306,10 +294,6 @@ class Enumeration(Generic[A]):
 
     def __iter__(self) -> Iterator[A]:
         return self._iter
-
-    def values(self) -> list[A]:
-        """Drain the remaining values into a list."""
-        return list(self._iter)
 
     # Budget accounting: one unit per node visited (value and fail leaves
     # included); a bind node, deferred trees and nested binds included,

@@ -130,7 +130,7 @@ def test_06_determinism_checking():
     assert entry.verdict.kind == "Passed"
     assert entry.verdict.tests_executed == 100
     e = enumerate_tree(is_set([1, 3, 1, 3, 1]), CFG.strategy)
-    values = e.values()
+    values = list(e)
     assert e.exhausted
     assert {canonical(v) for v in values} == {canonical(False)}
     ok(6, "isSetIsDeterministic passes 100 tests; isSet([1,3,1,3,1]) has the single value False")
@@ -151,8 +151,8 @@ def test_08_counting_oracle(perm_report):
     for n in range(5):
         for xs in itertools.permutations(universe, n):
             xs = list(xs)
-            e = enumerate_tree(perm(xs), Strategy.level_diag())
-            distinct = {canonical(v) for v in e.values()}
+            e = enumerate_tree(perm(xs), Strategy("level_diag"))
+            distinct = {canonical(v) for v in e}
             assert e.exhausted
             assert len(distinct) == math.factorial(len(xs)), xs
             checked += 1
@@ -194,7 +194,7 @@ def test_10_enumeration_invariants():
     assert want <= set(keys) and len(want) == 15
     for bt, size in ((BaseType.BOOL, 2), (BaseType.ORDERING, 3)):
         e = enumerate_tree(builtin(bt).tree, CFG.strategy)
-        assert len(e.values()) == size and e.exhausted
+        assert len(list(e)) == size and e.exhausted
     ok(10, "bool lists enumerate duplicate-free with all 15 short lists; Bool/Ordering exhaust at 2/3")
 
 

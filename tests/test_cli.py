@@ -36,6 +36,10 @@ class TestSelection:
         _, out, _ = run_cli(capsys, "BoolTest", "IsSet")
         assert out.index("negOr") < out.index("isSetIsDeterministic")
 
+    def test_suite_named_twice_runs_once(self, capsys):
+        once = run_cli(capsys, "Rev", "--maxtests", "5")
+        assert run_cli(capsys, "Rev", "Rev", "--maxtests", "5") == once
+
     def test_unknown_suite_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "NoSuchModule")
         assert code == 2

@@ -25,12 +25,12 @@ from ndcheck.gen import BaseType, builtin
 from ndcheck.searchtree import Strategy, enumerate_tree, take_values
 from ndcheck.values import canonical
 
-DIAG = Strategy.level_diag()
+DIAG = Strategy("level_diag")
 
 
 def value_set(tree):
     e = enumerate_tree(tree, DIAG)
-    vals = e.values()
+    vals = list(e)
     assert e.exhausted
     return {canonical(v) for v in vals}
 
@@ -44,7 +44,7 @@ class TestPerm:
 
     def test_distinct_count_is_factorial(self):
         e = enumerate_tree(perm([1, 2, 3]), DIAG)
-        distinct = {canonical(v) for v in e.values()}
+        distinct = {canonical(v) for v in e}
         assert len(distinct) == math.factorial(3)
 
     def test_matches_brute_force_up_to_five_elements(self):
@@ -69,7 +69,7 @@ class TestSomeDup:
 
     def test_no_duplicates_means_no_values(self):
         e = enumerate_tree(some_dup([1, 2, 3]), DIAG)
-        assert e.values() == [] and e.exhausted
+        assert list(e) == [] and e.exhausted
 
     def test_triple_occurrence_still_one_value(self):
         assert value_set(some_dup([1, 2, 1, 2, 1])) == {canonical(1), canonical(2)}
@@ -224,14 +224,14 @@ class TestSuiteVerdicts:
 class TestIsSet:
     def test_repeated_elements_yield_single_false(self):
         e = enumerate_tree(is_set([1, 3, 1, 3, 1]), DIAG)
-        vals = e.values()
+        vals = list(e)
         assert e.exhausted
         assert len(vals) > 1  # one False per duplicated index pair
         assert set(vals) == {False}
 
     def test_all_distinct_yields_true(self):
         e = enumerate_tree(is_set([1, 2, 3]), DIAG)
-        assert e.values() == [True]
+        assert list(e) == [True]
 
     def test_empty_list_is_a_set(self):
-        assert enumerate_tree(is_set([]), DIAG).values() == [True]
+        assert list(enumerate_tree(is_set([]), DIAG)) == [True]

@@ -3,6 +3,7 @@
 import gc
 import itertools
 from dataclasses import InitVar, dataclass, field
+from functools import partial
 
 import pytest
 
@@ -19,6 +20,7 @@ from ndcheck.gen import (
     recursive,
     tuple_of,
 )
+from ndcheck.cli import build_parser, config_from_options
 from ndcheck.corpus.sumup import gen_pos
 from ndcheck.corpus.trees import Leaf, Node, Succ, Zero, gen_nat, gen_tree
 from ndcheck.searchtree import (
@@ -26,7 +28,7 @@ from ndcheck.searchtree import (
 )
 from ndcheck.values import canonical, same_value
 
-DIAG = Strategy.level_diag()
+DIAG = Strategy("level_diag")
 
 
 def nested_bind_list_of(g: Generator) -> Generator:
@@ -109,8 +111,8 @@ def logged_elements(log: list) -> Generator:
     return Generator(spine(0))
 
 
-STRATEGY_MAKERS = [Strategy.bfs, Strategy.level_diag] + [
-    lambda budget, seed=seed: Strategy.rand_level_diag(seed, budget) for seed in (0, 1, 7, 42)
+STRATEGY_MAKERS = [partial(Strategy, "bfs", 0), partial(Strategy, "level_diag", 0)] + [
+    lambda budget, seed=seed: Strategy("rand_level_diag", seed, budget) for seed in (0, 1, 7, 42)
 ]
 
 
@@ -125,7 +127,7 @@ def assert_same_walks(build_new, build_old):
             new_gen, old_gen = build_new(), build_old()
             new = enumerate_tree(new_gen.tree, strategy)
             old = enumerate_tree(old_gen.tree, strategy)
-            new_values, old_values = new.values(), old.values()
+            new_values, old_values = list(new), list(old)
             assert len(new_values) == len(old_values), strategy
             assert all(map(same_value, new_values, old_values)), strategy
             assert (new.expansions, new.exhausted, new.budget_exceeded) == (
@@ -146,7 +148,7 @@ def distinct(values):
 
 def full_values(g: Generator):
     e = enumerate_tree(g.tree, DIAG)
-    vs = e.values()
+    vs = list(e)
     return vs, e.exhausted
 
 
@@ -250,8 +252,10 @@ class TestBuiltins:
             assert vs.count(m) == 1
 
     def test_from_token_round_trip(self):
+        # the command line's --deftype token is the base type's value
         for bt in BaseType:
-            assert BaseType.from_token(bt.value) is bt
+            opts = build_parser().parse_args(["--deftype", bt.value])
+            assert config_from_options(opts).default_base_type is bt
 
     def test_positive_ints_same_walk_as_nested_bind_definition(self):
         # the same choice structure: values, node counts and end flags agree
@@ -283,7 +287,7 @@ class TestRecursive:
             for define in (gen_tree, hand_written_gen_tree):
                 log = []
                 e = enumerate_tree(define(logged_elements(log)).tree, make(2000))
-                walks.append((e.values(), e.expansions, log))
+                walks.append((list(e), e.expansions, log))
             assert walks[0] == walks[1]
 
     def test_body_sees_a_self_reference_assumed_distinct(self):
@@ -488,8 +492,8 @@ def gen_six_fields() -> Generator:
     return gen_cons(Six, b, b, b, b, b, builtin(BaseType.ORDERING))
 
 
-LAW_STRATEGIES = [Strategy.bfs(10**6), Strategy.level_diag(10**6)] + [
-    Strategy.rand_level_diag(seed, 10**6) for seed in (0, 1, 7)
+LAW_STRATEGIES = [Strategy("bfs", 0, 10**6), Strategy("level_diag", 0, 10**6)] + [
+    Strategy("rand_level_diag", seed, 10**6) for seed in (0, 1, 7)
 ]
 
 # generators the combinators mark distinct, and how many values to draw

@@ -38,7 +38,7 @@ from ndcheck.searchtree import Strategy, choice, defer, enumerate_tree, fail, on
 from ndcheck.values import canonical
 
 CTX = EvalContext()
-STRATEGIES = [Strategy.bfs(), Strategy.level_diag(), Strategy.rand_level_diag(seed=3)]
+STRATEGIES = [Strategy("bfs"), Strategy("level_diag"), Strategy("rand_level_diag", seed=3)]
 
 
 def status(prop, ctx=CTX):
@@ -60,7 +60,7 @@ def random_tree(rng, depth=0):
 
 
 def brute_set(tree):
-    return {canonical(v) for v in enumerate_tree(tree, Strategy.bfs()).values()}
+    return {canonical(v) for v in enumerate_tree(tree, Strategy("bfs"))}
 
 
 def nat_chain(k=0):
@@ -93,11 +93,11 @@ class TestIsEqual:
 
     def test_undecidable_side_is_inconclusive(self):
         # budget 2 reaches only one value of the chain: singleton-ness undecided
-        ctx = EvalContext(strategy=Strategy.level_diag(node_budget=2))
+        ctx = EvalContext(strategy=Strategy("level_diag", node_budget=2))
         assert status(is_equal(nat_chain(), value(0)), ctx) == INCONCLUSIVE
 
     def test_two_values_decide_non_singleton_without_exhaustion(self):
-        ctx = EvalContext(strategy=Strategy.level_diag(node_budget=50))
+        ctx = EvalContext(strategy=Strategy("level_diag", node_budget=50))
         assert status(is_equal(nat_chain(), value(0)), ctx) == FALSIFIED
 
 
@@ -122,7 +122,7 @@ class TestSameSet:
             assert status(same_set(l, r)) == expect
 
     def test_unexhaustible_side_is_inconclusive(self):
-        ctx = EvalContext(strategy=Strategy.level_diag(node_budget=40))
+        ctx = EvalContext(strategy=Strategy("level_diag", node_budget=40))
         assert status(same_set(nat_chain(), value(1)), ctx) == INCONCLUSIVE
 
 
@@ -402,7 +402,7 @@ class TestEvalContext:
 
     def test_repeatable_outcomes(self):
         p = same_set(one_of([3, 1, 3]), one_of([1, 3]))
-        ctx = EvalContext(strategy=Strategy.rand_level_diag(seed=12))
+        ctx = EvalContext(strategy=Strategy("rand_level_diag", seed=12))
         assert p.evaluate(ctx) == p.evaluate(ctx)
 
 
@@ -431,9 +431,9 @@ EVERY_OPERATOR = [
 class TestPropContract:
     """What code that wraps a property's check relies on (the benchmark's
     tracer does, for every property it runs): a copy made by
-    dataclasses.replace keeps the kind and takes the new check, both are
-    hashable, also inside a frozen TestSpec, and evaluating the copy gives
-    the original's outcome, through the new check."""
+    dataclasses.replace takes the new check, both are hashable, also inside
+    a frozen TestSpec, and evaluating the copy gives the original's outcome,
+    through the new check."""
 
     @pytest.mark.parametrize(
         "kind,build,want", EVERY_OPERATOR,
@@ -442,7 +442,6 @@ class TestPropContract:
     def test_replace_hash_and_evaluate(self, tmp_path, kind, build, want):
         ctx = EvalContext(scratch_dir=tmp_path)
         p = build()
-        assert p.kind == kind
         calls = []
 
         def wrapped(c):
@@ -450,7 +449,7 @@ class TestPropContract:
             return p.check(c)
 
         q = dataclasses.replace(p, check=wrapped)
-        assert q.kind == kind and q.check is wrapped and p.check is not wrapped
+        assert q.check is wrapped and p.check is not wrapped
         assert isinstance(hash(p), int) and isinstance(hash(q), int)
         assert hash(TestSpec("t", "M", prop=q)) == hash(TestSpec("t", "M", prop=q))
         assert p == p and q != p  # compared by identity
@@ -473,13 +472,13 @@ class TestEvaluatePausesGC:
 
     def test_check_runs_paused_and_state_is_restored(self, gc_was_enabled):
         seen = []
-        p = Prop("probe", lambda ctx: seen.append(gc.isenabled()) or Outcome(SATISFIED))
+        p = Prop(lambda ctx: seen.append(gc.isenabled()) or Outcome(SATISFIED))
         assert p.evaluate(CTX) == Outcome(SATISFIED)
         assert seen == [False]
         assert gc.isenabled() == gc_was_enabled
 
     def test_state_is_restored_when_the_check_raises(self, gc_was_enabled):
-        p = Prop("boom", lambda ctx: 1 // 0)
+        p = Prop(lambda ctx: 1 // 0)
         with pytest.raises(ZeroDivisionError):
             p.evaluate(CTX)
         assert gc.isenabled() == gc_was_enabled
@@ -548,7 +547,7 @@ class TestLeafFastPath:
         fast = leaf_props(lambda t: t)
         walked = leaf_props(lambda t: defer(lambda: t))
         for p, q in zip(fast, walked):
-            assert p.evaluate(ctx) == q.evaluate(ctx), p.kind
+            assert p.evaluate(ctx) == q.evaluate(ctx), p
 
     def test_plain_values_build_no_enumeration(self, monkeypatch):
         walks = []
@@ -591,7 +590,7 @@ class TestLeafFastPath:
         assert len(keyed) == 0  # flat values are compared without keys
         assert is_equal(Leaf([1]), Leaf([1])).evaluate().status == SATISFIED
         assert len(keyed) == 0  # nor are two plain values of any other shape
-        bfs = EvalContext(strategy=Strategy.bfs())
+        bfs = EvalContext(strategy=Strategy("bfs"))
         assert reduces_to(one_of([1, 2]), 2).evaluate(bfs).status == SATISFIED
         assert keyed == [2, 1, 2]  # the right side, then the left side up to its 2
         keyed.clear()
@@ -642,7 +641,7 @@ class TestSelfUnequal:
             is_equal(d, d), same_set(d, d), reduces_to(d, d), returns(lambda _: d, d),
             is_equal(d, defer(lambda: value(d))), is_equal([d], [d]),
         ):
-            assert status(p) == SATISFIED, p.kind
+            assert status(p) == SATISFIED, p
         assert status(is_equal(d, Decimal("NaN"))) == FALSIFIED
 
 
@@ -675,7 +674,7 @@ class TestDistinctFlag:
         keyed = []
         monkeypatch.setattr("ndcheck.prop.canonical", lambda v: keyed.append(v) or canonical(v))
         ctx = EvalContext(for_all_limit=10)
-        sat = Prop("sat", lambda _ctx: Outcome(SATISFIED))  # keys nothing itself
+        sat = Prop(lambda _ctx: Outcome(SATISFIED))  # keys nothing itself
         ints = builtin(BaseType.INT)
         assert status(for_all(ints, lambda n: sat), ctx) == SATISFIED
         assert keyed == []

@@ -191,8 +191,8 @@ class TestRunParam:
 
         cases = [
             (lambda xs: xs.check, "AttributeError: 'list' object has no attribute 'check' (input [])"),
-            (lambda xs: classify(True, "x", Prop("bad", check)), "AttributeError: no such field (input [])"),
-            (lambda xs: implies(True, Prop("bad", check)), "AttributeError: no such field (input [])"),
+            (lambda xs: classify(True, "x", Prop(check)), "AttributeError: no such field (input [])"),
+            (lambda xs: implies(True, Prop(check)), "AttributeError: no such field (input [])"),
         ]
         for body, message in cases:
             verdict, _ = run_param(param_spec(list_of(builtin(BaseType.INT)), body), RunConfig())

@@ -33,7 +33,7 @@ from ndcheck.searchtree import (
 )
 from ndcheck.values import canonical
 
-ALL_STRATEGIES = [Strategy.bfs(), Strategy.level_diag(), Strategy.rand_level_diag(seed=13)]
+ALL_STRATEGIES = [Strategy("bfs"), Strategy("level_diag"), Strategy("rand_level_diag", seed=13)]
 
 
 def leaf_multiset(tree):
@@ -68,55 +68,53 @@ def nat_chain(k=0):
 class TestBasicShapes:
     def test_value_enumerates_to_single_element(self):
         e = enumerate_tree(value(0))
-        assert e.values() == [0]
+        assert list(e) == [0]
         assert e.exhausted and not e.budget_exceeded
 
     def test_value_true_exhausts(self):
         e = enumerate_tree(value(True))
-        assert e.values() == [True]
+        assert list(e) == [True]
         assert e.exhausted
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_value_under_any_strategy(self, strategy):
-        assert enumerate_tree(value(7), strategy).values() == [7]
+        assert list(enumerate_tree(value(7), strategy)) == [7]
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_fail_is_empty_and_exhausted(self, strategy):
         e = enumerate_tree(fail(), strategy)
-        assert e.values() == []
+        assert list(e) == []
         assert e.exhausted and not e.budget_exceeded
 
     def test_choice_of_fail_and_value(self):
-        assert enumerate_tree(choice(fail(), value(1))).values() == [1]
+        assert list(enumerate_tree(choice(fail(), value(1)))) == [1]
 
     def test_bind_over_fail_is_empty(self):
-        assert enumerate_tree(bind(fail(), lambda a: value(a))).values() == []
+        assert list(enumerate_tree(bind(fail(), lambda a: value(a)))) == []
 
     def test_choice_enumerates_both(self):
-        vs = enumerate_tree(choice(value(0), value(1)), Strategy.level_diag()).values()
+        vs = list(enumerate_tree(choice(value(0), value(1)), Strategy("level_diag")))
         assert sorted(vs) == [0, 1]
 
     def test_bfs_emits_left_to_right(self):
         bool_tree = choice(value(False), value(True))
-        e = enumerate_tree(bool_tree, Strategy.bfs())
-        assert e.values() == [False, True]
+        e = enumerate_tree(bool_tree, Strategy("bfs"))
+        assert list(e) == [False, True]
         assert e.exhausted
 
     def test_choice_with_fail_keeps_value_set(self):
         t = choice(value(3), choice(value(4), value(3)))
         with_fail = choice(t, fail())
-        assert sorted(enumerate_tree(with_fail).values()) == sorted(
-            enumerate_tree(t).values()
-        )
+        assert sorted(enumerate_tree(with_fail)) == sorted(enumerate_tree(t))
 
     def test_duplicate_leaves_preserved(self):
-        assert enumerate_tree(choice(value(1), value(1))).values() == [1, 1]
+        assert list(enumerate_tree(choice(value(1), value(1)))) == [1, 1]
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_value_free_trees_enumerate_empty(self, strategy):
         all_fail = choice(choice(fail(), fail()), fail())
         e = enumerate_tree(all_fail, strategy)
-        assert e.values() == []
+        assert list(e) == []
         assert e.exhausted
 
 
@@ -134,18 +132,18 @@ class TestBind:
             lambda a: choice(value(a), value(a + 10)),
         )
         # hand expansion of the four leaves
-        assert sorted(enumerate_tree(t).values()) == [0, 1, 10, 11]
+        assert sorted(enumerate_tree(t)) == [0, 1, 10, 11]
 
     @pytest.mark.parametrize("a", [0, 3, -2])
     def test_bind_left_unit(self, a):
         f = lambda n: choice(value(n * 2), value(n - 1))
-        via_bind = sorted(enumerate_tree(bind(value(a), f)).values())
-        direct = sorted(enumerate_tree(f(a)).values())
+        via_bind = sorted(enumerate_tree(bind(value(a), f)))
+        direct = sorted(enumerate_tree(f(a)))
         assert via_bind == direct
 
     def test_bind_over_infinite_tree_stays_lazy(self):
         t = bind(nat_chain(), lambda n: value(n * n))
-        assert take_values(t, Strategy.level_diag(), 4) == [0, 1, 4, 9]
+        assert take_values(t, Strategy("level_diag"), 4) == [0, 1, 4, 9]
 
 
 class TestEnumerationContracts:
@@ -155,7 +153,7 @@ class TestEnumerationContracts:
         for _ in range(150):
             t = random_tree(rng)
             e = enumerate_tree(t, strategy)
-            got = Counter(canonical(v) for v in e.values())
+            got = Counter(canonical(v) for v in e)
             assert e.exhausted
             assert got == leaf_multiset(t)
 
@@ -164,7 +162,7 @@ class TestEnumerationContracts:
         for _ in range(80):
             t = random_tree(rng)
             sets = [
-                Counter(canonical(v) for v in enumerate_tree(t, s).values())
+                Counter(canonical(v) for v in enumerate_tree(t, s))
                 for s in ALL_STRATEGIES
             ]
             assert sets[0] == sets[1] == sets[2]
@@ -172,57 +170,57 @@ class TestEnumerationContracts:
     def test_enumeration_is_deterministic(self):
         t = one_of(range(50))
         for s in ALL_STRATEGIES:
-            assert enumerate_tree(t, s).values() == enumerate_tree(t, s).values()
+            assert list(enumerate_tree(t, s)) == list(enumerate_tree(t, s))
 
     def test_seed_changes_order_not_set(self):
         t = one_of(range(32))
-        a = enumerate_tree(t, Strategy.rand_level_diag(seed=1)).values()
-        b = enumerate_tree(t, Strategy.rand_level_diag(seed=2)).values()
+        a = list(enumerate_tree(t, Strategy("rand_level_diag", seed=1)))
+        b = list(enumerate_tree(t, Strategy("rand_level_diag", seed=2)))
         assert sorted(a) == sorted(b) == list(range(32))
         assert a != b  # 32 values make a seed collision absurdly unlikely
 
     def test_budget_exceeded_on_infinite_tree(self):
-        e = enumerate_tree(nat_chain(), Strategy.level_diag(node_budget=50))
-        vs = e.values()
+        e = enumerate_tree(nat_chain(), Strategy("level_diag", node_budget=50))
+        vs = list(e)
         assert e.budget_exceeded and not e.exhausted
         assert 0 in vs and 1 in vs
 
     def test_flags_mutually_exclusive_after_full_drain(self):
         finite = enumerate_tree(one_of(range(5)))
-        finite.values()
+        list(finite)
         assert finite.exhausted != finite.budget_exceeded
-        infinite = enumerate_tree(nat_chain(), Strategy.level_diag(node_budget=30))
-        infinite.values()
+        infinite = enumerate_tree(nat_chain(), Strategy("level_diag", node_budget=30))
+        list(infinite)
         assert infinite.exhausted != infinite.budget_exceeded
 
     def test_lazy_consumption_bounds_expansion(self):
-        e = enumerate_tree(nat_chain(), Strategy.level_diag())
+        e = enumerate_tree(nat_chain(), Strategy("level_diag"))
         first = list(itertools.islice(iter(e), 5))
         assert first == [0, 1, 2, 3, 4]
         assert e.expansions <= 50  # nowhere near the 100k budget
 
     def test_early_stop_leaves_flags_unset(self):
-        e = enumerate_tree(nat_chain(), Strategy.level_diag())
+        e = enumerate_tree(nat_chain(), Strategy("level_diag"))
         next(iter(e))
         assert not e.exhausted and not e.budget_exceeded
 
 
 class TestTakeValues:
     def test_take_zero(self):
-        assert take_values(nat_chain(), Strategy.bfs(), 0) == []
+        assert take_values(nat_chain(), Strategy("bfs"), 0) == []
 
     def test_take_more_than_available(self):
-        assert take_values(value(5), Strategy.bfs(), 10) == [5]
+        assert take_values(value(5), Strategy("bfs"), 10) == [5]
 
     def test_take_is_prefix_of_full_enumeration(self):
         t = one_of(range(30))
-        s = Strategy.level_diag()
-        full = enumerate_tree(t, s).values()
+        s = Strategy("level_diag")
+        full = list(enumerate_tree(t, s))
         assert take_values(t, s, 3) == full[:3]
 
     def test_negative_take_rejected(self):
         with pytest.raises(ValueError):
-            take_values(value(1), Strategy.bfs(), -1)
+            take_values(value(1), Strategy("bfs"), -1)
 
 
 class TestStrategyValidation:
@@ -237,7 +235,7 @@ class TestStrategyValidation:
     def test_fixed_seed_reproducible_across_instances(self):
         t = one_of(range(20))
         runs = [
-            Enumeration(t, Strategy.rand_level_diag(seed=99)).values()
+            list(Enumeration(t, Strategy("rand_level_diag", seed=99)))
             for _ in range(3)
         ]
         assert runs[0] == runs[1] == runs[2]
@@ -426,8 +424,17 @@ class _LevelWalk:
             li -= 1
 
 
-WALK_STRATEGY_MAKERS = [Strategy.bfs, Strategy.level_diag] + [
-    lambda budget, seed=seed: Strategy.rand_level_diag(seed, budget) for seed in (0, 1, 7, 42)
+def bfs(budget):
+    return Strategy("bfs", 0, budget)
+
+
+def level_diag(budget):
+    return Strategy("level_diag", 0, budget)
+
+
+# a maker's name is its test id
+WALK_STRATEGY_MAKERS = [bfs, level_diag] + [
+    lambda budget, seed=seed: Strategy("rand_level_diag", seed, budget) for seed in (0, 1, 7, 42)
 ]
 WALK_BUDGETS = (1, 2, 3, 7, 50, 2000)
 
@@ -546,8 +553,8 @@ def test_budget_of_exactly_the_expansions_suffices(make):
             assert short.expansions == budget - 1
 
 
-LAW_A_STRATEGIES = [Strategy.bfs(), Strategy.level_diag()] + [
-    Strategy.rand_level_diag(seed) for seed in (0, 1, 7)
+LAW_A_STRATEGIES = [Strategy("bfs"), Strategy("level_diag")] + [
+    Strategy("rand_level_diag", seed) for seed in (0, 1, 7)
 ]
 
 
@@ -702,8 +709,8 @@ def test_int_list_memo_holds_no_function_per_list_node(kind):
 # -- a walk that ends between a choice node's two children ---------------------
 
 
-INTERRUPT_STRATEGIES = [Strategy.bfs(), Strategy.level_diag()] + [
-    Strategy.rand_level_diag(seed) for seed in (0, 1, 7)
+INTERRUPT_STRATEGIES = [Strategy("bfs"), Strategy("level_diag")] + [
+    Strategy("rand_level_diag", seed) for seed in (0, 1, 7)
 ]
 
 
@@ -825,7 +832,7 @@ class TestDefer:
             return choice(value(1), choice(value(2), fail()))
 
         shared = defer(thunk)
-        for strategy in (Strategy.bfs(), Strategy.level_diag(), Strategy.rand_level_diag(7)):
+        for strategy in (Strategy("bfs"), Strategy("level_diag"), Strategy("rand_level_diag", 7)):
             t = choice(bind(shared, lambda x: value(x + 10)),
                        bind(shared, lambda x: choice(value(x), value(-x))))
             assert Counter(enumerate_tree(t, strategy)) == Counter([11, 12, 1, -1, 2, -2])
@@ -924,8 +931,8 @@ def test_deep_spine_memory_is_linear(strategy):
 # an oracle that never touches the bind kernel.  Left identity is
 # TestBind.test_bind_left_unit.
 
-LAW_STRATEGIES = [Strategy.bfs(), Strategy.level_diag()] + [
-    Strategy.rand_level_diag(seed=s) for s in (0, 1, 7)
+LAW_STRATEGIES = [Strategy("bfs"), Strategy("level_diag")] + [
+    Strategy("rand_level_diag", seed=s) for s in (0, 1, 7)
 ]
 
 

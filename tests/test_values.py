@@ -5,11 +5,14 @@ key equality without keys."""
 import dataclasses
 import enum
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
 
 import pytest
@@ -18,7 +21,7 @@ from ndcheck.corpus.trees import Leaf, Node, Succ, Zero
 from ndcheck.gen import Ordering
 from ndcheck.prop import FALSIFIED, SATISFIED, EvalContext, is_equal, reduces_to, same_set, value_count
 from ndcheck.searchtree import defer, one_of, value
-from ndcheck.values import canonical, same_value
+from ndcheck.values import canonical, render, same_value
 
 
 class Color(enum.IntEnum):
@@ -691,3 +694,38 @@ class TestFlatPairs:
         assert a is not b
         assert keys_alike(a, b) is same
         self.check(monkeypatch, a, b, same)
+
+
+RENDER_TABLE = [
+    (None, "()"),
+    ("abc", '"abc"'),
+    (True, "True"),
+    (-7, "-7"),
+    ([1, 2, 3], "[1,2,3]"),
+    ((1, "a"), '(1,"a")'),
+    ([(1, True), (2, False)], "[(1,True),(2,False)]"),
+    (Ordering.LT, "LT"),
+    (Leaf(Ordering.GT), "Leaf GT"),   # a dataclass with its own __str__
+    # sets: elements rendered, then sorted by their text, not hash order
+    (frozenset({Ordering.LT, Ordering.EQ}), "{EQ,LT}"),
+    ({"b", "a"}, '{"a","b"}'),
+    (set(), "{}"),
+]
+
+
+@pytest.mark.parametrize("v,text", RENDER_TABLE, ids=[t for _, t in RENDER_TABLE])
+def test_render_table(v, text):
+    assert render(v) == text
+
+
+def test_set_renders_alike_under_any_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "from ndcheck.values import render; print(render({'apple', 'banana', 'cherry'}))"
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1] == '{"apple","banana","cherry"}\n'
