@@ -6,15 +6,7 @@ multiplicity.  Finite input domains are enumerated exhaustively, which turns
 a passing run into a proof over that domain.
 """
 
-from .contracts import (
-    ConfigError,
-    ContractEntry,
-    ProofIndex,
-    RegistrationError,
-    apply_proofs,
-    scan_proofs,
-    synthesize,
-)
+from .contracts import ContractEntry, RegistrationError, synthesize
 from .gen import (
     BaseType,
     Generator,
@@ -47,6 +39,7 @@ from .prop import (
 )
 from .registry import contract, param_test, poly_test, unit_test
 from .runner import (
+    ConfigError,
     RunConfig,
     TestReport,
     TestSpec,
@@ -55,6 +48,7 @@ from .runner import (
     render_report,
     run_param,
     run_suite,
+    scan_proofs,
 )
 from .searchtree import (
     DEFAULT_NODE_BUDGET,

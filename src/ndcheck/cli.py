@@ -12,9 +12,8 @@ import sys
 
 from . import corpus  # noqa: F401  (importing registers the bundled suites)
 from . import registry
-from .contracts import ConfigError
 from .gen import BaseType
-from .runner import CONTRACT, RunConfig, TestSpec, render_report, run_suite
+from .runner import CONTRACT, ConfigError, RunConfig, TestSpec, render_report, run_suite
 from .searchtree import DEFAULT_NODE_BUDGET
 
 _STRATEGIES = {"bfs": "bfs", "diag": "level_diag", "rdiag": "rand_level_diag"}

@@ -4,15 +4,14 @@ postconditions, and determinism claims, from which properties are derived.
 An operation's specification is a second implementation of the same type;
 agreement is checked with set semantics.  A postcondition must hold for
 every value the operation produces.  A determinism claim asserts at most
-one distinct value per input.  Externally supplied proofs (files named
-``proof-<property>.<ext>``) exempt individual properties from checking.
+one distinct value per input.  A derived property is an ordinary
+parameterized spec, so a proof file exempts it by its derived name, as it
+does any other spec (see runner).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .gen import Generator
@@ -23,10 +22,6 @@ from .runner import CONTRACT, PARAM, TestSpec
 
 class RegistrationError(Exception):
     """A contract entry that cannot be turned into any property."""
-
-
-class ConfigError(Exception):
-    """Bad runner configuration, e.g. an unreadable proof directory."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +76,7 @@ def synthesize(entry: ContractEntry) -> list[TestSpec]:
         spec_fn = entry.spec
 
         def satisfies_spec(x, _impl=entry.impl, _spec=spec_fn, _pre=pre):
-            return implies(
-                _pre(x), lambda: same_set(as_tree(_impl(x)), as_tree(_spec(x)))
-            )
+            return implies(_pre(x), lambda: same_set(_impl(x), _spec(x)))
 
         specs.append(param(f"{entry.name}SatisfiesSpecification", satisfies_spec))
 
@@ -101,60 +94,8 @@ def synthesize(entry: ContractEntry) -> list[TestSpec]:
     if entry.det:
 
         def is_deterministic(x, _impl=entry.impl):
-            return value_count_less(as_tree(_impl(x)), 2)
+            return value_count_less(_impl(x), 2)
 
         specs.append(param(f"{entry.name}IsDeterministic", is_deterministic))
 
     return specs
-
-
-# -- proof files -----------------------------------------------------------
-
-
-def _normalize(name: str) -> str:
-    return name.lower().replace("-", "").replace("_", "")
-
-
-@dataclass(frozen=True)
-class ProofIndex:
-    """Property names considered proved, keyed by normalized name."""
-
-    proofs: dict[str, str]  # normalized property name -> file name
-
-    def lookup(self, prop_name: str) -> str | None:
-        return self.proofs.get(_normalize(prop_name))
-
-
-def scan_proofs(proof_dir: str | Path) -> ProofIndex:
-    """Index proof files in a directory.
-
-    A file ``proof-<t>.<ext>`` (any extension, matching case-insensitively,
-    '-' and '_' ignored inside <t>) marks property t as proved.  The file
-    content is trusted, not validated.
-    """
-    path = Path(proof_dir)
-    if not path.is_dir():
-        raise ConfigError(f"proof directory not readable: {path}")
-    try:
-        names = sorted(os.listdir(path))
-    except OSError as exc:
-        raise ConfigError(f"proof directory not readable: {path} ({exc})") from exc
-    proofs: dict[str, str] = {}
-    for fname in names:
-        stem = fname.rsplit(".", 1)[0] if "." in fname else fname
-        if not stem.lower().startswith("proof-"):
-            continue
-        key = _normalize(stem[len("proof-"):])
-        if key:
-            proofs.setdefault(key, fname)
-    return ProofIndex(proofs)
-
-
-def apply_proofs(specs: list[TestSpec], index: ProofIndex) -> list[TestSpec]:
-    """Mark proved specs as skipped (they stay in the report); the rest pass
-    through unchanged."""
-    out = []
-    for spec in specs:
-        fname = index.lookup(spec.name)
-        out.append(spec if fname is None else replace(spec, proof_file=fname))
-    return out

@@ -1,11 +1,16 @@
 """Test runner: binds generated inputs to properties, enforces budgets and
 drop limits, detects exhaustive domains, and produces structured reports.
+
+Externally supplied proofs exempt individual properties from checking: a
+file ``proof-<name>.<ext>`` in the configured proof directory marks the
+spec registered as <name> proved, and the run reports it as skipped.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -69,7 +74,6 @@ class TestSpec:
     arity: int = 1
     gen_for: Callable[[BaseType], Generator] | None = None
     origin: str = USER
-    proof_file: str | None = None
     by_base_type = None  # not a field, so never set; read only by perfbench
 
 
@@ -276,13 +280,11 @@ def _run_prop_once(spec: TestSpec, ctx: EvalContext) -> tuple[Verdict, Counter]:
 def run_suite(specs: list[TestSpec], cfg: RunConfig) -> TestReport:
     """Execute the given specs in registration order under one configuration.
 
-    Proof files (if a proof directory is configured) turn matching specs
-    into skipped entries; everything else gets exactly one verdict.
+    A spec whose registered name has a proof file (if a proof directory is
+    configured) gets a skipped entry; every other spec gets exactly one
+    verdict.
     """
-    if cfg.proof_dir is not None:
-        from .contracts import apply_proofs, scan_proofs
-
-        specs = apply_proofs(specs, scan_proofs(cfg.proof_dir))
+    proofs = {} if cfg.proof_dir is None else scan_proofs(cfg.proof_dir)
     entries: list[TestEntry] = []
     # Automatic GC, paused here, would only rescan the memoised generator
     # trees; a young collection after each spec frees the cycles a property
@@ -290,16 +292,17 @@ def run_suite(specs: list[TestSpec], cfg: RunConfig) -> TestReport:
     with gc_paused(), tempfile.TemporaryDirectory(prefix="ndcheck-") as scratch:
         ctx = _context(cfg, Path(scratch))
         for spec in specs:
-            entries.append(_run_spec(spec, cfg, ctx))
+            entries.append(_run_spec(spec, cfg, ctx, proofs))
             gc.collect(0)
     return TestReport(tuple(entries))
 
 
-def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext) -> TestEntry:
+def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext, proofs: dict[str, str]) -> TestEntry:
     name, module, line = spec.name, spec.module, spec.line
     labels: Counter = Counter()
-    if spec.proof_file is not None:
-        verdict = Verdict(SKIPPED_PROVED, proof_file=spec.proof_file)
+    proof_file = proofs.get(_normalize(name))  # before a poly spec is renamed
+    if proof_file is not None:
+        verdict = Verdict(SKIPPED_PROVED, proof_file=proof_file)
     elif spec.kind in (PARAM, POLY):
         try:
             inst = instantiate_poly(spec, cfg)
@@ -315,6 +318,43 @@ def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext) -> TestEntry:
         verdict = Verdict(ERROR, message=f"unknown spec kind {spec.kind!r}")
     label_table = tuple(sorted(labels.items(), key=lambda kv: (-kv[1], kv[0])))
     return TestEntry(name, module, line, verdict, label_table)
+
+
+# -- proof files -----------------------------------------------------------
+
+
+class ConfigError(Exception):
+    """Bad runner configuration, e.g. an unreadable proof directory."""
+
+
+def _normalize(name: str) -> str:
+    return name.lower().replace("-", "").replace("_", "")
+
+
+def scan_proofs(proof_dir: str | Path) -> dict[str, str]:
+    """The proof files in a directory, as normalized property name -> file
+    name.
+
+    A file ``proof-<t>.<ext>`` (any extension, matching case-insensitively,
+    '-' and '_' ignored inside <t>) marks property t as proved.  The file
+    content is trusted, not validated.
+    """
+    path = Path(proof_dir)
+    if not path.is_dir():
+        raise ConfigError(f"proof directory not readable: {path}")
+    try:
+        names = sorted(os.listdir(path))
+    except OSError as exc:
+        raise ConfigError(f"proof directory not readable: {path} ({exc})") from exc
+    proofs: dict[str, str] = {}
+    for fname in names:
+        stem = fname.rsplit(".", 1)[0] if "." in fname else fname
+        if not stem.lower().startswith("proof-"):
+            continue
+        key = _normalize(stem[len("proof-"):])
+        if key:
+            proofs.setdefault(key, fname)
+    return proofs
 
 
 # -- rendering -------------------------------------------------------------

@@ -131,8 +131,9 @@ def same_value(a: Any, b: Any) -> bool:
 
 def render(v: Any) -> str:
     """Render a value the way it appears in reports: [1,2], "text", (a,b),
-    {a,b}.  A set's elements are sorted by their rendered text, so a report
-    does not depend on hash order."""
+    set{a,b}.  A set's elements are sorted by their rendered text, so a
+    report does not depend on hash order; the prefix tells a set value from
+    a property's value set, which reports write {a,b}."""
     if v is None:
         return "()"
     if isinstance(v, str):
@@ -142,7 +143,7 @@ def render(v: Any) -> str:
     if isinstance(v, tuple):
         return "(" + ",".join(render(x) for x in v) + ")"
     if isinstance(v, (set, frozenset)):
-        return "{" + ",".join(sorted(render(x) for x in v)) + "}"
+        return "set{" + ",".join(sorted(render(x) for x in v)) + "}"
     if isinstance(v, enum.Enum):
         return v.name
     return str(v)

@@ -305,6 +305,45 @@ def test_list_matches_pinned_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LIST
 
 
+# Proof files for six properties of the corpus, in the spellings a proof
+# may use: exact, other case, '_' and '-' inside the name.  permLength is a
+# polymorphic property, proved under its registered name.
+PROOF_FILES = [
+    "proof-concIsCommutative.txt",
+    "proof-sortSatisfiesSpecification.txt",
+    "proof-sort_satisfies_post-condition.txt",
+    "proof-SortLength.txt",
+    "proof-revRevIsIdLong.txt",
+    "proof-permLength.txt",
+]
+
+# sha256 of the whole-corpus report printed by
+#   ndcheck --maxtests 40 --seed 0 --proofdir D
+# with D holding PROOF_FILES, as first recorded.
+PINNED_PROVED_REPORT = "38a419568792dbdb653aa9afafb58f9afd3fd92db15dbe47ec42a568630aaf26"
+
+
+class TestProvedCorpus:
+    def _run(self, capsys, tmp_path, files):
+        for f in files:
+            (tmp_path / f).write_text("qed")
+        return run_cli(capsys, "--maxtests", "40", "--seed", "0", "--proofdir", str(tmp_path))
+
+    def test_report_matches_pinned_digest(self, capsys, tmp_path):
+        code, out, _ = self._run(capsys, tmp_path, PROOF_FILES)
+        assert code == 0
+        assert out.count(" Skipped: proved by ") == len(PROOF_FILES)
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_PROVED_REPORT
+        # a polymorphic property is skipped under its registered name
+        assert "permLength (module Perm, line 8):\n Skipped: proved by proof-permLength.txt." in out
+        assert "permLength_ON_BASETYPE" not in out
+
+    def test_instantiated_name_proves_nothing(self, capsys, tmp_path):
+        _, out, _ = self._run(capsys, tmp_path, ["proof-permLength_ON_BASETYPE.txt"])
+        assert "Skipped" not in out
+        assert "permLength_ON_BASETYPE (module Perm, line 8):\n OK, passed 40 tests." in out
+
+
 class TestModuleInvocation:
     """`python -m ndcheck.cli` runs the same front end as the console script."""
 

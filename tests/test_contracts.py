@@ -2,22 +2,20 @@
 
 import pytest
 
-from ndcheck.contracts import (
-    ConfigError,
-    ContractEntry,
-    RegistrationError,
-    apply_proofs,
-    scan_proofs,
-    synthesize,
-)
+from ndcheck.contracts import ContractEntry, RegistrationError, synthesize
 from ndcheck.gen import BaseType, Generator, builtin, list_of
-from ndcheck.prop import DROPPED, FALSIFIED, SATISFIED, EvalContext
+from ndcheck.prop import DROPPED, FALSIFIED, SATISFIED, EvalContext, is_equal
 from ndcheck.runner import (
     CONTRACT,
     PASSED,
+    PASSED_EXHAUSTIVE,
+    SKIPPED_PROVED,
+    ConfigError,
     RunConfig,
     TestSpec,
     run_param,
+    run_suite,
+    scan_proofs,
 )
 from ndcheck.searchtree import one_of
 
@@ -135,56 +133,64 @@ class TestSynthesize:
         assert synthesize(entry) == []
 
 
+def param_spec(name, module="Sort"):
+    return TestSpec(
+        name=name, module=module, kind="param", input_gen=Generator(one_of([1])), body=lambda x: is_equal(x, x)
+    )
+
+
+def verdicts(specs, proof_dir):
+    """name -> (verdict kind, proof file) of each entry of a run."""
+    report = run_suite(specs, RunConfig(proof_dir=proof_dir))
+    return {e.name: (e.verdict.kind, e.verdict.proof_file) for e in report.entries}
+
+
 class TestProofScanning:
     def test_plain_proof_file(self, tmp_path):
         (tmp_path / "proof-sortlength.agda").write_text("qed")
-        idx = scan_proofs(tmp_path)
-        assert idx.lookup("sortlength") == "proof-sortlength.agda"
+        assert scan_proofs(tmp_path) == {"sortlength": "proof-sortlength.agda"}
 
     def test_normalization_is_case_and_separator_insensitive(self, tmp_path):
         (tmp_path / "PROOF-Sort_Length.txt").write_text("qed")
-        idx = scan_proofs(tmp_path)
-        assert idx.lookup("sortlength") == "PROOF-Sort_Length.txt"
-        assert idx.lookup("sort-length") == "PROOF-Sort_Length.txt"
-        assert idx.lookup("SortLength") == "PROOF-Sort_Length.txt"
+        assert scan_proofs(tmp_path) == {"sortlength": "PROOF-Sort_Length.txt"}
+        names = ["sortlength", "sort-length", "SortLength"]
+        skipped = (SKIPPED_PROVED, "PROOF-Sort_Length.txt")
+        assert verdicts([param_spec(n) for n in names], tmp_path) == {n: skipped for n in names}
 
     def test_empty_directory_proves_nothing(self, tmp_path):
-        idx = scan_proofs(tmp_path)
-        assert idx.lookup("anything") is None
+        assert scan_proofs(tmp_path) == {}
+        assert verdicts([param_spec("anything")], tmp_path) == {"anything": (PASSED_EXHAUSTIVE, None)}
 
     def test_non_proof_files_ignored(self, tmp_path):
         (tmp_path / "notes.txt").write_text("x")
         (tmp_path / "proofsketch.md").write_text("x")
-        idx = scan_proofs(tmp_path)
-        assert idx.proofs == {}
+        assert scan_proofs(tmp_path) == {}
 
     def test_any_extension_accepted(self, tmp_path):
         (tmp_path / "proof-revLength.smt2").write_text("x")
-        assert scan_proofs(tmp_path).lookup("revLength") is not None
+        assert scan_proofs(tmp_path) == {"revlength": "proof-revLength.smt2"}
 
     def test_unreadable_directory_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             scan_proofs(tmp_path / "does-not-exist")
+        with pytest.raises(ConfigError):
+            run_suite([param_spec("sortlength")], RunConfig(proof_dir=tmp_path / "does-not-exist"))
 
 
 class TestApplyProofs:
     def _specs(self):
-        g = Generator(one_of([1]))
-        return [
-            TestSpec(name="sortlength", module="Sort", kind="param", input_gen=g, body=lambda x: None),
-            TestSpec(name="revLength", module="Rev", kind="param", input_gen=g, body=lambda x: None),
-        ]
+        return [param_spec("sortlength"), param_spec("revLength", module="Rev")]
 
     def test_marks_only_proved_specs(self, tmp_path):
         (tmp_path / "proof-sortlength.agda").write_text("qed")
-        out = apply_proofs(self._specs(), scan_proofs(tmp_path))
-        assert out[0].proof_file == "proof-sortlength.agda"
-        assert out[1].proof_file is None
+        assert verdicts(self._specs(), tmp_path) == {
+            "sortlength": (SKIPPED_PROVED, "proof-sortlength.agda"),
+            "revLength": (PASSED_EXHAUSTIVE, None),
+        }
 
     def test_empty_index_is_identity(self, tmp_path):
         specs = self._specs()
-        out = apply_proofs(specs, scan_proofs(tmp_path))
-        assert out == specs
+        assert run_suite(specs, RunConfig(proof_dir=tmp_path)) == run_suite(specs, RunConfig())
 
     def test_determinism_proof_skips_the_synthesized_property(self, tmp_path):
         (tmp_path / "proof-isSetIsDeterministic.agda").write_text("qed")
@@ -194,6 +200,6 @@ class TestApplyProofs:
             input_gen=list_of(builtin(BaseType.ORDERING)),
             det=True,
         )
-        specs = apply_proofs(synthesize(entry), scan_proofs(tmp_path))
-        assert specs[0].name == "isSetIsDeterministic"
-        assert specs[0].proof_file == "proof-isSetIsDeterministic.agda"
+        assert verdicts(synthesize(entry), tmp_path) == {
+            "isSetIsDeterministic": (SKIPPED_PROVED, "proof-isSetIsDeterministic.agda"),
+        }

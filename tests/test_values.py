@@ -20,7 +20,7 @@ import pytest
 from ndcheck.corpus.trees import Leaf, Node, Succ, Zero
 from ndcheck.gen import Ordering
 from ndcheck.prop import FALSIFIED, SATISFIED, EvalContext, is_equal, reduces_to, same_set, value_count
-from ndcheck.searchtree import defer, one_of, value
+from ndcheck.searchtree import DEFAULT_NODE_BUDGET, Strategy, defer, one_of, value
 from ndcheck.values import canonical, render, same_value
 
 
@@ -706,10 +706,11 @@ RENDER_TABLE = [
     ([(1, True), (2, False)], "[(1,True),(2,False)]"),
     (Ordering.LT, "LT"),
     (Leaf(Ordering.GT), "Leaf GT"),   # a dataclass with its own __str__
-    # sets: elements rendered, then sorted by their text, not hash order
-    (frozenset({Ordering.LT, Ordering.EQ}), "{EQ,LT}"),
-    ({"b", "a"}, '{"a","b"}'),
-    (set(), "{}"),
+    # sets: elements rendered, then sorted by their text, not hash order;
+    # the prefix keeps a set value apart from a value set, {a,b}
+    (frozenset({Ordering.LT, Ordering.EQ}), "set{EQ,LT}"),
+    ({"b", "a"}, 'set{"a","b"}'),
+    (set(), "set{}"),
 ]
 
 
@@ -728,4 +729,12 @@ def test_set_renders_alike_under_any_hash_seed():
         ).stdout
         for seed in ("0", "1")
     ]
-    assert outs[0] == outs[1] == '{"apple","banana","cherry"}\n'
+    assert outs[0] == outs[1] == 'set{"apple","banana","cherry"}\n'
+
+
+def test_set_value_reads_apart_from_a_value_set():
+    # the two sides must read apart, or the verdict looks like a false alarm
+    ctx = EvalContext(strategy=Strategy("bfs", 0, DEFAULT_NODE_BUDGET))
+    out = same_set(one_of([1, 2]), {1, 2}).check(ctx)
+    assert out.status == FALSIFIED
+    assert out.results == "({1,2},set{1,2})"
