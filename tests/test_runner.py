@@ -218,12 +218,30 @@ class TestRunParam:
         verdict, _ = run_param(spec, cfg)
         assert verdict.kind == ERROR
         assert "undecided" in verdict.message
+        # at node budget 2 the two-value Bool walk itself ends first
+        assert verdict == Verdict(
+            ERROR,
+            message="input generator exceeded the node budget after 0 tests; domain coverage undecided",
+        )
+
+    def test_undecided_operator_names_the_input(self):
+        spec = param_spec(builtin(BaseType.BOOL), lambda _b: is_equal(nat_chain(), value(0)))
+        # budget 3 covers the Bool walk but only one value of the chain
+        verdict, _ = run_param(spec, RunConfig(node_budget=3))
+        assert verdict == Verdict(
+            ERROR, message="is_equal: left side undecided (node budget exceeded) (input True)"
+        )
 
     def test_input_budget_exhaustion_is_an_error_not_exhaustive_pass(self):
         spec = param_spec(Generator(nat_chain()), lambda n: is_equal(n, n))
         verdict, _ = run_param(spec, RunConfig(max_tests=100_000, node_budget=60))
         assert verdict.kind == ERROR
         assert "budget" in verdict.message
+        assert verdict == Verdict(
+            ERROR,
+            tests_executed=29,
+            message="input generator exceeded the node budget after 29 tests; domain coverage undecided",
+        )
 
     def test_reproducible_for_fixed_seed(self):
         spec = param_spec(builtin(BaseType.INT), lambda n: is_equal(n, n))
@@ -498,6 +516,53 @@ class TestRunSuite:
         )
         report = run_suite([spec], RunConfig())
         assert report.entries[0].verdict.kind == EXHAUSTED_V
+
+    def test_every_unit_ending_gives_its_whole_verdict_and_labels(self):
+        # a unit test is one case with no input: nothing is rendered, an
+        # Error carries the bare detail, and a falsified for_all names its
+        # element; node budget 2 leaves the infinite chain undecided
+        def boom(ctx):
+            raise ValueError("no check")
+
+        def unit(name, prop):
+            return TestSpec(name=name, module="T", kind=UNIT, prop=prop)
+
+        table = [
+            (
+                TestSpec(name="odd", module="T", kind="io"),
+                Verdict(ERROR, message="unknown spec kind 'io'"),
+                (),
+            ),
+            (
+                unit("pass", classify(True, "small", is_equal(1, 1))),
+                Verdict(PASSED, tests_executed=1),
+                (("small", 1),),
+            ),
+            (
+                unit("fail", for_all([1, 2, 3], lambda x: collect(x, is_equal(x, 1)))),
+                Verdict(FALSIFIED_V, tests_executed=1, case_index=1, arguments="2", results="(2,1)"),
+                (("1", 1), ("2", 1)),
+            ),
+            (
+                unit("drop", classify(True, "guarded", implies(False, is_equal(1, 1)))),
+                Verdict(EXHAUSTED_V, tests_executed=0, tests_dropped=1),
+                (("guarded", 1),),
+            ),
+            (
+                unit("undecided", is_equal(nat_chain(), value(0))),
+                Verdict(ERROR, message="is_equal: left side undecided (node budget exceeded)"),
+                (),
+            ),
+            (
+                unit("raise", Prop(boom)),
+                Verdict(ERROR, message="ValueError: no check"),
+                (),
+            ),
+        ]
+        report = run_suite([spec for spec, _, _ in table], RunConfig(node_budget=2))
+        assert [(e.verdict, e.labels) for e in report.entries] == [
+            (verdict, labels) for _, verdict, labels in table
+        ]
 
     def test_proof_dir_marks_specs_skipped(self, tmp_path):
         (tmp_path / "proof-u1.agda").write_text("qed")
