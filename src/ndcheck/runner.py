@@ -24,6 +24,7 @@ from .prop import (
     INCONCLUSIVE,
     SATISFIED,
     EvalContext,
+    Outcome,
     Prop,
     gc_paused,
     keyed,
@@ -50,6 +51,9 @@ SKIPPED_PROVED = "SkippedProved"
 ERROR = "Error"
 
 _PASSING = (PASSED, PASSED_EXHAUSTIVE, SKIPPED_PROVED)
+
+# the outcome status of a case that raised, or of a spec that cannot run
+_ERRED = "erred"
 
 
 @dataclass(frozen=True)
@@ -188,13 +192,6 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
     labels: Counter = Counter()
     executed = 0
     dropped = 0
-
-    def verdict(kind: str, **fields) -> tuple[Verdict, Counter]:
-        return Verdict(kind, tests_executed=executed, tests_dropped=dropped, **fields), labels
-
-    def error(exc: Exception, raw: Any) -> tuple[Verdict, Counter]:
-        return verdict(ERROR, message=f"{_message(exc)} (input {_render_input(raw, arity)})")
-
     while True:
         try:
             raw = next(cursor)
@@ -203,78 +200,63 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
         except Exception as exc:  # noqa: BLE001 - a failing generator is a verdict too
             # not rendered: the input itself may be what failed (too deep to key)
             where = f"while drawing input {executed + dropped + 1}"
-            return verdict(ERROR, message=f"{_message(exc)} ({where})")
+            return _ended(Outcome(_ERRED, f"{_message(exc)} ({where})"), executed, dropped), labels
         try:
             prop = body(*raw) if arity > 1 else body(raw)
         except Exception as exc:  # noqa: BLE001 - a failing test body is a verdict
-            return error(exc, raw)
-        try:
-            out = prop.check(ctx)
-        except Exception as exc:  # noqa: BLE001 - so is a failing check
-            return error(not_a_prop(exc, prop, "body returned"), raw)
+            out = Outcome(_ERRED, _message(exc))
+        else:
+            out = _check(prop, ctx, "body returned")
         if out.labels:
             labels.update(out.labels)
-        if out.status == DROPPED:
-            dropped += 1
-            if dropped >= drop_limit:
-                break
-            continue
-        if out.status == FALSIFIED:
+        if out.status == SATISFIED and executed + 1 < max_tests:
             executed += 1
-            return verdict(
-                FALSIFIED_V,
-                case_index=executed,
-                arguments=_render_input(raw, arity),
-                results=out.results,
-                counterexample=raw,
-            )
-        if out.status == INCONCLUSIVE:
-            return verdict(ERROR, message=f"{out.detail} (input {_render_input(raw, arity)})")
-        executed += 1
-        if executed >= max_tests:
-            return verdict(PASSED)
+        elif out.status == DROPPED and dropped + 1 < drop_limit:
+            dropped += 1
+        else:
+            return _ended(out, executed, dropped, raw, arity), labels
     if inputs.budget_exceeded:
-        return verdict(
-            ERROR,
-            message=(
-                f"input generator exceeded the node budget after {executed} tests;"
-                " domain coverage undecided"
-            ),
-        )
-    # A proof needs the whole domain: at the drop limit the walk has not
-    # ended, so it is not exhausted, even if no input was left to draw.
-    if executed and inputs.exhausted:
-        return verdict(PASSED_EXHAUSTIVE)
-    return verdict(EXHAUSTED_V)
+        detail = f"input generator exceeded the node budget after {executed} tests;"
+        detail += " domain coverage undecided"
+        return _ended(Outcome(INCONCLUSIVE, detail), executed, dropped), labels
+    # A proof needs the whole domain; a run at the drop limit ended in the
+    # loop, before the walk did.
+    kind = PASSED_EXHAUSTIVE if executed and inputs.exhausted else EXHAUSTED_V
+    return Verdict(kind, executed, dropped), labels
 
 
 def _message(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_prop_once(spec: TestSpec, ctx: EvalContext) -> tuple[Verdict, Counter]:
-    labels: Counter = Counter()
+def _check(prop: Prop, ctx: EvalContext, what: str) -> Outcome:
+    """prop's outcome in ctx, or an erred one if its check raised; what
+    says what prop is, for not_a_prop."""
     try:
-        out = spec.prop.check(ctx)
-    except Exception as exc:  # noqa: BLE001
-        return Verdict(ERROR, message=_message(not_a_prop(exc, spec.prop, "unit test is"))), labels
-    labels.update(out.labels)
-    if out.status == SATISFIED:
-        return Verdict(PASSED, tests_executed=1), labels
-    if out.status == FALSIFIED:
-        return (
-            Verdict(
-                FALSIFIED_V,
-                tests_executed=1,
-                case_index=1,
-                arguments=out.arguments,
-                results=out.results,
-            ),
-            labels,
+        return prop.check(ctx)
+    except Exception as exc:  # noqa: BLE001 - a failing check is a verdict
+        return Outcome(_ERRED, _message(not_a_prop(exc, prop, what)))
+
+
+def _ended(out: Outcome, executed: int, dropped: int, raw: Any = None, arity: int | None = None) -> Verdict:
+    """The verdict of a run whose last case had outcome out, after executed
+    passing and dropped cases before it.  A pass or a drop ends a run only
+    at its limit; an inconclusive or erred outcome is an Error.  raw is the
+    case's input, of the given arity; a unit test's case and an end outside
+    any case have none (arity None)."""
+    status = out.status
+    if status == SATISFIED:
+        return Verdict(PASSED, executed + 1, dropped)
+    if status == DROPPED:
+        return Verdict(EXHAUSTED_V, executed, dropped + 1)
+    shown = out.arguments if arity is None else _render_input(raw, arity)
+    if status == FALSIFIED:
+        return Verdict(
+            FALSIFIED_V, executed + 1, dropped, case_index=executed + 1,
+            arguments=shown, results=out.results, counterexample=raw,
         )
-    if out.status == DROPPED:
-        return Verdict(EXHAUSTED_V, tests_executed=0, tests_dropped=1), labels
-    return Verdict(ERROR, message=out.detail), labels
+    message = out.detail if arity is None else f"{out.detail} (input {shown})"
+    return Verdict(ERROR, executed, dropped, message=message)
 
 
 def run_suite(specs: list[TestSpec], cfg: RunConfig) -> TestReport:
@@ -308,14 +290,16 @@ def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext, proofs: dict[str
             inst = instantiate_poly(spec, cfg)
         except Exception as exc:  # noqa: BLE001 - a failing gen_for is a verdict too
             where = f"while instantiating for base type {cfg.default_base_type.value}"
-            verdict = Verdict(ERROR, message=f"{_message(exc)} ({where})")
+            verdict = _ended(Outcome(_ERRED, f"{_message(exc)} ({where})"), 0, 0)
         else:
             name = inst.name
             verdict, labels = run_param(inst, cfg, ctx)
     elif spec.kind == UNIT:
-        verdict, labels = _run_prop_once(spec, ctx)
+        out = _check(spec.prop, ctx, "unit test is")
+        labels.update(out.labels)
+        verdict = _ended(out, 0, 0)
     else:
-        verdict = Verdict(ERROR, message=f"unknown spec kind {spec.kind!r}")
+        verdict = _ended(Outcome(_ERRED, f"unknown spec kind {spec.kind!r}"), 0, 0)
     label_table = tuple(sorted(labels.items(), key=lambda kv: (-kv[1], kv[0])))
     return TestEntry(name, module, line, verdict, label_table)
 
