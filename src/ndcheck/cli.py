@@ -101,6 +101,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ndcheck: {exc}", file=sys.stderr)
         return 2
     print(render_report(report, opts.format))
+    for fname in report.unused_proofs:
+        print(f"ndcheck: proof file {fname} matches no test", file=sys.stderr)
     return report.exit_code
 
 

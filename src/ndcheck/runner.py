@@ -135,6 +135,7 @@ class TestReport:
     __test__ = False
 
     entries: tuple[TestEntry, ...]
+    unused_proofs: tuple[str, ...] = ()  # proof files no spec of the run matched, sorted
 
     @property
     def exit_code(self) -> int:
@@ -264,7 +265,7 @@ def run_suite(specs: list[TestSpec], cfg: RunConfig) -> TestReport:
 
     A spec whose registered name has a proof file (if a proof directory is
     configured) gets a skipped entry; every other spec gets exactly one
-    verdict.
+    verdict.  The report names the proof files that matched no spec.
     """
     proofs = {} if cfg.proof_dir is None else scan_proofs(cfg.proof_dir)
     entries: list[TestEntry] = []
@@ -276,7 +277,8 @@ def run_suite(specs: list[TestSpec], cfg: RunConfig) -> TestReport:
         for spec in specs:
             entries.append(_run_spec(spec, cfg, ctx, proofs))
             gc.collect(0)
-    return TestReport(tuple(entries))
+    used = {_normalize(spec.name) for spec in specs}
+    return TestReport(tuple(entries), tuple(sorted(f for k, f in proofs.items() if k not in used)))
 
 
 def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext, proofs: dict[str, str]) -> TestEntry:

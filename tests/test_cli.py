@@ -343,6 +343,16 @@ class TestProvedCorpus:
         assert "Skipped" not in out
         assert "permLength_ON_BASETYPE (module Perm, line 8):\n OK, passed 40 tests." in out
 
+    def test_unused_proof_file_is_named_on_stderr(self, capsys, tmp_path):
+        plain = run_cli(capsys, "--maxtests", "40", "--seed", "0")
+        code, out, err = self._run(capsys, tmp_path, ["proof-permLength_ON_BASETYPE.txt"])
+        assert (code, out) == plain[:2]
+        assert err == "ndcheck: proof file proof-permLength_ON_BASETYPE.txt matches no test\n"
+
+    def test_every_corpus_proof_file_is_used(self, capsys, tmp_path):
+        _, _, err = self._run(capsys, tmp_path, PROOF_FILES)
+        assert err == ""
+
 
 class TestModuleInvocation:
     """`python -m ndcheck.cli` runs the same front end as the console script."""

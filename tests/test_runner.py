@@ -575,6 +575,15 @@ class TestRunSuite:
         assert report.entries[0].verdict.proof_file == "proof-u1.agda"
         assert report.entries[1].verdict.kind == PASSED
 
+    def test_report_names_proof_files_no_spec_matched(self, tmp_path):
+        for f in ("proof-zz.txt", "proof-U_1.agda", "proof-b.txt"):
+            (tmp_path / f).write_text("qed")
+        specs = [TestSpec(name="u1", module="M", line=1, kind=UNIT, prop=is_equal(1, 2))]
+        report = run_suite(specs, RunConfig(proof_dir=tmp_path))
+        assert report.entries[0].verdict.proof_file == "proof-U_1.agda"
+        assert report.unused_proofs == ("proof-b.txt", "proof-zz.txt")
+        assert run_suite(specs, RunConfig()).unused_proofs == ()
+
     def test_labels_aggregate_into_frequency_table(self):
         gen = Generator(one_of(range(10)))
         spec = param_spec(
