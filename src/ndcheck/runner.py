@@ -135,7 +135,7 @@ class TestReport:
     __test__ = False
 
     entries: tuple[TestEntry, ...]
-    unused_proofs: tuple[str, ...] = ()  # proof files no spec of the run matched, sorted
+    unused_proofs: tuple[str, ...] = ()  # proof files the run did not use, sorted
 
     @property
     def exit_code(self) -> int:
@@ -265,9 +265,11 @@ def run_suite(specs: list[TestSpec], cfg: RunConfig) -> TestReport:
 
     A spec whose registered name has a proof file (if a proof directory is
     configured) gets a skipped entry; every other spec gets exactly one
-    verdict.  The report names the proof files that matched no spec.
+    verdict.  The report names the proof files the run did not use: those
+    that matched no spec, and any second file for a name another file took.
     """
-    proofs = {} if cfg.proof_dir is None else scan_proofs(cfg.proof_dir)
+    files = [] if cfg.proof_dir is None else _proof_files(cfg.proof_dir)
+    proofs = _first_per_name(files)
     entries: list[TestEntry] = []
     # Automatic GC, paused here, would only rescan the memoised generator
     # trees; a young collection after each spec frees the cycles a property
@@ -278,7 +280,8 @@ def run_suite(specs: list[TestSpec], cfg: RunConfig) -> TestReport:
             entries.append(_run_spec(spec, cfg, ctx, proofs))
             gc.collect(0)
     used = {_normalize(spec.name) for spec in specs}
-    return TestReport(tuple(entries), tuple(sorted(f for k, f in proofs.items() if k not in used)))
+    unused = tuple(f for k, f in files if k not in used or proofs[k] != f)   # files are sorted
+    return TestReport(tuple(entries), unused)
 
 
 def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext, proofs: dict[str, str]) -> TestEntry:
@@ -323,8 +326,15 @@ def scan_proofs(proof_dir: str | Path) -> dict[str, str]:
 
     A file ``proof-<t>.<ext>`` (any extension, matching case-insensitively,
     '-' and '_' ignored inside <t>) marks property t as proved.  The file
-    content is trusted, not validated.
+    content is trusted, not validated.  Of two files for one name, the
+    first in sorted order counts; ``run_suite`` reports the other unused.
     """
+    return _first_per_name(_proof_files(proof_dir))
+
+
+def _proof_files(proof_dir: str | Path) -> list[tuple[str, str]]:
+    """(normalized property name, file name) of each proof file, sorted by
+    file name."""
     path = Path(proof_dir)
     if not path.is_dir():
         raise ConfigError(f"proof directory not readable: {path}")
@@ -332,14 +342,21 @@ def scan_proofs(proof_dir: str | Path) -> dict[str, str]:
         names = sorted(os.listdir(path))
     except OSError as exc:
         raise ConfigError(f"proof directory not readable: {path} ({exc})") from exc
-    proofs: dict[str, str] = {}
+    files = []
     for fname in names:
         stem = fname.rsplit(".", 1)[0] if "." in fname else fname
         if not stem.lower().startswith("proof-"):
             continue
         key = _normalize(stem[len("proof-"):])
         if key:
-            proofs.setdefault(key, fname)
+            files.append((key, fname))
+    return files
+
+
+def _first_per_name(files: list[tuple[str, str]]) -> dict[str, str]:
+    proofs: dict[str, str] = {}
+    for key, fname in files:
+        proofs.setdefault(key, fname)
     return proofs
 
 

@@ -18,11 +18,15 @@ search), and level diagonalization, plain or randomized, yields their
 diagonals.  All strategies are complete: every value at finite depth
 appears in the output if the budget permits reaching it.  Duplicate leaves
 are preserved here; de-duplication is a concern of the property layer.
+A walk of a choice or bind root records what it hands out on that root, per
+strategy, and a later enumeration of the same root under an equal strategy
+replays the record instead of walking the tree again.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable, Generic, Iterator, TypeVar, Union
@@ -71,10 +75,12 @@ class OrNode(SearchTree[A]):
     pending node into two bind nodes sharing the chain.  ``_resolve`` reads
     ``left`` then ``right`` to split a choice node under a chain, so no
     other code outside the walk splits a node.  Outside a walk's step a
-    node is wholly pending or wholly resolved.
+    node is wholly pending or wholly resolved.  ``_walks``, set only on a
+    node that was the root of an enumeration, maps each strategy to the
+    record of its walks, a ``_Walk``.
     """
 
-    __slots__ = ("_left", "_right", "_cont")
+    __slots__ = ("_left", "_right", "_cont", "_walks")
 
     def __init__(self, left: _Child, right: _Child, cont: tuple | None = None):
         self._left = left
@@ -118,10 +124,11 @@ class BindNode(SearchTree[A]):
     resolves each in its parent's slot, storing the normal form there, so
     the wrapper lives on only where something else refers to it, such as a
     generator's root or a shared ``defer``.  A split under a chain makes no
-    bind node: it is one pending choice node.
+    bind node: it is one pending choice node.  ``_walks`` is as on
+    ``OrNode``.
     """
 
-    __slots__ = ("_tree", "_cont", "_norm")
+    __slots__ = ("_tree", "_cont", "_norm", "_walks")
 
     def __init__(self, tree: _Child, cont: tuple | None):
         self._tree = tree
@@ -273,6 +280,24 @@ class Strategy:
             raise ValueError("node budget must be positive")
 
 
+class _Walk:
+    """What the walks of one root under one strategy have handed out: each
+    value, the node count at it (``counts``, 8 bytes per value), and, once a
+    walk ended on its own, ``end``: its ``exhausted`` and
+    ``budget_exceeded`` flags and final node count.  ``end`` is None while
+    the record is open: no walk has ended yet, as its consumer stopped or a
+    thunk or continuation raised.  ``writing`` marks that a walk is
+    extending the record; only that one walk appends to it."""
+
+    __slots__ = ("values", "counts", "end", "writing")
+
+    def __init__(self):
+        self.values: list = []
+        self.counts = array("q")
+        self.end: tuple[bool, bool, int] | None = None
+        self.writing = False
+
+
 class Enumeration(Generic[A]):
     """Single-consumer cursor over a tree's values under one strategy.
 
@@ -282,6 +307,17 @@ class Enumeration(Generic[A]):
     end of a draw that the runner, ``for_all`` and every operator read.
     ``expansions`` counts visited tree nodes; it is current whenever a value
     is handed out and once the walk stops.
+
+    A walk whose root is a choice or bind node records on that root, keyed
+    by the strategy, each value it yields with ``expansions`` at it, and how
+    it ended.  An enumeration of the same root object under an equal
+    strategy that finds values or an end there replays them: it hands out
+    the recorded values, sets ``expansions`` before each, and sets the
+    recorded flags and final count.  If the record is still open, it then
+    goes on with a fresh walk that passes over the recorded values without
+    yielding them, and extends the record unless another walk is doing so.
+    A walk, a replay and a re-walk of the memo yield the same values with
+    the same counts and flags.
     """
 
     def __init__(self, tree: SearchTree[A], strategy: Strategy):
@@ -289,11 +325,33 @@ class Enumeration(Generic[A]):
         self.exhausted = False
         self.budget_exceeded = False
         self.expansions = 0
-        rng = Random(strategy.seed) if strategy.kind == RAND_LEVEL_DIAG else None
-        self._iter: Iterator[A] = self._walk_levels(tree, rng, strategy.kind == BFS)
+        rec = None
+        if type(tree) is OrNode or type(tree) is BindNode:
+            walks = getattr(tree, "_walks", None)
+            if walks is None:
+                walks = tree._walks = {}
+            rec = walks.setdefault(strategy, _Walk())
+        if rec is not None and (rec.values or rec.end is not None):
+            self._iter: Iterator[A] = self._replay(tree, rec)
+        else:
+            self._iter = self._walk_levels(tree, rec, 0)
 
     def __iter__(self) -> Iterator[A]:
         return self._iter
+
+    def _replay(self, root: SearchTree[A], rec: _Walk) -> Iterator[A]:
+        """The recorded values, read as far as the record grows meanwhile,
+        then the recorded end or, on an open record, a walk past them."""
+        values, counts = rec.values, rec.counts
+        i = 0
+        while i < len(values):
+            self.expansions = counts[i]
+            yield values[i]
+            i += 1
+        if rec.end is not None:
+            self.exhausted, self.budget_exceeded, self.expansions = rec.end
+        else:
+            yield from self._walk_levels(root, rec, i)
 
     # Budget accounting: one unit per node visited (value and fail leaves
     # included); a bind node, deferred trees and nested binds included,
@@ -309,14 +367,15 @@ class Enumeration(Generic[A]):
     # a bind node (``_settle``).  An OrNode child that is not a search tree
     # is a dead leaf.
 
-    def _walk_levels(self, root: SearchTree[A], rng: Random | None, bfs: bool) -> Iterator[A]:
+    def _walk_levels(self, root: SearchTree[A], rec: _Walk | None, skip: int) -> Iterator[A]:
         """The tree's levels, probed position by position in one of two orders.
 
         A node's level is its number of choice edges from the root.  Under
         bfs a level is probed to its end before the level below joins, so
         the levels come out in order.  Otherwise the value leaf at position
         p of level l comes out on diagonal l+p (Cantor diagonalization, with
-        each choice node's children swapped by a coin of rng if given), and
+        each choice node's children swapped, under rand_level_diag, by a
+        coin of a PRNG seeded with the strategy's seed), and
         level l+1 joins right after position 0 of level l.  Each level is
         materialized left to right only as far as probed, so work stays
         proportional to the emitted prefix, and levels of a binary tree are
@@ -324,12 +383,24 @@ class Enumeration(Generic[A]):
         rounds.  Growing a level whose feed is starved steps down to grow the
         level above it and climbs back, without recursion, so deep, narrow
         trees cannot blow the interpreter recursion limit.
+
+        The first skip values are passed over, not yielded.  The walk
+        extends rec if, when it starts, rec holds exactly those skip values,
+        is open, and no other walk is extending it.
         """
-        budget = self.strategy.node_budget
-        flip = rng.getrandbits if rng is not None else None
+        strategy = self.strategy
+        budget = strategy.node_budget
+        bfs = strategy.kind == BFS
+        flip = Random(strategy.seed).getrandbits if strategy.kind == RAND_LEVEL_DIAG else None
         expansions = 1   # the root's visit: a node budget is at least 1
         half = None   # a pending node with one child resolved, the other (left if swap) raw
         swap = False
+        if rec is not None:
+            if rec.writing or rec.end is not None or len(rec.values) != skip:
+                rec = None
+            else:
+                rec.writing = True
+                record_value, record_count = rec.values.append, rec.counts.append
         try:
             if type(root) is BindNode:
                 root = root.normalized
@@ -419,8 +490,14 @@ class Enumeration(Generic[A]):
                             done.append(False)
                         node = row[pos]
                         if type(node) is ValueNode:
-                            self.expansions = expansions
-                            yield node.payload
+                            if skip:
+                                skip -= 1
+                            else:
+                                self.expansions = expansions
+                                if rec is not None:
+                                    record_value(node.payload)
+                                    record_count(expansions)
+                                yield node.payload
                         if not bfs:
                             break
                         pos += 1
@@ -431,6 +508,10 @@ class Enumeration(Generic[A]):
             if half is not None:
                 _settle(half, swap)
             self.expansions = expansions
+            if rec is not None:
+                if self.exhausted or self.budget_exceeded:
+                    rec.end = (self.exhausted, self.budget_exceeded, expansions)
+                rec.writing = False
 
 
 def enumerate_tree(t: SearchTree[A], strategy: Strategy | None = None) -> Enumeration[A]:

@@ -9,7 +9,11 @@ criterion says otherwise.
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +233,28 @@ def test_12_reproducibility():
     for line in first.splitlines():
         json.loads(line)
     ok(12, "two identically configured runs render byte-identical JSON reports")
+
+
+REPRODUCIBILITY_SUITES = ["ConcDup", "Perm", "BoolTest", "SumUp", "Trees", "Sort", "IsSet", "IOTests"]
+
+
+def test_12_reproducibility_on_fresh_trees():
+    """A rerun in one process replays the walks of the first run; a run in a
+    fresh process builds and walks every tree anew, and renders the same."""
+    cfg = RunConfig(seed=424_242)
+    here = render_report(run_suite(registry.specs_for(REPRODUCIBILITY_SUITES), cfg), "json")
+    code = (
+        "import ndcheck.corpus\n"
+        "from ndcheck import registry\n"
+        "from ndcheck.runner import RunConfig, render_report, run_suite\n"
+        f"specs = registry.specs_for({REPRODUCIBILITY_SUITES!r})\n"
+        "print(render_report(run_suite(specs, RunConfig(seed=424_242)), 'json'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    fresh = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    ).stdout
+    assert fresh == here + "\n"
+    ok(12, "a run in a fresh process renders the JSON report of a rerun")

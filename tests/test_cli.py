@@ -350,6 +350,18 @@ class TestProvedCorpus:
         assert (code, out) == plain[:2]
         assert err == "ndcheck: proof file proof-permLength_ON_BASETYPE.txt matches no test\n"
 
+    def test_second_file_for_a_taken_name_is_named_on_stderr(self, capsys, tmp_path):
+        """Two files whose names normalize alike: the first in sorted order
+        proves the test, and the other is named as unused."""
+        argv = ("Sort", "--maxtests", "5", "--seed", "0", "--proofdir", str(tmp_path))
+        (tmp_path / "proof-SortLength.txt").write_text("qed")
+        one = run_cli(capsys, *argv)
+        (tmp_path / "proof-sort_length.txt").write_text("qed")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, one[2]) == (*one[:2], "")
+        assert " Skipped: proved by proof-SortLength.txt." in out
+        assert err == "ndcheck: proof file proof-sort_length.txt matches no test\n"
+
 
 class TestModuleInvocation:
     """`python -m ndcheck.cli` runs the same front end as the console script."""

@@ -584,6 +584,14 @@ class TestRunSuite:
         assert report.unused_proofs == ("proof-b.txt", "proof-zz.txt")
         assert run_suite(specs, RunConfig()).unused_proofs == ()
 
+    def test_report_names_a_second_proof_file_for_one_name(self, tmp_path):
+        for f in ("proof-u_1.txt", "proof-U1.agda", "proof-u-1.v"):
+            (tmp_path / f).write_text("qed")
+        specs = [TestSpec(name="u1", module="M", line=1, kind=UNIT, prop=is_equal(1, 2))]
+        report = run_suite(specs, RunConfig(proof_dir=tmp_path))
+        assert report.entries[0].verdict.proof_file == "proof-U1.agda"
+        assert report.unused_proofs == ("proof-u-1.v", "proof-u_1.txt")
+
     def test_labels_aggregate_into_frequency_table(self):
         gen = Generator(one_of(range(10)))
         spec = param_spec(

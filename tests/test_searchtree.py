@@ -10,7 +10,7 @@ from heapq import heappop, heappush
 
 import pytest
 
-from ndcheck.corpus.trees import gen_tree
+from ndcheck.corpus.trees import gen_nat, gen_tree
 from ndcheck.gen import BaseType, builtin, list_of, tuple_of
 from ndcheck.searchtree import (
     BFS,
@@ -1044,3 +1044,155 @@ class TestBindLaws:
             nested_right = bind(tree_of(spec), lambda x: bind(kf(x), kg))
             assert walk_multiset(nested_left, strategy) == want
             assert walk_multiset(nested_right, strategy) == want
+
+
+# -- a walk is recorded on its root and replayed --------------------------------
+
+
+REPLAY_STRATEGIES = [Strategy("bfs"), Strategy("level_diag"), Strategy("rand_level_diag", 7)]
+
+# name -> a fresh tree: split_tree is finite, the others are infinite
+REPLAY_TREES = {
+    "split_tree": lambda: split_tree(Counter()),
+    "int_lists": lambda: list_of(builtin(BaseType.INT)).tree,
+    "gen_tree": lambda: gen_tree(builtin(BaseType.ORDERING)).tree,
+    "gen_nat": lambda: gen_nat().tree,
+}
+REPLAY_TAKE = 150   # values taken from an infinite tree before its consumer stops
+
+
+def stepped(enum, n=None):
+    """Up to n values of enum (all if n is None), each with the node count
+    read right after it, then the end flags and the final node count."""
+    steps = [(v, enum.expansions) for v in itertools.islice(iter(enum), n)]
+    return steps, enum.exhausted, enum.budget_exceeded, enum.expansions
+
+
+def is_replay(enum):
+    return enum._iter.gi_code.co_name == "_replay"
+
+
+def bypass(strategy):
+    """A strategy that walks as strategy does wherever its budget is not
+    reached, but finds no record of strategy's walks."""
+    return with_budget(strategy, strategy.node_budget + 1)
+
+
+@pytest.mark.parametrize("strategy", REPLAY_STRATEGIES)
+@pytest.mark.parametrize("name", list(REPLAY_TREES))
+class TestReplay:
+    """A walk's replay, a re-walk of its memo that bypasses the record, and
+    a walk of a freshly built tree hand out the same values, with the same
+    node count after each, and end with the same flags and count, however
+    the first walk stopped."""
+
+    def test_consumer_stop_and_drain(self, name, strategy):
+        make = REPLAY_TREES[name]
+        n = None if name == "split_tree" else REPLAY_TAKE
+        t = make()
+        first = stepped(Enumeration(t, strategy), n)
+        replay = Enumeration(t, strategy)
+        assert is_replay(replay)
+        assert stepped(replay, n) == first
+        assert stepped(Enumeration(t, bypass(strategy)), n) == first
+        assert stepped(Enumeration(make(), strategy), n) == first
+        if n is not None:
+            # The record is open: a replay goes on past it, and extends it
+            # once the stopped first walk, suspended in a reference cycle
+            # with its enumeration and still marked as the record's writer,
+            # has been collected.
+            gc.collect()
+            more = stepped(Enumeration(t, strategy), 2 * n)
+            assert more == stepped(Enumeration(make(), strategy), 2 * n)
+            assert stepped(Enumeration(t, bypass(strategy)), 2 * n) == more
+            assert stepped(Enumeration(t, strategy), 2 * n) == more
+            assert len(t._walks[strategy].values) == 2 * n
+
+    def test_budget_end(self, name, strategy):
+        make = REPLAY_TREES[name]
+        full = stepped(Enumeration(make(), strategy), REPLAY_TAKE)[3]
+        for budget in sorted({1, 2, 5, full // 3, full - 1}):
+            bounded = with_budget(strategy, budget)
+            t = make()
+            first = stepped(Enumeration(t, bounded))
+            assert first[2] and first[3] == budget, budget
+            replay = Enumeration(t, bounded)
+            assert is_replay(replay)
+            assert stepped(replay) == first, budget
+            assert stepped(Enumeration(make(), bounded)) == first, budget
+            rewalk = stepped(Enumeration(t, bypass(bounded)))
+            assert [s for s in rewalk[0] if s[1] <= budget] == first[0], budget
+
+    def test_interleaved_enumerations(self, name, strategy):
+        """Two enumerations of one root made before either is iterated, and
+        a third made once the first has written a third of the values,
+        advance in turn; each hands out what a walk of a fresh tree does,
+        and the record they leave replays the same."""
+        make = REPLAY_TREES[name]
+        n = None if name == "split_tree" else REPLAY_TAKE
+        want = stepped(Enumeration(make(), strategy), n)
+        size = len(want[0])
+        t = make()
+        enums = [Enumeration(t, strategy), Enumeration(t, strategy)]
+        iters = [iter(e) for e in enums]
+        got = [[], [], []]
+        for k in range(size + size // 3):
+            if k == size // 3:
+                enums.append(Enumeration(t, strategy))
+                assert is_replay(enums[2])
+                iters.append(iter(enums[2]))
+            for e, it, steps in zip(enums, iters, got):
+                if len(steps) < size:
+                    steps.append((next(it), e.expansions))
+        assert got == [want[0]] * 3
+        if n is None:
+            assert [next(it, None) for it in iters] == [None] * 3
+            assert [(e.exhausted, e.budget_exceeded, e.expansions) for e in enums] == [want[1:]] * 3
+        assert stepped(Enumeration(t, strategy), n) == want
+
+    def test_replay_overtaking_a_suspended_walk(self, name, strategy):
+        """A replay that reaches the end of a record while the walk writing
+        it is suspended walks on without writing to it; the writer then goes
+        on, and the record it leaves replays as a fresh tree walks."""
+        make = REPLAY_TREES[name]
+        n = None if name == "split_tree" else REPLAY_TAKE
+        want = stepped(Enumeration(make(), strategy), n)
+        cut = len(want[0]) // 3
+        t = make()
+        writer = Enumeration(t, strategy)
+        it = iter(writer)
+        head = [(next(it), writer.expansions) for _ in range(cut)]
+        assert stepped(Enumeration(t, strategy), n) == want
+        rest = [(v, writer.expansions) for v in itertools.islice(it, None if n is None else n - cut)]
+        assert (head + rest, writer.exhausted, writer.budget_exceeded, writer.expansions) == want
+        assert stepped(Enumeration(t, strategy), n) == want
+
+
+@pytest.mark.parametrize("strategy", REPLAY_STRATEGIES)
+def test_replay_after_a_continuation_raised(strategy):
+    """A walk that a continuation cut leaves an open record of the values it
+    yielded; a replay hands them out and walks on past them, as a re-walk of
+    the memo and a walk of a fresh tree do."""
+    want = stepped(Enumeration(split_tree(Counter()), strategy))
+    for raise_on in (1, 2, 3, 4, 10, 15, 30, 35):
+        calls = Counter()
+        t = split_tree(calls, raise_on)
+        cut = Enumeration(t, strategy)
+        before = []
+        with pytest.raises(_Once):
+            for v in cut:
+                before.append((v, cut.expansions))
+        assert before == want[0][:len(before)], raise_on
+        replay = Enumeration(t, strategy)
+        assert is_replay(replay) == bool(before), raise_on
+        assert stepped(replay) == want, raise_on
+        assert stepped(Enumeration(t, bypass(strategy))) == want, raise_on
+        assert stepped(Enumeration(t, strategy)) == want, raise_on
+        assert calls == SPLIT_CALLS, raise_on
+
+
+@pytest.mark.parametrize("strategy", REPLAY_STRATEGIES)
+def test_enumeration_is_deterministic_on_fresh_trees(strategy):
+    """Two walks of two equal, freshly built trees, neither a replay."""
+    assert stepped(enumerate_tree(one_of(range(50)), strategy)) == stepped(
+        enumerate_tree(one_of(range(50)), strategy))
