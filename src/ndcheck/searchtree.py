@@ -18,9 +18,9 @@ search), and level diagonalization, plain or randomized, yields their
 diagonals.  All strategies are complete: every value at finite depth
 appears in the output if the budget permits reaching it.  Duplicate leaves
 are preserved here; de-duplication is a concern of the property layer.
-A walk of a choice or bind root records what it hands out on that root, per
-strategy, and a later enumeration of the same root under an equal strategy
-replays the record instead of walking the tree again.
+A walk whose root's normal form is a choice node records what it hands out
+on that node, per strategy, and a later walk of the same node under an equal
+strategy replays the record instead of walking the tree again.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class OrNode(SearchTree[A]):
     ``left`` then ``right`` to split a choice node under a chain, so no
     other code outside the walk splits a node.  Outside a walk's step a
     node is wholly pending or wholly resolved.  ``_walks``, set only on a
-    node that was the root of an enumeration, maps each strategy to the
-    record of its walks, a ``_Walk``.
+    node that was the normal form of a walk's root, maps each strategy to
+    the record of its walks, a ``_Walk``.
     """
 
     __slots__ = ("_left", "_right", "_cont", "_walks")
@@ -124,11 +124,10 @@ class BindNode(SearchTree[A]):
     resolves each in its parent's slot, storing the normal form there, so
     the wrapper lives on only where something else refers to it, such as a
     generator's root or a shared ``defer``.  A split under a chain makes no
-    bind node: it is one pending choice node.  ``_walks`` is as on
-    ``OrNode``.
+    bind node: it is one pending choice node.
     """
 
-    __slots__ = ("_tree", "_cont", "_norm", "_walks")
+    __slots__ = ("_tree", "_cont", "_norm")
 
     def __init__(self, tree: _Child, cont: tuple | None):
         self._tree = tree
@@ -281,43 +280,43 @@ class Strategy:
 
 
 class _Walk:
-    """What the walks of one root under one strategy have handed out: each
-    value, the node count at it (``counts``, 8 bytes per value), and, once a
-    walk ended on its own, ``end``: its ``exhausted`` and
+    """What the walks of one choice root under one strategy have handed out:
+    each value, the node count at it (``counts``, 8 bytes per value), and,
+    once a walk ended on its own, ``end``: its ``exhausted`` and
     ``budget_exceeded`` flags and final node count.  ``end`` is None while
     the record is open: no walk has ended yet, as its consumer stopped or a
-    thunk or continuation raised.  ``writing`` marks that a walk is
-    extending the record; only that one walk appends to it."""
+    thunk or continuation raised.  A walk appends the value at position i
+    only while the record holds exactly i values, so whichever walk is at
+    the record's end extends it."""
 
-    __slots__ = ("values", "counts", "end", "writing")
+    __slots__ = ("values", "counts", "end")
 
     def __init__(self):
         self.values: list = []
         self.counts = array("q")
         self.end: tuple[bool, bool, int] | None = None
-        self.writing = False
 
 
 class Enumeration(Generic[A]):
     """Single-consumer cursor over a tree's values under one strategy.
 
-    Iterate to pull values lazily.  Once iteration stops on its own, exactly
-    one of ``exhausted`` (whole tree expanded) or ``budget_exceeded`` is set;
-    if the consumer stopped early, both stay False.  These two flags are the
-    end of a draw that the runner, ``for_all`` and every operator read.
-    ``expansions`` counts visited tree nodes; it is current whenever a value
-    is handed out and once the walk stops.
+    Iterate once to pull values lazily; ``iter`` hands the walk to the
+    consumer, and a second ``iter`` raises TypeError.  Once iteration stops
+    on its own, exactly one of ``exhausted`` (whole tree expanded) or
+    ``budget_exceeded`` is set; if the consumer stopped early, both stay
+    False.  These two flags are the end of a draw that the runner,
+    ``for_all`` and every operator read.  ``expansions`` counts visited tree
+    nodes; it is current whenever a value is handed out and once the walk
+    stops.
 
-    A walk whose root is a choice or bind node records on that root, keyed
-    by the strategy, each value it yields with ``expansions`` at it, and how
-    it ended.  An enumeration of the same root object under an equal
-    strategy that finds values or an end there replays them: it hands out
-    the recorded values, sets ``expansions`` before each, and sets the
-    recorded flags and final count.  If the record is still open, it then
-    goes on with a fresh walk that passes over the recorded values without
-    yielding them, and extends the record unless another walk is doing so.
-    A walk, a replay and a re-walk of the memo yield the same values with
-    the same counts and flags.
+    A walk whose root's normal form is a choice node records on that node,
+    keyed by the strategy, each value it yields with ``expansions`` at it,
+    and how it ended.  A walk of the same node under an equal strategy first
+    replays that record: it hands out the recorded values, setting
+    ``expansions`` before each, and then sets the recorded flags and final
+    count or, on an open record, walks on past the recorded values without
+    yielding them.  A walk, a replay and a re-walk of the memo yield the same
+    values with the same counts and flags.
     """
 
     def __init__(self, tree: SearchTree[A], strategy: Strategy):
@@ -325,33 +324,12 @@ class Enumeration(Generic[A]):
         self.exhausted = False
         self.budget_exceeded = False
         self.expansions = 0
-        rec = None
-        if type(tree) is OrNode or type(tree) is BindNode:
-            walks = getattr(tree, "_walks", None)
-            if walks is None:
-                walks = tree._walks = {}
-            rec = walks.setdefault(strategy, _Walk())
-        if rec is not None and (rec.values or rec.end is not None):
-            self._iter: Iterator[A] = self._replay(tree, rec)
-        else:
-            self._iter = self._walk_levels(tree, rec, 0)
+        self._root: list[SearchTree[A]] = [tree]   # emptied when iter hands out the walk
 
     def __iter__(self) -> Iterator[A]:
-        return self._iter
-
-    def _replay(self, root: SearchTree[A], rec: _Walk) -> Iterator[A]:
-        """The recorded values, read as far as the record grows meanwhile,
-        then the recorded end or, on an open record, a walk past them."""
-        values, counts = rec.values, rec.counts
-        i = 0
-        while i < len(values):
-            self.expansions = counts[i]
-            yield values[i]
-            i += 1
-        if rec.end is not None:
-            self.exhausted, self.budget_exceeded, self.expansions = rec.end
-        else:
-            yield from self._walk_levels(root, rec, i)
+        if not self._root:
+            raise TypeError("an Enumeration is iterated only once")
+        return self._walk_levels(self._root.pop())
 
     # Budget accounting: one unit per node visited (value and fail leaves
     # included); a bind node, deferred trees and nested binds included,
@@ -367,7 +345,7 @@ class Enumeration(Generic[A]):
     # a bind node (``_settle``).  An OrNode child that is not a search tree
     # is a dead leaf.
 
-    def _walk_levels(self, root: SearchTree[A], rec: _Walk | None, skip: int) -> Iterator[A]:
+    def _walk_levels(self, root: SearchTree[A]) -> Iterator[A]:
         """The tree's levels, probed position by position in one of two orders.
 
         A node's level is its number of choice edges from the root.  Under
@@ -384,26 +362,39 @@ class Enumeration(Generic[A]):
         level above it and climbs back, without recursion, so deep, narrow
         trees cannot blow the interpreter recursion limit.
 
-        The first skip values are passed over, not yielded.  The walk
-        extends rec if, when it starts, rec holds exactly those skip values,
-        is open, and no other walk is extending it.
+        A choice root's record comes first: its values are handed out, then
+        its end, or the walk passes over them and goes on.  All walks of one
+        root under one strategy yield the same values in the same order, so
+        a walk appends the value at position i only while the record holds
+        exactly i values, and records its end when it ends on its own.
         """
         strategy = self.strategy
-        budget = strategy.node_budget
-        bfs = strategy.kind == BFS
-        flip = Random(strategy.seed).getrandbits if strategy.kind == RAND_LEVEL_DIAG else None
         expansions = 1   # the root's visit: a node budget is at least 1
         half = None   # a pending node with one child resolved, the other (left if swap) raw
         swap = False
-        if rec is not None:
-            if rec.writing or rec.end is not None or len(rec.values) != skip:
-                rec = None
-            else:
-                rec.writing = True
-                record_value, record_count = rec.values.append, rec.counts.append
+        rec = None
+        skip = 0   # recorded values the walk passes over
         try:
             if type(root) is BindNode:
                 root = root.normalized
+            if type(root) is OrNode:
+                walks = getattr(root, "_walks", None)
+                if walks is None:
+                    walks = root._walks = {}
+                rec = walks.setdefault(strategy, _Walk())
+                values, counts = rec.values, rec.counts
+                record_value, record_count = values.append, counts.append
+                while skip < len(values):   # as far as the record grows meanwhile
+                    self.expansions = expansions = counts[skip]
+                    yield values[skip]
+                    skip += 1
+                if rec.end is not None:
+                    self.exhausted, self.budget_exceeded, expansions = rec.end
+                    return
+                at, expansions = skip, 1   # at: the position of the walk's next value
+            budget = strategy.node_budget
+            bfs = strategy.kind == BFS
+            flip = Random(strategy.seed).getrandbits if strategy.kind == RAND_LEVEL_DIAG else None
             # Per level: its nodes so far, left to right; the index of the
             # next node of the level above to expand into it; whether it is
             # complete.  Level 0 is the root alone.
@@ -495,8 +486,10 @@ class Enumeration(Generic[A]):
                             else:
                                 self.expansions = expansions
                                 if rec is not None:
-                                    record_value(node.payload)
-                                    record_count(expansions)
+                                    if len(values) == at:
+                                        record_value(node.payload)
+                                        record_count(expansions)
+                                    at += 1
                                 yield node.payload
                         if not bfs:
                             break
@@ -508,10 +501,8 @@ class Enumeration(Generic[A]):
             if half is not None:
                 _settle(half, swap)
             self.expansions = expansions
-            if rec is not None:
-                if self.exhausted or self.budget_exceeded:
-                    rec.end = (self.exhausted, self.budget_exceeded, expansions)
-                rec.writing = False
+            if rec is not None and (self.exhausted or self.budget_exceeded):
+                rec.end = (self.exhausted, self.budget_exceeded, expansions)
 
 
 def enumerate_tree(t: SearchTree[A], strategy: Strategy | None = None) -> Enumeration[A]:

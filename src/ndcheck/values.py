@@ -131,9 +131,10 @@ def same_value(a: Any, b: Any) -> bool:
 
 def render(v: Any) -> str:
     """Render a value the way it appears in reports: [1,2], "text", (a,b),
-    set{a,b}.  A set's elements are sorted by their rendered text, so a
-    report does not depend on hash order; the prefix tells a set value from
-    a property's value set, which reports write {a,b}."""
+    set{a,b}, dict{k:v}.  A set's elements and a dict's entries are sorted
+    by their rendered text, so a report does not depend on hash or insertion
+    order, as canonical keys them; the prefix tells a set value from a
+    property's value set, which reports write {a,b}."""
     if v is None:
         return "()"
     if isinstance(v, str):
@@ -144,6 +145,8 @@ def render(v: Any) -> str:
         return "(" + ",".join(render(x) for x in v) + ")"
     if isinstance(v, (set, frozenset)):
         return "set{" + ",".join(sorted(render(x) for x in v)) + "}"
+    if type(v) is dict:   # as canonical keys it; a subclass is written by str
+        return "dict{" + ",".join(sorted(render(k) + ":" + render(x) for k, x in v.items())) + "}"
     if isinstance(v, enum.Enum):
         return v.name
     return str(v)

@@ -711,6 +711,12 @@ RENDER_TABLE = [
     (frozenset({Ordering.LT, Ordering.EQ}), "set{EQ,LT}"),
     ({"b", "a"}, 'set{"a","b"}'),
     (set(), "set{}"),
+    # dicts: entries rendered key:value, then sorted by their text, not by
+    # hash or insertion order
+    ({"b": 1, "a": [2]}, 'dict{"a":[2],"b":1}'),
+    ({"k": {"banana", "apple"}}, 'dict{"k":set{"apple","banana"}}'),
+    ({(1, 2): None}, "dict{(1,2):()}"),
+    ({}, "dict{}"),
 ]
 
 
@@ -721,15 +727,16 @@ def test_render_table(v, text):
 
 def test_set_renders_alike_under_any_hash_seed():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "from ndcheck.values import render; print(render({'apple', 'banana', 'cherry'}))"
-    outs = [
+    code = ("from ndcheck.values import render; fruit = {'apple', 'banana', 'cherry'}; "
+            "print(render(fruit)); print(render({'k': fruit}))")
+    outs = {
         subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
         ).stdout
-        for seed in ("0", "1")
-    ]
-    assert outs[0] == outs[1] == 'set{"apple","banana","cherry"}\n'
+        for seed in ("0", "1", "2", "3")
+    }
+    assert outs == {'set{"apple","banana","cherry"}\ndict{"k":set{"apple","banana","cherry"}}\n'}
 
 
 def test_set_value_reads_apart_from_a_value_set():
