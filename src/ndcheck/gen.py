@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generic, TypeVar
 
-from .searchtree import OrNode, SearchTree, bind, choice, defer, one_of, value
+from .searchtree import OrNode, SearchTree, ValueNode, bind, choice, defer, one_of, value
 
 A = TypeVar("A")
 
@@ -57,13 +57,14 @@ def gen_cons0(v: A) -> Generator[A]:
 
 
 # Generator trees are built by module-level functions (_nested, recursive,
-# _positive_tree, _lists): a local closure that names itself would be a
+# _positive_tree, _list_node): a local closure that names itself would be a
 # reference cycle.  The thunks and continuations of _nested, recursive and
 # _positive_tree take their state as default arguments, so no closure cell
 # stays alive per node of a memoised tree.  A list node, the most numerous
-# node of the memo, keeps its state in one slotted _ListCell, whose bound
-# methods are its thunks and which is itself its continuation: no function
-# object or defaults tuple per node.
+# node of the memo, is one pending choice node over two children that every
+# node shares, and keeps its state in one slotted _ListCell, which is the
+# node's continuation: no function object, defaults tuple or bind node per
+# node.
 
 
 def _nested(c: Callable[..., A], gens: tuple[Generator, ...], args: tuple = ()) -> SearchTree[A]:
@@ -209,61 +210,63 @@ def builtin(t: BaseType) -> Generator:
     return Generator(tree(), distinct=True, types=frozenset((typ,)))
 
 
-def _unlink(drawn: tuple | None, seq: type) -> list | tuple:
-    """The elements of a linked (head, rest) chain, oldest head first, as a
-    list, or as a tuple if seq is tuple."""
-    out = []
-    while drawn is not None:
-        h, drawn = drawn
-        out.append(h)
-    out.reverse()
-    return out if seq is list else tuple(out)
-
-
 def list_of(g: Generator[A], seq: type = list) -> Generator:
     """Lists over a generator: nil, plus cons of an element and a generated tail.
 
-    Each node carries the elements drawn above it as linked (head, rest)
-    pairs, and a list is built once, at its nil leaf, so drawing a list of
-    length L costs O(L).  A list's elements name the one path to its leaf,
-    so the lists key apart whenever the elements do.  With seq=tuple each
-    list is built as a tuple of the same elements in the same order, over
-    the same tree; list to tuple is injective, so the tuples key apart too.
-    A node keeps its state in one _ListCell, which refers to the shared
-    element tree, the drawn chain and seq, never to its own node, so the
-    tree makes no reference cycle.
+    A list node is one choice node, pending under its cell, over two
+    children that every node shares: the nil leaf and the element tree.  The
+    cell maps the nil mark to the list drawn down to the node, and a head h
+    to the node below, whose cell keeps h and points up to this one; a list
+    is built once, at its nil leaf, so drawing a list of length L costs
+    O(L).  A list's elements name the one path to its leaf, so the lists key
+    apart whenever the elements do.  With seq=tuple each list is built as a
+    tuple of the same elements in the same order, over the same tree; list
+    to tuple is injective, so the tuples key apart too.  A cell refers to
+    the shared element tree and to the cells above it, never to a node, so
+    the tree makes no reference cycle.
     """
     if seq is not list and seq is not tuple:
         raise ValueError("list_of builds a list or a tuple")
-    return Generator(_lists(g.tree, None, seq), distinct=g.distinct, types=frozenset((seq,)))
+    return Generator(_list_node(_ListCell(None, None, g.tree, seq)),
+                     distinct=g.distinct, types=frozenset((seq,)))
+
+
+_NIL = object()   # the value at the end of a list: the cell maps it to the list drawn
+_NIL_LEAF = ValueNode(_NIL)
 
 
 class _ListCell:
-    """The state of one list node: the element tree, the elements drawn above
-    the node, and the sequence type.  Its bound methods nil and cons are the
-    node's two thunks, and the cell itself is the bind continuation that
-    grows the tree below a drawn head h."""
+    """The state of one list node: the head drawn at the node, the cell of the
+    node above (None at the root), the element tree and the sequence type.
+    The cell is the node's continuation: it maps the nil mark to the leaf of
+    the list drawn, and a head h to the node below."""
 
-    __slots__ = ("elem", "drawn", "seq")
+    __slots__ = ("head", "up", "elem", "seq")
 
-    def __init__(self, elem: SearchTree[A], drawn: tuple | None, seq: type):
+    def __init__(self, head: Any, up: _ListCell | None, elem: SearchTree, seq: type):
+        self.head = head
+        self.up = up
         self.elem = elem
-        self.drawn = drawn
         self.seq = seq
 
-    def nil(self) -> SearchTree:
-        return value(_unlink(self.drawn, self.seq))
-
-    def cons(self) -> SearchTree:
-        return bind(self.elem, self)
-
-    def __call__(self, h: A) -> SearchTree:
-        return _lists(self.elem, (h, self.drawn), self.seq)
+    def __call__(self, h: Any) -> SearchTree:
+        if h is _NIL:
+            return ValueNode(_unlink(self))
+        return _list_node(_ListCell(h, self, self.elem, self.seq))
 
 
-def _lists(elem: SearchTree[A], drawn: tuple | None, seq: type) -> SearchTree:
-    cell = _ListCell(elem, drawn, seq)
-    return OrNode(cell.nil, cell.cons)
+def _list_node(cell: _ListCell) -> OrNode:
+    return OrNode(_NIL_LEAF, cell.elem, (cell, None))
+
+
+def _unlink(cell: _ListCell) -> list | tuple:
+    """The heads drawn down to cell's node, oldest first, as a list of exact
+    size, or as a tuple if the cell's seq is tuple."""
+    out = []
+    while cell.up is not None:
+        out.append(cell.head)
+        cell = cell.up
+    return out[::-1] if cell.seq is list else tuple(reversed(out))
 
 
 def tuple_of(*gens: Generator) -> Generator[tuple]:

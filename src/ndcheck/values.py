@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from collections import Counter
 from typing import Any
 
 _SCALARS = frozenset((bool, int, float, str, bytes))
@@ -44,7 +45,10 @@ def canonical(v: Any) -> Any:
     fields.
 
     True and 1 key apart, as do 1 and 1.0; every float NaN keys alike.
-    Containers are frozen recursively (set and frozenset alike), dataclasses
+    Containers are frozen recursively (set and frozenset alike; a dict
+    subclass that keeps dict's ==, such as defaultdict, by its type and
+    items, and a Counter by its type and its items of nonzero count, as
+    Counter's == compares), dataclasses
     keyed by type and the fields they compare (a field declared
     compare=False takes no part), whatever their own == says: one that
     defines __eq__ or has eq=False is still keyed by its fields, so values
@@ -68,8 +72,12 @@ def canonical(v: Any) -> Any:
     names = _field_names(t)
     if names is not None:
         return (t, *[canonical(getattr(v, n)) for n in names])
-    if t is dict:
-        return (dict, frozenset([(canonical(k), canonical(x)) for k, x in v.items()]))
+    if isinstance(v, dict):
+        eq = t.__eq__
+        if eq is dict.__eq__:   # a dict or a subclass with its == (defaultdict)
+            return (t, frozenset([(canonical(k), canonical(x)) for k, x in v.items()]))
+        if eq is Counter.__eq__:   # a missing element counts as zero
+            return (t, frozenset([(canonical(k), canonical(x)) for k, x in v.items() if x != 0]))
     if t is set or t is frozenset:
         return (frozenset, frozenset([canonical(x) for x in v]))
     try:

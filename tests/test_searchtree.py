@@ -11,7 +11,7 @@ from heapq import heappop, heappush
 import pytest
 
 from ndcheck.corpus.trees import gen_nat, gen_tree
-from ndcheck.gen import BaseType, builtin, list_of, tuple_of
+from ndcheck.gen import BaseType, Generator, builtin, list_of, tuple_of
 from ndcheck.searchtree import (
     BFS,
     DEFAULT_NODE_BUDGET,
@@ -265,6 +265,17 @@ def forced_children(node):
     return node._left, node._right
 
 
+def joined(inner, chain):
+    """The chain inner followed by chain, both linked (f, rest) pairs."""
+    fns = []
+    while inner is not None:
+        fns.append(inner[0])
+        inner = inner[1]
+    for f in reversed(fns):
+        chain = (f, chain)
+    return chain
+
+
 class LevelWalkEnumeration:
     """Enumeration as first written: one ``_visit`` call per node, a
     ``_LevelWalk`` of ``_Level`` cursors and a heap of (diagonal, level)
@@ -275,7 +286,9 @@ class LevelWalkEnumeration:
     ``_resolve``, so a fault there shows as a difference.  A visited node is
     kept with the chain of functions still to apply to its value leaves;
     only a choice node keeps a non-empty one, a split, whose two thunks are
-    forced, left then right, when it is reached.
+    forced, left then right, when it is reached.  A choice node built
+    pending (a ``list_of`` node) is read the same way: its own chain is
+    applied before the outer one.
     """
 
     def __init__(self, tree, strategy):
@@ -304,19 +317,16 @@ class LevelWalkEnumeration:
             if isinstance(node, BindNode):
                 if callable(node._tree):
                     node._tree = node._tree()
-                fns, inner = [], node._cont
-                while inner is not None:
-                    fns.append(inner[0])
-                    inner = inner[1]
-                for f in reversed(fns):
-                    chain = (f, chain)
+                chain = joined(node._cont, chain)
                 node = node._tree
             elif isinstance(node, ValueNode) and chain is not None:
                 f, chain = chain
                 node = f(node.payload)
             else:
-                if isinstance(node, OrNode) and chain is not None:
-                    forced_children(node)
+                if isinstance(node, OrNode):
+                    chain = joined(node._cont, chain)
+                    if chain is not None:
+                        forced_children(node)
                 return node, chain
 
     def _walk_bfs(self, root):
@@ -664,13 +674,16 @@ def test_int_list_walk_keeps_few_bind_nodes(kind):
 # once the walk is dropped: (live bind nodes, GC-tracked objects at most).
 # A split is one pending choice node, and every strategy forces a choice
 # node's thunks when it expands the node, so no bind node is kept.  Tracked
-# objects are 163,710 / 157,245 / 196,700 now that a list node keeps its
-# state in one cell; with a nil thunk, a cons thunk and a continuation per
-# list node there were 179,798 / 172,665 / 210,817, and with a choice node
-# and two bind nodes per split 229,489 / 215,682 / 311,177 (40,201 / 39,543
-# / 59,522 bind nodes).
-LEAN_MEMO = {"rand_level_diag": (0, 177_000), "level_diag": (0, 170_000),
-             "bfs": (0, 212_000)}
+# objects are 136,387 / 129,548 / 175,268 (rand_level_diag / level_diag /
+# bfs) now that a list node is one pending choice node over a shared nil
+# leaf and the element tree, whose cell keeps its head and the cell above.
+# When a cell's bound methods were the node's nil and cons thunks, over a
+# linked (head, rest) tuple per node, there were 163,696 / 157,279 /
+# 196,704; with a nil thunk, a cons thunk and a continuation per list node
+# 179,798 / 172,665 / 210,817, and with a choice node and two bind nodes per
+# split 229,489 / 215,682 / 311,177 (40,201 / 39,543 / 59,522 bind nodes).
+LEAN_MEMO = {"rand_level_diag": (0, 140_000), "level_diag": (0, 133_000),
+             "bfs": (0, 180_000)}
 
 
 @pytest.mark.parametrize("kind", sorted(LEAN_MEMO))
@@ -711,6 +724,76 @@ def test_int_list_memo_holds_no_function_per_list_node(kind):
     assert sum(1 for _ in itertools.islice(e, 10_001)) == 10_001
     del e
     assert functions() - before < MAX_LIVE_FUNCTIONS
+
+
+# -- list_of's nodes walk as the thunk layout did -------------------------------
+
+
+def thunk_list_of(g, seq=list):
+    """list_of in the layout its nodes had before they were built pending: a
+    choice node whose left thunk builds the leaf of the list drawn down to
+    it, and whose right thunk binds the element tree to the node below, the
+    drawn heads kept as linked (head, rest) pairs."""
+
+    def node(drawn):
+        def nil():
+            out, d = [], drawn
+            while d is not None:
+                h, d = d
+                out.append(h)
+            out.reverse()
+            return value(out if seq is list else tuple(out))
+
+        return OrNode(nil, lambda: bind(g.tree, lambda h: node((h, drawn))))
+
+    return Generator(node(None))
+
+
+def logging(log):
+    """Continuation that records each value it maps in log."""
+
+    def f(x):
+        log.append(x)
+        return value(x)
+
+    return f
+
+
+# name -> a generator built by lists (list_of or thunk_list_of) whose
+# thunks and continuations record what they are called with in log
+LIST_CASES = {
+    "int": lambda lists, log: lists(builtin(BaseType.INT)),
+    "logged_int": lambda lists, log: lists(Generator(bind(builtin(BaseType.INT).tree, logging(log)))),
+    "bool_pairs": lambda lists, log: lists(tuple_of(builtin(BaseType.BOOL), builtin(BaseType.BOOL)), tuple),
+    "nested": lambda lists, log: lists(lists(builtin(BaseType.BOOL)), tuple),
+    "empty_elements": lambda lists, log: lists(Generator(one_of([]))),
+    "rose_trees": lambda lists, log: lists(gen_tree(builtin(BaseType.ORDERING)), tuple),
+    "lazy_elements": lambda lists, log: lists(Generator(random_lazy_tree(random.Random(6), log))),
+    "under_binds": lambda lists, log: tuple_of(
+        lists(builtin(BaseType.BOOL)),
+        lists(Generator(bind(one_of([1, 2, 3]), logging(log))), tuple)),
+}
+# the small budgets cut walks between every two nodes, among them the two
+# children of a list node
+LIST_BUDGETS = tuple(range(1, 25)) + (400,)
+
+
+@pytest.mark.parametrize("case", sorted(LIST_CASES))
+def test_list_nodes_walk_like_thunk_list_nodes(case):
+    """A list_of tree and the same tree in the thunk layout give the same
+    values, node counts, end flags and order of calls into the element tree,
+    under every strategy and budget; so does a second walk of each memo, on
+    a budget of 400 more, after the first walk was cut."""
+    build = LIST_CASES[case]
+    for make in WALK_STRATEGY_MAKERS:
+        for budget in LIST_BUDGETS:
+            walks = []
+            for lists in (list_of, thunk_list_of):
+                log = []
+                t = build(lists, log).tree
+                cut = walk_record(Enumeration(t, make(budget)), log)
+                walks.append((cut, walk_record(Enumeration(t, make(400 + budget)), log)))
+            assert walks[0] == walks[1], make(budget)
 
 
 # -- a walk that ends between a choice node's two children ---------------------

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import threading
+from collections import Counter, defaultdict
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -340,6 +341,39 @@ class TestTypedFallbackKeys:
         for v in (Ordering.LT, None, object()):
             assert canonical(v) is v
         assert [canonical(DNAN)] == [canonical(DNAN)]
+
+
+class TestDictSubclassKeys:
+    """A dict subclass that keeps dict's == (defaultdict) keys by its type
+    and items, in any order, and a Counter by its type and the items whose
+    count is nonzero, as Counter's == compares; neither keys alike with a
+    plain dict."""
+
+    def test_counters_equal_in_another_order_are_one_value(self):
+        a, b = Counter(a=1, b=1), Counter(b=1, a=1)
+        assert canonical(a) == canonical(b) and same_value(a, b)
+        assert is_equal(a, b).evaluate().status == SATISFIED
+
+    def test_zero_count_is_a_missing_element(self):
+        a, b = Counter(a=1), Counter(a=1, b=0)
+        assert a == b
+        assert canonical(a) == canonical(b)
+        assert is_equal(a, b).evaluate().status == SATISFIED
+        assert is_equal(a, Counter(a=2)).evaluate().status == FALSIFIED
+
+    def test_defaultdicts_filled_in_opposite_orders_are_one_value(self):
+        a, b = defaultdict(int), defaultdict(int)
+        for k in "xyz":
+            a[k] += 1
+        for k in "zyx":
+            b[k] += 1
+        assert canonical(a) == canonical(b)
+        assert is_equal(a, b).evaluate().status == SATISFIED
+        assert value_count(one_of([a, b]), 1).evaluate().status == SATISFIED
+
+    def test_a_defaultdict_is_no_plain_dict(self):
+        assert is_equal(defaultdict(int, a=1), {"a": 1}).evaluate().status == FALSIFIED
+        assert is_equal(Counter(a=1), {"a": 1}).evaluate().status == FALSIFIED
 
 
 class TestDataclassEquality:
