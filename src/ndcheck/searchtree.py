@@ -157,8 +157,7 @@ def _resolve(t: SearchTree, k: tuple | None) -> SearchTree:
     choice node under a non-empty chain becomes one pending choice node over
     its two children.  A nested bind copies its own chain in front of k in a
     loop, sharing k as the tail, so a join costs the inner chain's length
-    and resolving a deeply composed tree costs O(1) Python frames per node;
-    under an empty k the bind's chain is shared as it is.
+    and resolving a deeply composed tree costs O(1) Python frames per node.
     """
     while True:
         c = type(t)
@@ -166,18 +165,12 @@ def _resolve(t: SearchTree, k: tuple | None) -> SearchTree:
             if t._norm is not None:
                 t = t._norm
             else:
-                j = t._cont
-                if k is None:
-                    k = j
-                elif j is not None and j[1] is None:
-                    k = (j[0], k)
-                else:
-                    fns = []
-                    while j is not None:
-                        fns.append(j[0])
-                        j = j[1]
-                    for f in reversed(fns):
-                        k = (f, k)
+                fns, j = [], t._cont
+                while j is not None:
+                    fns.append(j[0])
+                    j = j[1]
+                for f in reversed(fns):
+                    k = (f, k)
                 inner = t._tree
                 if callable(inner):
                     inner = t._tree = inner()
@@ -401,9 +394,7 @@ class Enumeration(Generic[A]):
                 at, expansions = skip, 1   # at: the position of the walk's next value
             budget = strategy.node_budget
             bfs = strategy.kind == BFS
-            # the coin, only for a root that has children to swap
-            flip = (Random(strategy.seed).getrandbits
-                    if strategy.kind == RAND_LEVEL_DIAG and type(root) is OrNode else None)
+            flip = Random(strategy.seed).getrandbits if strategy.kind == RAND_LEVEL_DIAG else None
             # Per level: its nodes so far, left to right; the index of the
             # next node of the level above to expand into it; whether it is
             # complete.  Level 0 is the root alone.

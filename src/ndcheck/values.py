@@ -35,6 +35,19 @@ def _field_names(t: type) -> tuple[str, ...] | None:
         return names
 
 
+def _dict_items(v: dict) -> Any:
+    """The items that make dict v's value: all of them for a dict or a
+    subclass that keeps dict's == (defaultdict), those of nonzero count for
+    a Counter, whose == counts a missing element as zero; None for a
+    subclass with another ==."""
+    eq = type(v).__eq__
+    if eq is dict.__eq__:
+        return v.items()
+    if eq is Counter.__eq__:
+        return [(k, x) for k, x in v.items() if x != 0]
+    return None
+
+
 # per type: whether its == is object identity; probed once per type
 _IDENTITY_EQ: dict[type, bool] = {}
 
@@ -73,11 +86,9 @@ def canonical(v: Any) -> Any:
     if names is not None:
         return (t, *[canonical(getattr(v, n)) for n in names])
     if isinstance(v, dict):
-        eq = t.__eq__
-        if eq is dict.__eq__:   # a dict or a subclass with its == (defaultdict)
-            return (t, frozenset([(canonical(k), canonical(x)) for k, x in v.items()]))
-        if eq is Counter.__eq__:   # a missing element counts as zero
-            return (t, frozenset([(canonical(k), canonical(x)) for k, x in v.items() if x != 0]))
+        items = _dict_items(v)
+        if items is not None:
+            return (t, frozenset([(canonical(k), canonical(x)) for k, x in items]))
     if t is set or t is frozenset:
         return (frozenset, frozenset([canonical(x) for x in v]))
     try:
@@ -142,7 +153,10 @@ def render(v: Any) -> str:
     set{a,b}, dict{k:v}.  A set's elements and a dict's entries are sorted
     by their rendered text, so a report does not depend on hash or insertion
     order, as canonical keys them; the prefix tells a set value from a
-    property's value set, which reports write {a,b}."""
+    property's value set, which reports write {a,b}.  A dict subclass that
+    canonical keys by its items is written the same way under its type's
+    name, a Counter without its zero counts (Counter{k:n}); any other is
+    written by str."""
     if v is None:
         return "()"
     if isinstance(v, str):
@@ -153,8 +167,10 @@ def render(v: Any) -> str:
         return "(" + ",".join(render(x) for x in v) + ")"
     if isinstance(v, (set, frozenset)):
         return "set{" + ",".join(sorted(render(x) for x in v)) + "}"
-    if type(v) is dict:   # as canonical keys it; a subclass is written by str
-        return "dict{" + ",".join(sorted(render(k) + ":" + render(x) for k, x in v.items())) + "}"
+    if isinstance(v, dict):
+        items = _dict_items(v)
+        if items is not None:
+            return type(v).__name__ + "{" + ",".join(sorted(render(k) + ":" + render(x) for k, x in items)) + "}"
     if isinstance(v, enum.Enum):
         return v.name
     return str(v)

@@ -675,13 +675,10 @@ def test_int_list_walk_keeps_few_bind_nodes(kind):
 # A split is one pending choice node, and every strategy forces a choice
 # node's thunks when it expands the node, so no bind node is kept.  Tracked
 # objects are 136,387 / 129,548 / 175,268 (rand_level_diag / level_diag /
-# bfs) now that a list node is one pending choice node over a shared nil
-# leaf and the element tree, whose cell keeps its head and the cell above.
-# When a cell's bound methods were the node's nil and cons thunks, over a
-# linked (head, rest) tuple per node, there were 163,696 / 157,279 /
-# 196,704; with a nil thunk, a cons thunk and a continuation per list node
-# 179,798 / 172,665 / 210,817, and with a choice node and two bind nodes per
-# split 229,489 / 215,682 / 311,177 (40,201 / 39,543 / 59,522 bind nodes).
+# bfs): a list node is one pending choice node over a shared nil leaf and
+# the element tree, and its cell keeps its head and the cell above.  Each
+# bound sits a few thousand above its census, as the count moves by a few
+# dozen between processes.
 LEAN_MEMO = {"rand_level_diag": (0, 140_000), "level_diag": (0, 133_000),
              "bfs": (0, 180_000)}
 
@@ -706,9 +703,8 @@ def test_int_list_memo_holds_no_split_wrappers(kind):
 
 # Function objects left live by the memo of list_of(builtin(INT)) after its
 # first 10,001 values at seed 0: 872 / 64 / 1,024 (rand_level_diag /
-# level_diag / bfs), all of them thunks of Int's shared _positive_tree.  When
-# a list node kept its state in a nil thunk, a cons thunk and one
-# continuation per drawn head there were 30,865 / 29,841 / 50,073.
+# level_diag / bfs), all of them thunks of Int's shared _positive_tree; a
+# list node holds none.
 MAX_LIVE_FUNCTIONS = 2_000
 
 
@@ -730,10 +726,10 @@ def test_int_list_memo_holds_no_function_per_list_node(kind):
 
 
 def thunk_list_of(g, seq=list):
-    """list_of in the layout its nodes had before they were built pending: a
-    choice node whose left thunk builds the leaf of the list drawn down to
-    it, and whose right thunk binds the element tree to the node below, the
-    drawn heads kept as linked (head, rest) pairs."""
+    """list_of built from thunks, as a reference: each node is a choice node
+    whose left thunk builds the leaf of the list drawn down to it, and whose
+    right thunk binds the element tree to the node below, the drawn heads
+    kept as linked (head, rest) pairs."""
 
     def node(drawn):
         def nil():

@@ -10,7 +10,7 @@ import random
 import subprocess
 import sys
 import threading
-from collections import Counter, defaultdict
+from collections import Counter, OrderedDict, defaultdict
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -347,17 +347,18 @@ class TestDictSubclassKeys:
     """A dict subclass that keeps dict's == (defaultdict) keys by its type
     and items, in any order, and a Counter by its type and the items whose
     count is nonzero, as Counter's == compares; neither keys alike with a
-    plain dict."""
+    plain dict.  Two that key alike render alike."""
 
     def test_counters_equal_in_another_order_are_one_value(self):
         a, b = Counter(a=1, b=1), Counter(b=1, a=1)
         assert canonical(a) == canonical(b) and same_value(a, b)
+        assert render(a) == render(b)
         assert is_equal(a, b).evaluate().status == SATISFIED
 
     def test_zero_count_is_a_missing_element(self):
         a, b = Counter(a=1), Counter(a=1, b=0)
         assert a == b
-        assert canonical(a) == canonical(b)
+        assert canonical(a) == canonical(b) and render(a) == render(b)
         assert is_equal(a, b).evaluate().status == SATISFIED
         assert is_equal(a, Counter(a=2)).evaluate().status == FALSIFIED
 
@@ -367,7 +368,7 @@ class TestDictSubclassKeys:
             a[k] += 1
         for k in "zyx":
             b[k] += 1
-        assert canonical(a) == canonical(b)
+        assert canonical(a) == canonical(b) and render(a) == render(b)
         assert is_equal(a, b).evaluate().status == SATISFIED
         assert value_count(one_of([a, b]), 1).evaluate().status == SATISFIED
 
@@ -751,6 +752,11 @@ RENDER_TABLE = [
     ({"k": {"banana", "apple"}}, 'dict{"k":set{"apple","banana"}}'),
     ({(1, 2): None}, "dict{(1,2):()}"),
     ({}, "dict{}"),
+    # a dict subclass keyed by its items: written as a dict under its type's
+    # name, a Counter without its zero counts; one with its own == by str
+    (defaultdict(int, {"b": 1, "a": 2}), 'defaultdict{"a":2,"b":1}'),
+    (Counter(b=2, a=0), 'Counter{"b":2}'),
+    (OrderedDict(a=1), "OrderedDict([('a', 1)])"),
 ]
 
 
