@@ -63,8 +63,8 @@ def gen_cons0(v: A) -> Generator[A]:
 # stays alive per node of a memoised tree.  A list node, the most numerous
 # node of the memo, is one pending choice node over two children that every
 # node shares, and keeps its state in one slotted _ListCell, which is the
-# node's continuation: no function object, defaults tuple or bind node per
-# node.
+# node's whole chain: no function object, defaults tuple, chain tuple or bind
+# node per node.
 
 
 def _nested(c: Callable[..., A], gens: tuple[Generator, ...], args: tuple = ()) -> SearchTree[A]:
@@ -238,8 +238,8 @@ _NIL_LEAF = ValueNode(_NIL)
 class _ListCell:
     """The state of one list node: the head drawn at the node, the cell of the
     node above (None at the root), the element tree and the sequence type.
-    The cell is the node's continuation: it maps the nil mark to the leaf of
-    the list drawn, and a head h to the node below."""
+    The cell is the node's chain, a one-function chain: it maps the nil mark
+    to the leaf of the list drawn, and a head h to the node below."""
 
     __slots__ = ("head", "up", "elem", "seq")
 
@@ -256,7 +256,7 @@ class _ListCell:
 
 
 def _list_node(cell: _ListCell) -> OrNode:
-    return OrNode(_NIL_LEAF, cell.elem, (cell, None))
+    return OrNode(_NIL_LEAF, cell.elem, cell)
 
 
 def _unlink(cell: _ListCell) -> list | tuple:

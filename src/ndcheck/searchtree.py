@@ -5,11 +5,13 @@ node kinds: a value leaf, a failure leaf (no value), and a choice node with
 two subtrees.  Subtrees may be given as thunks so that infinite trees (e.g.
 "all lists of integers") are representable; a thunk is forced at most once.
 A bind node, built by ``bind`` and ``defer``, is the one lazy node: it
-resolves to one of the three kinds once, on its first visit.  A choice node
-reached under pending bind functions resolves to one choice node that keeps
-them, over its two unresolved children; a walk resolves those children when
-it visits them, so a split allocates one node, not a choice node and two bind
-nodes.
+resolves to one of the three kinds once, on its first visit.  Pending
+functions form a chain: None, one function, or a pair ``(f, rest)`` whose
+``rest`` is a chain, ``f`` applied first.  A choice node reached under a
+chain resolves to one choice node that keeps the chain, its own pending
+functions first, over the source's two children, unresolved; a walk
+resolves those children when it visits them, so a split allocates one node,
+not a choice node and two bind nodes, and leaves its source as it was.
 
 Enumeration strategies linearize a tree into a lazy value sequence under a
 node budget.  They share one walk over the tree's levels and differ only in
@@ -63,6 +65,8 @@ class FailNode(SearchTree[Any]):
 _FAIL = FailNode()
 
 _Child = Union[SearchTree, Callable[[], SearchTree]]
+# None, one function, or a pair (f, rest) whose rest is a chain
+_Chain = Union[Callable[[Any], SearchTree], tuple, None]
 
 
 class OrNode(SearchTree[A]):
@@ -71,18 +75,18 @@ class OrNode(SearchTree[A]):
     A choice node that a bind split is pending: ``_cont`` holds the chain of
     functions still to apply to both children, which are raw trees.  A walk
     resolves the two children where it visits them, writes their normal
-    forms back and clears ``_cont``; ``left`` and ``right`` first unpack a
-    pending node into two bind nodes sharing the chain.  ``_resolve`` reads
-    ``left`` then ``right`` to split a choice node under a chain, so no
-    other code outside the walk splits a node.  Outside a walk's step a
-    node is wholly pending or wholly resolved.  ``_walks``, set only on a
-    node that was the normal form of a walk's root, maps each strategy to
-    the record of its walks, a ``_Walk``.
+    forms back and clears ``_cont``.  ``_resolve`` splits a choice node by
+    reading its slots, so a pending node it splits stays pending; ``left``
+    and ``right``, for code outside the walk, first unpack a pending node
+    into two bind nodes sharing the chain.  Outside a walk's step a node is
+    wholly pending or wholly resolved.  ``_walks``, set only on a node that
+    was the normal form of a walk's root, maps each strategy to the record
+    of its walks, a ``_Walk``.
     """
 
     __slots__ = ("_left", "_right", "_cont", "_walks")
 
-    def __init__(self, left: _Child, right: _Child, cont: tuple | None = None):
+    def __init__(self, left: _Child, right: _Child, cont: _Chain = None):
         self._left = left
         self._right = right
         self._cont = cont
@@ -116,20 +120,22 @@ class OrNode(SearchTree[A]):
 class BindNode(SearchTree[A]):
     """Tree under a chain of pending value-leaf substitutions, applied in order.
 
-    The chain is made of pairs ``(f, rest)`` ending in ``None``.  The tree
-    slot may hold a thunk instead (``defer``), forced at most once and
-    stored back.  The normal form, computed by ``_resolve``, is computed
-    once and kept in ``_norm``; the tree and chain it came from are then
-    dropped.  A walk meets bind nodes that ``bind`` and ``defer`` built, and
-    resolves each in its parent's slot, storing the normal form there, so
-    the wrapper lives on only where something else refers to it, such as a
-    generator's root or a shared ``defer``.  A split under a chain makes no
-    bind node: it is one pending choice node.
+    The chain is None for ``defer`` and the function itself for ``bind``;
+    one made over a pending node's child (``_settle``, ``OrNode.left``)
+    keeps that node's chain.  The tree slot may hold a thunk instead
+    (``defer``), forced at most once and stored back.  The normal form,
+    computed by ``_resolve``, is computed once and kept in ``_norm``; the
+    tree and chain it came from are then dropped.  A walk meets bind nodes
+    that ``bind`` and ``defer`` built, and resolves each in its parent's
+    slot, storing the normal form there, so the wrapper lives on only where
+    something else refers to it, such as a generator's root or a shared
+    ``defer``.  A split under a chain makes no bind node, also where the
+    node split is pending: it is one pending choice node.
     """
 
     __slots__ = ("_tree", "_cont", "_norm")
 
-    def __init__(self, tree: _Child, cont: tuple | None):
+    def __init__(self, tree: _Child, cont: _Chain):
         self._tree = tree
         self._cont = cont
         self._norm: SearchTree | None = None
@@ -150,14 +156,32 @@ class BindNode(SearchTree[A]):
         return "BindNode(..)"
 
 
-def _resolve(t: SearchTree, k: tuple | None) -> SearchTree:
+def _join(j: _Chain, k: _Chain) -> _Chain:
+    """The chain j, then the chain k: j's functions copied in front of k,
+    which is shared as the tail."""
+    if j is None:
+        return k
+    if k is None:
+        return j
+    fns = []
+    while type(j) is tuple:
+        fns.append(j[0])
+        j = j[1]
+    k = (j, k)
+    for f in reversed(fns):
+        k = (f, k)
+    return k
+
+
+def _resolve(t: SearchTree, k: _Chain) -> SearchTree:
     """Normal form of tree t under chain k: a ValueNode, FailNode or OrNode.
 
     Peels one constructor at a time: a value leaf runs the next function, a
     choice node under a non-empty chain becomes one pending choice node over
-    its two children.  A nested bind copies its own chain in front of k in a
-    loop, sharing k as the tail, so a join costs the inner chain's length
-    and resolving a deeply composed tree costs O(1) Python frames per node.
+    its two children, forced, under its own chain joined in front of k.  A
+    nested bind joins its own chain in front of k in a loop, sharing k as
+    the tail, so a join costs the inner chain's length and resolving a
+    deeply composed tree costs O(1) Python frames per node.
     """
     while True:
         c = type(t)
@@ -165,12 +189,7 @@ def _resolve(t: SearchTree, k: tuple | None) -> SearchTree:
             if t._norm is not None:
                 t = t._norm
             else:
-                fns, j = [], t._cont
-                while j is not None:
-                    fns.append(j[0])
-                    j = j[1]
-                for f in reversed(fns):
-                    k = (f, k)
+                k = _join(t._cont, k)
                 inner = t._tree
                 if callable(inner):
                     inner = t._tree = inner()
@@ -178,10 +197,21 @@ def _resolve(t: SearchTree, k: tuple | None) -> SearchTree:
         elif c is ValueNode:
             if k is None:
                 return t
-            f, k = k
+            if type(k) is tuple:
+                f, k = k
+            else:
+                f, k = k, None
             t = f(t.payload)
         elif c is OrNode:
-            return t if k is None else OrNode(t.left, t.right, k)
+            if k is None:
+                return t
+            left = t._left
+            if callable(left):
+                left = t._left = left()
+            right = t._right
+            if callable(right):
+                right = t._right = right()
+            return OrNode(left, right, _join(t._cont, k))
         elif c is FailNode:
             return t
         else:
@@ -233,7 +263,7 @@ def bind(t: SearchTree[A], f: Callable[[A], SearchTree[B]]) -> SearchTree[B]:
         return f(t.payload)
     if isinstance(t, FailNode):
         return t
-    return BindNode(t, (f, None))
+    return BindNode(t, f)
 
 
 def one_of(values: Any) -> SearchTree[Any]:
