@@ -48,7 +48,6 @@ from .runner import (
     render_report,
     run_param,
     run_suite,
-    scan_proofs,
 )
 from .searchtree import (
     DEFAULT_NODE_BUDGET,

@@ -55,6 +55,10 @@ _PASSING = (PASSED, PASSED_EXHAUSTIVE, SKIPPED_PROVED)
 # the outcome status of a case that raised, or of a spec that cannot run
 _ERRED = "erred"
 
+# what user code may raise that becomes its spec's Error: a sys.exit() too,
+# but not a KeyboardInterrupt, which stops the run
+_USER_ERRORS = (Exception, SystemExit)
+
 
 @dataclass(frozen=True)
 class TestSpec:
@@ -198,13 +202,13 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
             raw = next(cursor)
         except StopIteration:
             break
-        except Exception as exc:  # noqa: BLE001 - a failing generator is a verdict too
+        except _USER_ERRORS as exc:  # noqa: BLE001 - a failing generator is a verdict too
             # not rendered: the input itself may be what failed (too deep to key)
             where = f"while drawing input {executed + dropped + 1}"
             return _ended(Outcome(_ERRED, f"{_message(exc)} ({where})"), executed, dropped), labels
         try:
             prop = body(*raw) if arity > 1 else body(raw)
-        except Exception as exc:  # noqa: BLE001 - a failing test body is a verdict
+        except _USER_ERRORS as exc:  # noqa: BLE001 - a failing test body is a verdict
             out = Outcome(_ERRED, _message(exc))
         else:
             out = _check(prop, ctx, "body returned")
@@ -226,7 +230,7 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
     return Verdict(kind, executed, dropped), labels
 
 
-def _message(exc: Exception) -> str:
+def _message(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -235,7 +239,7 @@ def _check(prop: Prop, ctx: EvalContext, what: str) -> Outcome:
     says what prop is, for not_a_prop."""
     try:
         return prop.check(ctx)
-    except Exception as exc:  # noqa: BLE001 - a failing check is a verdict
+    except _USER_ERRORS as exc:  # noqa: BLE001 - a failing check is a verdict
         return Outcome(_ERRED, _message(not_a_prop(exc, prop, what)))
 
 
@@ -293,7 +297,7 @@ def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext, proofs: dict[str
     elif spec.kind in (PARAM, POLY):
         try:
             inst = instantiate_poly(spec, cfg)
-        except Exception as exc:  # noqa: BLE001 - a failing gen_for is a verdict too
+        except _USER_ERRORS as exc:  # noqa: BLE001 - a failing gen_for is a verdict too
             where = f"while instantiating for base type {cfg.default_base_type.value}"
             verdict = _ended(Outcome(_ERRED, f"{_message(exc)} ({where})"), 0, 0)
         else:
@@ -320,21 +324,15 @@ def _normalize(name: str) -> str:
     return name.lower().replace("-", "").replace("_", "")
 
 
-def scan_proofs(proof_dir: str | Path) -> dict[str, str]:
-    """The proof files in a directory, as normalized property name -> file
-    name.
+def _proof_files(proof_dir: str | Path) -> list[tuple[str, str]]:
+    """(normalized property name, file name) of each proof file, sorted by
+    file name.
 
     A file ``proof-<t>.<ext>`` (any extension, matching case-insensitively,
     '-' and '_' ignored inside <t>) marks property t as proved.  The file
     content is trusted, not validated.  Of two files for one name, the
     first in sorted order counts; ``run_suite`` reports the other unused.
     """
-    return _first_per_name(_proof_files(proof_dir))
-
-
-def _proof_files(proof_dir: str | Path) -> list[tuple[str, str]]:
-    """(normalized property name, file name) of each proof file, sorted by
-    file name."""
     path = Path(proof_dir)
     if not path.is_dir():
         raise ConfigError(f"proof directory not readable: {path}")

@@ -76,12 +76,10 @@ class OrNode(SearchTree[A]):
     functions still to apply to both children, which are raw trees.  A walk
     resolves the two children where it visits them, writes their normal
     forms back and clears ``_cont``.  ``_resolve`` splits a choice node by
-    reading its slots, so a pending node it splits stays pending; ``left``
-    and ``right``, for code outside the walk, first unpack a pending node
-    into two bind nodes sharing the chain.  Outside a walk's step a node is
-    wholly pending or wholly resolved.  ``_walks``, set only on a node that
-    was the normal form of a walk's root, maps each strategy to the record
-    of its walks, a ``_Walk``.
+    reading its slots, so a pending node it splits stays pending.  Outside a
+    walk's step a node is wholly pending or wholly resolved.  ``_walks``,
+    set only on a node that was the normal form of a walk's root, maps each
+    strategy to the record of its walks, a ``_Walk``.
     """
 
     __slots__ = ("_left", "_right", "_cont", "_walks")
@@ -91,28 +89,6 @@ class OrNode(SearchTree[A]):
         self._right = right
         self._cont = cont
 
-    def _unpack(self) -> None:
-        k = self._cont
-        self._left = BindNode(self._left, k)
-        self._right = BindNode(self._right, k)
-        self._cont = None
-
-    @property
-    def left(self) -> SearchTree[A]:
-        if self._cont is not None:
-            self._unpack()
-        if callable(self._left):
-            self._left = self._left()
-        return self._left
-
-    @property
-    def right(self) -> SearchTree[A]:
-        if self._cont is not None:
-            self._unpack()
-        if callable(self._right):
-            self._right = self._right()
-        return self._right
-
     def __repr__(self) -> str:
         return "OrNode(..)"
 
@@ -121,7 +97,7 @@ class BindNode(SearchTree[A]):
     """Tree under a chain of pending value-leaf substitutions, applied in order.
 
     The chain is None for ``defer`` and the function itself for ``bind``;
-    one made over a pending node's child (``_settle``, ``OrNode.left``)
+    one made over a pending node's child (``_settle``)
     keeps that node's chain.  The tree slot may hold a thunk instead
     (``defer``), forced at most once and stored back.  The normal form,
     computed by ``_resolve``, is computed once and kept in ``_norm``; the

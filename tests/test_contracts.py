@@ -15,7 +15,6 @@ from ndcheck.runner import (
     TestSpec,
     run_param,
     run_suite,
-    scan_proofs,
 )
 from ndcheck.searchtree import one_of
 
@@ -148,31 +147,34 @@ def verdicts(specs, proof_dir):
 class TestProofScanning:
     def test_plain_proof_file(self, tmp_path):
         (tmp_path / "proof-sortlength.agda").write_text("qed")
-        assert scan_proofs(tmp_path) == {"sortlength": "proof-sortlength.agda"}
+        assert verdicts([param_spec("sortlength")], tmp_path) == {
+            "sortlength": (SKIPPED_PROVED, "proof-sortlength.agda"),
+        }
 
     def test_normalization_is_case_and_separator_insensitive(self, tmp_path):
         (tmp_path / "PROOF-Sort_Length.txt").write_text("qed")
-        assert scan_proofs(tmp_path) == {"sortlength": "PROOF-Sort_Length.txt"}
         names = ["sortlength", "sort-length", "SortLength"]
         skipped = (SKIPPED_PROVED, "PROOF-Sort_Length.txt")
         assert verdicts([param_spec(n) for n in names], tmp_path) == {n: skipped for n in names}
 
     def test_empty_directory_proves_nothing(self, tmp_path):
-        assert scan_proofs(tmp_path) == {}
         assert verdicts([param_spec("anything")], tmp_path) == {"anything": (PASSED_EXHAUSTIVE, None)}
 
     def test_non_proof_files_ignored(self, tmp_path):
         (tmp_path / "notes.txt").write_text("x")
         (tmp_path / "proofsketch.md").write_text("x")
-        assert scan_proofs(tmp_path) == {}
+        names = ["notes", "proofsketch", "sketch"]
+        assert verdicts([param_spec(n) for n in names], tmp_path) == {
+            n: (PASSED_EXHAUSTIVE, None) for n in names
+        }
 
     def test_any_extension_accepted(self, tmp_path):
         (tmp_path / "proof-revLength.smt2").write_text("x")
-        assert scan_proofs(tmp_path) == {"revlength": "proof-revLength.smt2"}
+        assert verdicts([param_spec("revLength")], tmp_path) == {
+            "revLength": (SKIPPED_PROVED, "proof-revLength.smt2"),
+        }
 
     def test_unreadable_directory_is_a_config_error(self, tmp_path):
-        with pytest.raises(ConfigError):
-            scan_proofs(tmp_path / "does-not-exist")
         with pytest.raises(ConfigError):
             run_suite([param_spec("sortlength")], RunConfig(proof_dir=tmp_path / "does-not-exist"))
 

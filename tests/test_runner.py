@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 import threading
 from dataclasses import replace
 
@@ -631,6 +632,29 @@ class TestRunSuite:
         assert verdict.kind == ERROR
         assert verdict.message.startswith("RecursionError: ")
         assert "while drawing input" in verdict.message
+
+    def test_sys_exit_in_user_code_is_that_specs_error(self):
+        def leave(*_):
+            sys.exit(3)
+
+        specs = [
+            param_spec(list_of(builtin(BaseType.BOOL)), leave, name="bodyExits"),
+            param_spec(gen_cons(leave, builtin(BaseType.BOOL)), lambda v: is_equal(v, v), name="genExits"),
+            TestSpec(name="checkExits", module="M", line=2, kind=UNIT, prop=is_equal(defer(leave), 1)),
+            TestSpec(name="genForExits", module="M", line=3, kind=POLY, gen_for=leave, body=leave),
+            TestSpec(name="after", module="M", line=4, kind=UNIT, prop=is_equal(1, 1)),
+        ]
+        report = run_suite(specs, RunConfig())
+        assert [(e.name, e.verdict.kind) for e in report.entries] == [
+            ("bodyExits", ERROR), ("genExits", ERROR), ("checkExits", ERROR),
+            ("genForExits", ERROR), ("after", PASSED),
+        ]
+        assert render_report(report).splitlines()[1] == " Error: SystemExit: 3 (input [])"
+        assert [e.verdict.message for e in report.entries[1:4]] == [
+            "SystemExit: 3 (while drawing input 1)",
+            "SystemExit: 3",
+            "SystemExit: 3 (while instantiating for base type ordering)",
+        ]
 
 
 def run_on_fresh_thread(fn):

@@ -37,7 +37,12 @@ ALL_STRATEGIES = [Strategy("bfs"), Strategy("level_diag"), Strategy("rand_level_
 
 
 def leaf_multiset(tree):
-    """Oracle: depth-first walk straight over the node structure."""
+    """Oracle: depth-first walk straight over the node structure.
+
+    It forces a thunk child and stores it back, as the walk does, and reads
+    a pending choice node's raw children through throwaway bind nodes under
+    its chain, so the node's slots stay as they were.
+    """
     out = Counter()
     stack = [tree]
     while stack:
@@ -47,8 +52,14 @@ def leaf_multiset(tree):
         if isinstance(node, ValueNode):
             out[canonical(node.payload)] += 1
         elif isinstance(node, OrNode):
-            stack.append(node.left)
-            stack.append(node.right)
+            if callable(node._left):
+                node._left = node._left()
+            if callable(node._right):
+                node._right = node._right()
+            kids = node._left, node._right
+            if node._cont is not None:
+                kids = [BindNode(kid, node._cont) for kid in kids]
+            stack.extend(kids)
     return out
 
 
@@ -59,6 +70,10 @@ def random_tree(rng, depth=0):
     if r < 0.55:
         return fail()
     return choice(random_tree(rng, depth + 1), random_tree(rng, depth + 1))
+
+
+def signed(x):
+    return choice(value(x), value(-x))
 
 
 def nat_chain(k=0):
@@ -150,12 +165,30 @@ class TestEnumerationContracts:
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_completeness_on_random_finite_trees(self, strategy):
         rng = random.Random(2024)
-        for _ in range(150):
-            t = random_tree(rng)
-            e = enumerate_tree(t, strategy)
+        trees = [(t, t) for t in (random_tree(rng) for _ in range(150))]
+        # Binds over random trees: the walk takes one copy and the oracle an
+        # unwalked twin, so the oracle meets pending choice nodes.  The twins
+        # share the raw tree, which a walk only reads.
+        for _ in range(50):
+            r = random_tree(rng)
+            trees.append((bind(r, signed), bind(r, signed)))
+        for walked, t in trees:
+            e = enumerate_tree(walked, strategy)
             got = Counter(canonical(v) for v in e)
             assert e.exhausted
             assert got == leaf_multiset(t)
+
+    def test_oracle_leaves_a_pending_node_as_it_was(self):
+        def build():
+            return bind(choice(value(1), value(2)), signed)
+
+        t = build()
+        node = t.normalized
+        assert type(node) is OrNode and node._cont is not None
+        slots = node._left, node._right, node._cont
+        got = leaf_multiset(t)
+        assert all(a is b for a, b in zip((node._left, node._right, node._cont), slots))
+        assert got == Counter(canonical(v) for v in enumerate_tree(build()))
 
     def test_strategy_agreement_on_value_multisets(self):
         rng = random.Random(7)
