@@ -95,7 +95,7 @@ class Prop:
             return self.check(ctx or EvalContext())
 
 
-def not_a_prop(exc: Exception, got: Any, what: str) -> Exception:
+def not_a_prop(exc: BaseException, got: Any, what: str) -> BaseException:
     """The error to report for exc, raised while checking got: a TypeError
     that names got's type when got stands where a property belongs but has
     no check at all (a body that returned a bool), else exc itself.  Called
