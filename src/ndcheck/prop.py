@@ -43,25 +43,21 @@ class Outcome:
 _SAT = Outcome(SATISFIED)
 _DROP = Outcome(DROPPED)
 
+VALUE_BUDGET = 10_000  # values per side, distinct (raw for eventually/always)
+
 
 @dataclass(frozen=True)
 class EvalContext:
     """Evaluation knobs shared by all operators.
 
-    value_budget caps how many raw values one side may produce while its
-    value set is being decided; the strategy's node budget caps expansion
-    work.  for_all_limit bounds how many elements a for_all sequence is
-    checked on (mirrors the runner's test count).
+    The strategy's node budget caps expansion work.  for_all_limit bounds
+    how many elements a for_all sequence is checked on (mirrors the runner's
+    test count).
     """
 
     strategy: Strategy = field(default_factory=Strategy)
-    value_budget: int = 10_000
     for_all_limit: int = 100
     scratch_dir: Path | None = None
-
-    def __post_init__(self):
-        if self.value_budget < 1:
-            raise ValueError("value budget must be >= 1")
 
 
 @contextmanager
@@ -148,7 +144,7 @@ def _distinct(t: SearchTree, ctx: EvalContext, need: int | None = None) -> tuple
     up to the cap, a leaf side in a one-node walk that any node budget
     covers, and the walk's own ``exhausted`` flag tells EXHAUSTED from
     BUDGET."""
-    cap = ctx.value_budget if need is None else min(need, ctx.value_budget)
+    cap = VALUE_BUDGET if need is None else min(need, VALUE_BUDGET)
     enum = enumerate_tree(t, ctx.strategy)
     pairs = list(islice(keyed(enum), cap))
     end = LIMIT if len(pairs) == cap else EXHAUSTED if enum.exhausted else BUDGET
@@ -179,19 +175,14 @@ def _results(lvals: list, lend: str, rvals: list, rend: str) -> str:
     return f"({_render_side(lvals, lend)},{_render_side(rvals, rend)})"
 
 
-def _leaf_pair(decide: Decide, a: Any, b: Any, ctx: EvalContext) -> Outcome:
-    """The outcome of decide, the tree check of is_equal, same_set or
-    reduces_to, on two single values, each plain or a value leaf's payload.
-
-    With a value budget of at least 2, one value is an exhausted value set,
-    so each of the three holds iff the two values are the same, and reports
-    the same results when they are not.  Below that, decide walks the two
-    values as leaves."""
-    if ctx.value_budget >= 2:
-        if same_value(a, b):
-            return _SAT
-        return Outcome(FALSIFIED, results=_results([a], EXHAUSTED, [b], EXHAUSTED))
-    return decide(ValueNode(a), ValueNode(b), ctx)
+def _leaf_pair(a: Any, b: Any, ctx: EvalContext) -> Outcome:
+    """The outcome of is_equal, same_set or reduces_to on two single values,
+    each plain or a value leaf's payload.  One value is an exhausted value
+    set, so each of the three holds iff the two values are the same, and
+    reports the same results when they are not."""
+    if same_value(a, b):
+        return _SAT
+    return Outcome(FALSIFIED, results=_results([a], EXHAUSTED, [b], EXHAUSTED))
 
 
 def _two_sided(decide: Decide, l: TreeLike, r: TreeLike) -> Prop:
@@ -201,7 +192,7 @@ def _two_sided(decide: Decide, l: TreeLike, r: TreeLike) -> Prop:
     ltree, rtree = isinstance(l, SearchTree), isinstance(r, SearchTree)
     if (ltree and type(l) is not ValueNode) or (rtree and type(r) is not ValueNode):
         return Prop(partial(decide, as_tree(l), as_tree(r)))
-    return Prop(partial(_leaf_pair, decide, l.payload if ltree else l, r.payload if rtree else r))
+    return Prop(partial(_leaf_pair, l.payload if ltree else l, r.payload if rtree else r))
 
 
 def _inconclusive(op: str, side: str, end: str) -> Outcome:
@@ -264,12 +255,12 @@ def _reduces_to(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome:
         return _SAT
     enum = enumerate_tree(lt, ctx.strategy)
     observed: list = []
-    for k, v in islice(keyed(enum), ctx.value_budget):
+    for k, v in islice(keyed(enum), VALUE_BUDGET):
         observed.append(v)
         missing.discard(k)
         if not missing:
             return _SAT
-    if len(observed) == ctx.value_budget:
+    if len(observed) == VALUE_BUDGET:
         return _inconclusive("reduces_to", "left", LIMIT)
     if enum.exhausted:
         return Outcome(
@@ -359,7 +350,7 @@ def eventually(e: TreeLike) -> Prop:
             if v is True:
                 return _SAT
             drawn += 1
-            if drawn >= ctx.value_budget:
+            if drawn >= VALUE_BUDGET:
                 return _inconclusive("eventually", "left", LIMIT)
         if enum.exhausted:
             return Outcome(FALSIFIED, results="(no True value)")
@@ -380,7 +371,7 @@ def always(e: TreeLike) -> Prop:
             if v is not True:
                 return Outcome(FALSIFIED, results=f"({_show(v)})")
             drawn += 1
-            if drawn >= ctx.value_budget:
+            if drawn >= VALUE_BUDGET:
                 return _inconclusive("always", "left", LIMIT)
         if enum.exhausted:
             if drawn == 0:

@@ -93,7 +93,6 @@ class RunConfig:
     strategy_kind: str = "rand_level_diag"
     seed: int = 0
     node_budget: int = DEFAULT_NODE_BUDGET
-    value_budget: int = 10_000
     proof_dir: str | Path | None = None
 
     def __post_init__(self):
@@ -101,8 +100,6 @@ class RunConfig:
             raise ValueError("max_tests must be >= 1")
         if self.drop_limit < 1:
             raise ValueError("drop_limit must be >= 1")
-        if self.value_budget < 1:
-            raise ValueError("value_budget must be >= 1")
         self.strategy  # raises ValueError on a bad kind or node budget
 
     @property
@@ -155,7 +152,6 @@ class TestReport:
 def _context(cfg: RunConfig, scratch: Path | None) -> EvalContext:
     return EvalContext(
         strategy=cfg.strategy,
-        value_budget=cfg.value_budget,
         for_all_limit=cfg.max_tests,
         scratch_dir=scratch,
     )

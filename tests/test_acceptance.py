@@ -44,7 +44,6 @@ def ok(n, text):
 def eval_context(cfg: RunConfig) -> EvalContext:
     return EvalContext(
         strategy=cfg.strategy,
-        value_budget=cfg.value_budget,
         for_all_limit=cfg.max_tests,
     )
 

@@ -207,7 +207,7 @@ class TestSuiteVerdicts:
         from ndcheck.runner import RunConfig
 
         cfg = RunConfig()
-        ctx = EvalContext(strategy=cfg.strategy, value_budget=cfg.value_budget)
+        ctx = EvalContext(strategy=cfg.strategy)
         bodies = {s.name: s for s in registry.specs_for() if s.kind == "param"}
         checked = 0
         for entry in full_report.entries:

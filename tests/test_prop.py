@@ -396,10 +396,6 @@ class TestLabels:
 
 
 class TestEvalContext:
-    def test_value_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            EvalContext(value_budget=0)
-
     def test_repeatable_outcomes(self):
         p = same_set(one_of([3, 1, 3]), one_of([1, 3]))
         ctx = EvalContext(strategy=Strategy("rand_level_diag", seed=12))
@@ -518,10 +514,9 @@ LEAVES = [
     value(SelfUnequal()), fail(),
 ]
 LEAF_CONTEXTS = [
-    EvalContext(strategy=Strategy(s.kind, s.seed, node_budget), value_budget=value_budget)
+    EvalContext(strategy=Strategy(s.kind, s.seed, node_budget))
     for s in STRATEGIES
     for node_budget in (1, 100_000)
-    for value_budget in (1, 10_000)
 ]
 
 
@@ -542,8 +537,8 @@ class TestLeafFastPath:
     def test_leaf_roots_decide_like_a_walked_tree(self, ctx):
         """Two value roots are compared without a walk or keys, and any
         other leaf root is walked as a one-node tree; the same tree behind a
-        deferred node is walked and keyed.  Every outcome must agree, budgets
-        of 1 included."""
+        deferred node is walked and keyed.  Every outcome must agree, node
+        budgets of 1 included."""
         fast = leaf_props(lambda t: t)
         walked = leaf_props(lambda t: defer(lambda: t))
         for p, q in zip(fast, walked):

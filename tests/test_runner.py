@@ -471,15 +471,11 @@ class TestPolyOnDemand:
 
 
 class TestRunConfig:
-    @pytest.mark.parametrize("field", ["max_tests", "drop_limit", "value_budget"])
+    @pytest.mark.parametrize("field", ["max_tests", "drop_limit"])
     @pytest.mark.parametrize("bad", [0, -1])
     def test_count_below_one_rejected(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             RunConfig(**{field: bad})
-
-    def test_value_budget_of_one_runs(self):
-        report = run_suite(registry.specs_for(["BoolTest"]), RunConfig(value_budget=1))
-        assert len(report.entries) == len(registry.specs_for(["BoolTest"]))
 
 
 class TestRunSuite:
