@@ -137,14 +137,15 @@ def keyed(values: Iterable) -> Iterator[tuple[Any, Any]]:
 
 
 def _distinct(t: SearchTree, ctx: EvalContext, need: int | None = None) -> tuple[list, list, str]:
-    """(keys, values, end) of at most `need` distinct values, within the
-    value budget (which also ends the draw with LIMIT).
+    """(keys, values, end) of at most `need` distinct values, and at most
+    one past the value budget; a draw ended by either cap ends with LIMIT.
 
     Every operator gets its value sets here.  Each side is walked and keyed
     up to the cap, a leaf side in a one-node walk that any node budget
     covers, and the walk's own ``exhausted`` flag tells EXHAUSTED from
-    BUDGET."""
-    cap = VALUE_BUDGET if need is None else min(need, VALUE_BUDGET)
+    BUDGET.  The value past the budget tells a side of exactly VALUE_BUDGET
+    values, which is decided, from a longer one."""
+    cap = VALUE_BUDGET + 1 if need is None else min(need, VALUE_BUDGET + 1)
     enum = enumerate_tree(t, ctx.strategy)
     pairs = list(islice(keyed(enum), cap))
     end = LIMIT if len(pairs) == cap else EXHAUSTED if enum.exhausted else BUDGET
@@ -255,13 +256,13 @@ def _reduces_to(lt: SearchTree, rt: SearchTree, ctx: EvalContext) -> Outcome:
         return _SAT
     enum = enumerate_tree(lt, ctx.strategy)
     observed: list = []
-    for k, v in islice(keyed(enum), VALUE_BUDGET):
+    for k, v in keyed(enum):
+        if len(observed) == VALUE_BUDGET:   # a value past the budget decides nothing
+            return _inconclusive("reduces_to", "left", LIMIT)
         observed.append(v)
         missing.discard(k)
         if not missing:
             return _SAT
-    if len(observed) == VALUE_BUDGET:
-        return _inconclusive("reduces_to", "left", LIMIT)
     if enum.exhausted:
         return Outcome(
             FALSIFIED,
@@ -347,11 +348,11 @@ def eventually(e: TreeLike) -> Prop:
         enum = enumerate_tree(t, ctx.strategy)
         drawn = 0
         for v in enum:
+            if drawn == VALUE_BUDGET:
+                return _inconclusive("eventually", "left", LIMIT)
             if v is True:
                 return _SAT
             drawn += 1
-            if drawn >= VALUE_BUDGET:
-                return _inconclusive("eventually", "left", LIMIT)
         if enum.exhausted:
             return Outcome(FALSIFIED, results="(no True value)")
         return _inconclusive("eventually", "left", BUDGET)
@@ -368,11 +369,11 @@ def always(e: TreeLike) -> Prop:
         enum = enumerate_tree(t, ctx.strategy)
         drawn = 0
         for v in enum:
+            if drawn == VALUE_BUDGET:
+                return _inconclusive("always", "left", LIMIT)
             if v is not True:
                 return Outcome(FALSIFIED, results=f"({_show(v)})")
             drawn += 1
-            if drawn >= VALUE_BUDGET:
-                return _inconclusive("always", "left", LIMIT)
         if enum.exhausted:
             if drawn == 0:
                 return Outcome(FALSIFIED, results="(no values)")

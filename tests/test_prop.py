@@ -16,6 +16,7 @@ from ndcheck.prop import (
     FALSIFIED,
     INCONCLUSIVE,
     SATISFIED,
+    VALUE_BUDGET,
     EvalContext,
     Outcome,
     Prop,
@@ -400,6 +401,71 @@ class TestEvalContext:
         p = same_set(one_of([3, 1, 3]), one_of([1, 3]))
         ctx = EvalContext(strategy=Strategy("rand_level_diag", seed=12))
         assert p.evaluate(ctx) == p.evaluate(ctx)
+
+
+def ints(n):
+    return one_of(range(n))
+
+
+def in_order(xs):
+    """A right spine of choices whose values come out in the order of xs
+    under bfs."""
+    t = value(xs[-1])
+    for x in reversed(xs[:-1]):
+        t = choice(value(x), t)
+    return t
+
+
+# (a property over a side of n values, its outcome's status at n =
+# VALUE_BUDGET, and its detail at n = VALUE_BUDGET + 1, where that side is
+# undecided): each operator that draws a value set, on each side it draws
+AT_BUDGET = [
+    (lambda n: same_set(ints(n), ints(n)), SATISFIED,
+     "same_set: left side undecided (value budget exceeded)"),
+    (lambda n: reduces_to(ints(n), value(-1)), FALSIFIED,
+     "reduces_to: left side undecided (value budget exceeded)"),
+    (lambda n: reduces_to(ints(n), ints(n)), SATISFIED,
+     "reduces_to: right side undecided (value budget exceeded)"),
+    (lambda n: value_count(ints(n), n), SATISFIED,
+     "value_count: left side undecided (value budget exceeded)"),
+    (lambda n: value_count_less(ints(n), n + 1), SATISFIED,
+     "value_count_less: left side undecided (value budget exceeded)"),
+    (lambda n: eventually(one_of([False] * n)), FALSIFIED,
+     "eventually: left side undecided (value budget exceeded)"),
+    (lambda n: always(one_of([True] * n)), SATISFIED,
+     "always: left side undecided (value budget exceeded)"),
+]
+# (a property whose n-th and last value under bfs would decide it early, its
+# detail at n = VALUE_BUDGET + 1): a value past the budget decides nothing
+PAST_BUDGET = [
+    (lambda n: reduces_to(in_order(range(n)), value(n - 1)),
+     "reduces_to: left side undecided (value budget exceeded)"),
+    (lambda n: eventually(in_order([False] * (n - 1) + [True])),
+     "eventually: left side undecided (value budget exceeded)"),
+    (lambda n: always(in_order([True] * (n - 1) + [False])),
+     "always: left side undecided (value budget exceeded)"),
+]
+
+
+
+def budget_id(detail, case):
+    """The test id of a value-budget row: its operator, side and case."""
+    return detail.split(" side")[0].replace(": ", "-") + "-" + case
+
+
+class TestValueBudget:
+    @pytest.mark.parametrize("build, n, status, detail", [
+        (build, VALUE_BUDGET, status, "") for build, status, _ in AT_BUDGET
+    ] + [
+        (build, VALUE_BUDGET + 1, INCONCLUSIVE, detail) for build, _, detail in AT_BUDGET
+    ] + [
+        (build, VALUE_BUDGET + 1, INCONCLUSIVE, detail) for build, detail in PAST_BUDGET
+    ], ids=[budget_id(d, "at-budget") for _, _, d in AT_BUDGET]
+        + [budget_id(d, "over-budget") for _, _, d in AT_BUDGET]
+        + [budget_id(d, "last-value-past-budget") for _, d in PAST_BUDGET])
+    def test_a_side_of_exactly_the_budget_is_decided(self, build, n, status, detail):
+        out = build(n).evaluate(EvalContext(strategy=Strategy("bfs")))
+        assert (out.status, out.detail) == (status, detail)
 
 
 # (kind, a thunk building a property of that kind, its outcome's status):
