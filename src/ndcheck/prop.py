@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .gen import Generator
 from .searchtree import SearchTree, Strategy, ValueNode, enumerate_tree, value
-from .values import canonical, render, same_value
+from .values import canonical, render, same_value, shown
 
 SATISFIED = "satisfied"
 FALSIFIED = "falsified"
@@ -153,12 +153,7 @@ def _distinct(t: SearchTree, ctx: EvalContext, need: int | None = None) -> tuple
 
 
 def _show(v: Any) -> str:
-    """render, or a placeholder for a value too deep to render: the verdict
-    was decided without rendering, so it stands."""
-    try:
-        return render(v)
-    except RecursionError:
-        return "<value too deep to render>"
+    return shown("value", render, v)
 
 
 def _render_side(vals: list, end: str) -> str:

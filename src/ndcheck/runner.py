@@ -31,7 +31,7 @@ from .prop import (
     not_a_prop,
 )
 from .searchtree import DEFAULT_NODE_BUDGET, Strategy, enumerate_tree
-from .values import render_args
+from .values import render_args, shown
 
 # spec kinds
 UNIT = "unit"
@@ -173,11 +173,7 @@ def instantiate_poly(spec: TestSpec, cfg: RunConfig) -> TestSpec:
 
 
 def _render_input(raw: Any, arity: int) -> str:
-    """render_args, or a placeholder for an input too deep to render."""
-    try:
-        return render_args(raw, arity)
-    except RecursionError:
-        return "<input too deep to render>"
+    return shown("input", render_args, raw, arity)
 
 
 def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) -> tuple[Verdict, Counter]:
@@ -227,7 +223,7 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
 
 
 def _message(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
+    return f"{type(exc).__name__}: {shown('message', str, exc)}"
 
 
 def _check(prop: Prop, ctx: EvalContext, what: str) -> Outcome:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import Counter
-from typing import Any
+from typing import Any, Callable
 
 _SCALARS = frozenset((bool, int, float, str, bytes))
 
@@ -181,3 +181,16 @@ def render_args(args: Any, arity: int) -> str:
     if arity <= 1:
         return render(args)
     return " ".join(render(x) for x in args)
+
+
+def shown(what: str, show: Callable[..., str], *args: Any) -> str:
+    """show(*args), or a placeholder naming what could not be shown: a value
+    too deep to render, or one whose own __str__ or __repr__ raises, named
+    then by the exception's type alone.  A report renders a verdict already
+    decided, so the verdict stands either way."""
+    try:
+        return show(*args)
+    except RecursionError:
+        return f"<{what} too deep to render>"
+    except Exception as exc:  # noqa: BLE001 - user code that renders a value
+        return f"<{what} not renderable: {type(exc).__name__}>"

@@ -749,6 +749,45 @@ class TestDeepResultRendering:
         assert verdict.results == "(<value too deep to render>,<value too deep to render>)"
 
 
+class Unshowable:
+    """A value whose __str__ and __repr__ raise."""
+
+    def __str__(self):
+        raise ValueError("no str")
+
+    __repr__ = __str__
+
+
+class UnshowableError(Exception):
+    def __str__(self):
+        raise ValueError("no str")
+
+
+def raise_unshowable(_):
+    raise UnshowableError
+
+
+class TestUnshowableValues:
+    def test_a_value_that_cannot_be_shown_keeps_its_verdict(self):
+        """An exception, an input or a result whose rendering raises is
+        shown as a placeholder that names the rendering error's type; the
+        verdict stands, and the run goes on."""
+        one = Generator(value(1))
+        specs = [
+            param_spec(one, raise_unshowable, name="raises"),
+            param_spec(Generator(value(Unshowable())), lambda _: is_equal(1, 2), name="input"),
+            param_spec(one, lambda _: is_equal(Unshowable(), 2), name="result"),
+            TestSpec(name="after", module="T", line=2, kind=UNIT, prop=is_equal(1, 1)),
+        ]
+        verdicts = [e.verdict for e in run_suite(specs, RunConfig()).entries]
+        assert [(v.kind, v.message, v.arguments, v.results) for v in verdicts] == [
+            (ERROR, "UnshowableError: <message not renderable: ValueError> (input 1)", None, None),
+            (FALSIFIED_V, None, "<input not renderable: ValueError>", "(1,2)"),
+            (FALSIFIED_V, None, "1", "(<value not renderable: ValueError>,2)"),
+            (PASSED, None, None, None),
+        ]
+
+
 @pytest.fixture
 def gc_state():
     """Give the test the collector to switch; restore it afterwards."""
