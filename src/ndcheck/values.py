@@ -185,12 +185,13 @@ def render_args(args: Any, arity: int) -> str:
 
 def shown(what: str, show: Callable[..., str], *args: Any) -> str:
     """show(*args), or a placeholder naming what could not be shown: a value
-    too deep to render, or one whose own __str__ or __repr__ raises, named
+    too deep to render, or one whose own __str__ or __repr__ raises (a
+    sys.exit() included, as the runner takes it from any user code), named
     then by the exception's type alone.  A report renders a verdict already
     decided, so the verdict stands either way."""
     try:
         return show(*args)
     except RecursionError:
         return f"<{what} too deep to render>"
-    except Exception as exc:  # noqa: BLE001 - user code that renders a value
+    except (Exception, SystemExit) as exc:  # noqa: BLE001 - user code that renders a value
         return f"<{what} not renderable: {type(exc).__name__}>"

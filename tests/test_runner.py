@@ -763,8 +763,17 @@ class UnshowableError(Exception):
         raise ValueError("no str")
 
 
+class ExitingError(Exception):
+    def __str__(self):
+        sys.exit(3)
+
+
 def raise_unshowable(_):
     raise UnshowableError
+
+
+def raise_exiting(_):
+    raise ExitingError
 
 
 class TestUnshowableValues:
@@ -775,6 +784,7 @@ class TestUnshowableValues:
         one = Generator(value(1))
         specs = [
             param_spec(one, raise_unshowable, name="raises"),
+            param_spec(one, raise_exiting, name="exits"),
             param_spec(Generator(value(Unshowable())), lambda _: is_equal(1, 2), name="input"),
             param_spec(one, lambda _: is_equal(Unshowable(), 2), name="result"),
             TestSpec(name="after", module="T", line=2, kind=UNIT, prop=is_equal(1, 1)),
@@ -782,6 +792,7 @@ class TestUnshowableValues:
         verdicts = [e.verdict for e in run_suite(specs, RunConfig()).entries]
         assert [(v.kind, v.message, v.arguments, v.results) for v in verdicts] == [
             (ERROR, "UnshowableError: <message not renderable: ValueError> (input 1)", None, None),
+            (ERROR, "ExitingError: <message not renderable: SystemExit> (input 1)", None, None),
             (FALSIFIED_V, None, "<input not renderable: ValueError>", "(1,2)"),
             (FALSIFIED_V, None, "1", "(<value not renderable: ValueError>,2)"),
             (PASSED, None, None, None),
