@@ -447,7 +447,6 @@ PAST_BUDGET = [
 ]
 
 
-
 def budget_id(detail, case):
     """The test id of a value-budget row: its operator, side and case."""
     return detail.split(" side")[0].replace(": ", "-") + "-" + case
