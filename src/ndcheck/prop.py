@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .gen import Generator
 from .searchtree import SearchTree, Strategy, ValueNode, enumerate_tree, value
-from .values import canonical, render, same_value, shown
+from .values import _SCALARS, canonical, render, same_value, shown
 
 SATISFIED = "satisfied"
 FALSIFIED = "falsified"
@@ -80,8 +80,10 @@ class Prop:
 
     check maps an EvalContext to an Outcome; its qualified name shows the
     operator that built it.  A property is one small slotted object, built
-    per test case, and it compares and hashes by identity.  Its field is not
-    meant to be reassigned: dataclasses.replace makes a changed copy."""
+    per test case, and it compares and hashes by identity.  A case decided
+    when it is built (is_equal on one object twice, or implies with a false
+    guard) gets one property that every such case shares, so never assign
+    to check: dataclasses.replace makes a changed copy."""
 
     check: Callable[[EvalContext], Outcome]
 
@@ -156,15 +158,21 @@ def _show(v: Any) -> str:
     return shown("value", render, v)
 
 
+RENDERED_VALUES = 100  # values a report shows per side; the rest are counted
+
+
 def _render_side(vals: list, end: str) -> str:
-    """One side's values: a lone exhausted value bare, else a set, ending
+    """One side's values: a lone exhausted value bare, else a set of its
+    first RENDERED_VALUES values and a count of the rest (+N more), ending
     in .. if the side did not exhaust."""
     if len(vals) == 1 and end == EXHAUSTED:
         return _show(vals[0])
-    shown = [_show(v) for v in vals]
+    parts = [_show(v) for v in vals[:RENDERED_VALUES]]
+    if len(vals) > RENDERED_VALUES:
+        parts.append(f"+{len(vals) - RENDERED_VALUES} more")
     if end != EXHAUSTED:
-        shown.append("..")
-    return "{" + ",".join(shown) + "}"
+        parts.append("..")
+    return "{" + ",".join(parts) + "}"
 
 
 def _results(lvals: list, lend: str, rvals: list, rend: str) -> str:
@@ -181,14 +189,30 @@ def _leaf_pair(a: Any, b: Any, ctx: EvalContext) -> Outcome:
     return Outcome(FALSIFIED, results=_results([a], EXHAUSTED, [b], EXHAUSTED))
 
 
+def _satisfied(ctx: EvalContext) -> Outcome:
+    return _SAT
+
+
+_SAT_PROP = Prop(_satisfied)   # every two-sided case decided when built
+
+
 def _two_sided(decide: Decide, l: TreeLike, r: TreeLike) -> Prop:
     """The property of tree check decide on l and r.  Two single values, plain
     or in value leaves, are decided by _leaf_pair, and no tree is built for
-    them; any other pair by decide(lt, rt, ctx) on both sides as trees."""
+    them; any other pair by decide(lt, rt, ctx) on both sides as trees.
+
+    Two single values that are one object, or two scalars of one exact type
+    that are the same value, get the shared _SAT_PROP: nothing can change
+    their answer before the check, and comparing them runs no user code.
+    Any other pair of values is compared when checked, as a container may
+    be mutated in between."""
     ltree, rtree = isinstance(l, SearchTree), isinstance(r, SearchTree)
     if (ltree and type(l) is not ValueNode) or (rtree and type(r) is not ValueNode):
         return Prop(partial(decide, as_tree(l), as_tree(r)))
-    return Prop(partial(_leaf_pair, l.payload if ltree else l, r.payload if rtree else r))
+    a, b = l.payload if ltree else l, r.payload if rtree else r
+    if a is b or (type(a) is type(b) and type(a) in _SCALARS and same_value(a, b)):
+        return _SAT_PROP
+    return Prop(partial(_leaf_pair, a, b))
 
 
 def _inconclusive(op: str, side: str, end: str) -> Outcome:
@@ -321,14 +345,17 @@ def implies(cond: bool, p: Prop | Callable[[], Prop]) -> Prop:
 
     The consequent may be passed as a thunk so that guarded expressions
     (e.g. ones that diverge on bad inputs) are only built when the guard
-    holds.  A false guard's property shares one check and builds nothing
+    holds.  A false guard gives one shared property and builds nothing
     else.
     """
-    return Prop(partial(_implied, p) if cond else _dropped)
+    return Prop(partial(_implied, p)) if cond else _DROP_PROP
 
 
 def _dropped(ctx: EvalContext) -> Outcome:
     return _DROP
+
+
+_DROP_PROP = Prop(_dropped)   # every case implies drops
 
 
 def _implied(p: Prop | Callable[[], Prop], ctx: EvalContext) -> Outcome:

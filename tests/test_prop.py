@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import random
 from decimal import Decimal
+from enum import IntEnum
 from itertools import islice
 from pathlib import Path
 
@@ -19,7 +20,12 @@ from ndcheck.prop import (
     VALUE_BUDGET,
     EvalContext,
     Outcome,
+    RENDERED_VALUES,
     Prop,
+    _DROP_PROP,
+    _SAT_PROP,
+    _leaf_pair,
+    _satisfied,
     always,
     classify,
     collect,
@@ -193,9 +199,45 @@ class TestCounting:
         assert (out.status, out.results) == (FALSIFIED, results)
 
 
+# the first RENDERED_VALUES values of one_of(range(n)) for n >= 154, drawn bfs
+BFS_HEAD = (
+    "0,1,2,3,4,5,6,9,10,11,14,15,16,19,20,21,24,25,26,29,30,31,34,35,36,39,40,"
+    "41,42,43,44,45,48,49,50,53,54,55,58,59,60,63,64,65,68,69,70,73,74,75,78,79,"
+    "80,81,82,83,84,87,88,89,92,93,94,97,98,99,102,103,104,107,108,109,112,113,"
+    "114,117,118,119,120,121,122,123,126,127,128,131,132,133,136,137,138,141,142,"
+    "143,146,147,148,151,152,153"
+)
+
+
+class TestRenderedValues:
+    """A report shows at most RENDERED_VALUES values of a side and counts
+    the rest, before the .. of a side that did not exhaust."""
+
+    def test_long_sides_are_cut(self):
+        assert RENDERED_VALUES == 100 == BFS_HEAD.count(",") + 1
+        bfs = EvalContext(strategy=Strategy("bfs"))
+        out = same_set(one_of(range(5000)), one_of(range(5001))).evaluate(bfs)
+        assert (out.status, out.results) == (
+            FALSIFIED, f"({{{BFS_HEAD},+4900 more}},{{{BFS_HEAD},+4901 more}})"
+        )
+        out = value_count(one_of(range(20_000)), 10_000).evaluate(bfs)
+        assert (out.status, out.results) == (
+            FALSIFIED, f"({{{BFS_HEAD},+9901 more,..}} has more than 10000 values)"
+        )
+
+    def test_a_side_of_exactly_the_limit_is_shown_whole(self):
+        out = same_set(one_of(range(RENDERED_VALUES)), fail()).evaluate(CTX)
+        assert out.results.count(",") == RENDERED_VALUES and "more" not in out.results
+
+
 class TestImplication:
     def test_false_guard_drops(self):
         assert status(implies(False, is_equal(1, 2))) == DROPPED
+
+    def test_false_guard_gives_the_shared_dropped_property(self):
+        assert implies(False, is_equal(1, 2)) is _DROP_PROP
+        assert implies(0, lambda: is_equal(1, 2)) is _DROP_PROP
+        assert implies(True, is_equal(1, 1)) is not _DROP_PROP
 
     def test_true_guard_delegates(self):
         assert status(implies(True, is_equal(1, 1))) == SATISFIED
@@ -677,6 +719,75 @@ def nested_list(depth):
     for _ in range(depth):
         xs = [xs]
     return xs
+
+
+class Small(IntEnum):
+    ONE = 1
+
+
+class Other(IntEnum):
+    ONE = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class Point:
+    x: int
+
+
+NAN, OTHER_NAN = float("nan"), float("nan")
+# plain values that are ==, or the same value, across types and objects
+POOL = [
+    True, 1, 1.0, NAN, OTHER_NAN, -0.0, 0.0, "a", b"a", [1], (1,), Point(1),
+    Small.ONE, Other.ONE, DECIMAL_NAN, DECIMAL_NAN,
+]
+
+
+def decided_when_built(a, b):
+    """Whether a pair must get the shared satisfied property: one object,
+    or two scalars of one exact type that are == or both NaN."""
+    if a is b:
+        return True
+    return type(a) is type(b) and type(a) in (bool, int, float, str, bytes) and (a == b or a != a and b != b)
+
+
+class TestDecidedWhenBuilt:
+    """Two plain values that are one object, or two exact scalars that are
+    the same value, are decided when the property is built and share one
+    satisfied property; any other pair is compared when checked.  Either
+    way the outcome is _leaf_pair's."""
+
+    @pytest.mark.parametrize("op", [is_equal, same_set, reduces_to])
+    @pytest.mark.parametrize("wrap", [lambda v: v, value], ids=["plain", "leaf"])
+    def test_law(self, op, wrap):
+        assert NAN is not OTHER_NAN and POOL.count(DECIMAL_NAN) == 2
+        shared = 0
+        for a in POOL:
+            for b in POOL:
+                p = op(wrap(a), wrap(b))
+                assert p.evaluate(CTX) == _leaf_pair(a, b, CTX), (a, b)
+                assert (p is _SAT_PROP) == decided_when_built(a, b), (a, b)
+                shared += p is _SAT_PROP
+        # each object with itself, the two NaNs, 0.0 with -0.0 and the
+        # Decimal NaN with its second entry both ways
+        assert shared == len(POOL) + 2 + 2 + 2
+
+    def test_a_list_pair_is_compared_when_checked(self):
+        xs = [1, 2]
+        p = is_equal(xs, [1, 2])
+        xs.append(3)
+        out = p.evaluate()
+        assert (out.status, out.results) == (FALSIFIED, "([1,2,3],[1,2])")
+
+    def test_replace_leaves_the_shared_property_intact(self):
+        shared = is_equal(1, 1)
+        assert shared is _SAT_PROP and shared.check is _satisfied
+
+        def falsify(ctx):
+            return Outcome(FALSIFIED)
+
+        q = dataclasses.replace(shared, check=falsify)
+        assert q.check is falsify and q.evaluate().status == FALSIFIED
+        assert shared.check is _satisfied and is_equal(2, 2).evaluate().status == SATISFIED
 
 
 class TestDeepValues:
