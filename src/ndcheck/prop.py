@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .gen import Generator
 from .searchtree import SearchTree, Strategy, ValueNode, enumerate_tree, value
-from .values import _SCALARS, canonical, render, same_value, shown
+from .values import canonical, render, same_value, shown
 
 SATISFIED = "satisfied"
 FALSIFIED = "falsified"
@@ -81,9 +81,11 @@ class Prop:
     check maps an EvalContext to an Outcome; its qualified name shows the
     operator that built it.  A property is one small slotted object, built
     per test case, and it compares and hashes by identity.  A case decided
-    when it is built (is_equal on one object twice, or implies with a false
-    guard) gets one property that every such case shares, so never assign
-    to check: dataclasses.replace makes a changed copy."""
+    when it is built gets one property that every such case shares: is_equal,
+    same_set or reduces_to on one object twice (plain or in value leaves)
+    gets the shared satisfied one, and implies with a false guard the shared
+    dropped one.  So never assign to check: dataclasses.replace makes a
+    changed copy."""
 
     check: Callable[[EvalContext], Outcome]
 
@@ -201,16 +203,15 @@ def _two_sided(decide: Decide, l: TreeLike, r: TreeLike) -> Prop:
     or in value leaves, are decided by _leaf_pair, and no tree is built for
     them; any other pair by decide(lt, rt, ctx) on both sides as trees.
 
-    Two single values that are one object, or two scalars of one exact type
-    that are the same value, get the shared _SAT_PROP: nothing can change
-    their answer before the check, and comparing them runs no user code.
-    Any other pair of values is compared when checked, as a container may
-    be mutated in between."""
+    Two single values that are one object get the shared _SAT_PROP: an
+    object is always the same value as itself, so nothing can change the
+    answer before the check.  Any other pair of values is compared when
+    checked, as a container may be mutated in between."""
     ltree, rtree = isinstance(l, SearchTree), isinstance(r, SearchTree)
     if (ltree and type(l) is not ValueNode) or (rtree and type(r) is not ValueNode):
         return Prop(partial(decide, as_tree(l), as_tree(r)))
     a, b = l.payload if ltree else l, r.payload if rtree else r
-    if a is b or (type(a) is type(b) and type(a) in _SCALARS and same_value(a, b)):
+    if a is b:
         return _SAT_PROP
     return Prop(partial(_leaf_pair, a, b))
 

@@ -742,19 +742,11 @@ POOL = [
 ]
 
 
-def decided_when_built(a, b):
-    """Whether a pair must get the shared satisfied property: one object,
-    or two scalars of one exact type that are == or both NaN."""
-    if a is b:
-        return True
-    return type(a) is type(b) and type(a) in (bool, int, float, str, bytes) and (a == b or a != a and b != b)
-
-
 class TestDecidedWhenBuilt:
-    """Two plain values that are one object, or two exact scalars that are
-    the same value, are decided when the property is built and share one
-    satisfied property; any other pair is compared when checked.  Either
-    way the outcome is _leaf_pair's."""
+    """Two plain values that are one object are decided when the property
+    is built and share one satisfied property; any other pair, two equal
+    scalars that are distinct objects included, is compared when checked.
+    Either way the outcome is _leaf_pair's."""
 
     @pytest.mark.parametrize("op", [is_equal, same_set, reduces_to])
     @pytest.mark.parametrize("wrap", [lambda v: v, value], ids=["plain", "leaf"])
@@ -765,11 +757,12 @@ class TestDecidedWhenBuilt:
             for b in POOL:
                 p = op(wrap(a), wrap(b))
                 assert p.evaluate(CTX) == _leaf_pair(a, b, CTX), (a, b)
-                assert (p is _SAT_PROP) == decided_when_built(a, b), (a, b)
+                assert (p is _SAT_PROP) == (a is b), (a, b)
                 shared += p is _SAT_PROP
-        # each object with itself, the two NaNs, 0.0 with -0.0 and the
-        # Decimal NaN with its second entry both ways
-        assert shared == len(POOL) + 2 + 2 + 2
+        # each object with itself, and the Decimal NaN with its second
+        # entry both ways; the two float NaNs, and 0.0 with -0.0, are the
+        # same value but not one object
+        assert shared == len(POOL) + 2
 
     def test_a_list_pair_is_compared_when_checked(self):
         xs = [1, 2]
