@@ -43,12 +43,9 @@ def specs_for(selection: Iterable[str] = ()) -> list[TestSpec]:
     return out
 
 
-def clear(module: str | None = None) -> None:
-    """Drop registrations (one suite, or everything); intended for tests."""
-    if module is None:
-        _SUITES.clear()
-    else:
-        _SUITES.pop(module, None)
+def clear(module: str) -> None:
+    """Drop one suite's registrations; intended for tests."""
+    _SUITES.pop(module, None)
 
 
 # -- registration helpers ----------------------------------------------------

@@ -14,7 +14,7 @@ from collections import Counter, OrderedDict, defaultdict
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import pytest
 
@@ -32,6 +32,15 @@ class Color(enum.IntEnum):
 
 class Tagged(list):
     """A list subclass: not keyed as a plain list."""
+
+
+class Point(NamedTuple):
+    x: int
+    y: str
+
+
+class Label(str):
+    """A str subclass."""
 
 
 class Unhashable:
@@ -757,6 +766,10 @@ RENDER_TABLE = [
     (defaultdict(int, {"b": 1, "a": 2}), 'defaultdict{"a":2,"b":1}'),
     (Counter(b=2, a=0), 'Counter{"b":2}'),
     (OrderedDict(a=1), "OrderedDict([('a', 1)])"),
+    # subclasses of list, tuple and str are written as their base types
+    (Point(2, "b"), '(2,"b")'),
+    (Tagged([1, 2]), "[1,2]"),
+    (Label("xyz"), '"xyz"'),
 ]
 
 
