@@ -195,7 +195,7 @@ def run_param(spec: TestSpec, cfg: RunConfig, ctx: EvalContext | None = None) ->
         except StopIteration:
             break
         except _USER_ERRORS as exc:  # noqa: BLE001 - a failing generator is a verdict too
-            # not rendered: the input itself may be what failed (too deep to key)
+            # not rendered: the input's own __hash__ or __repr__ may be what failed
             where = f"while drawing input {executed + dropped + 1}"
             return _ended(Outcome(_ERRED, f"{_message(exc)} ({where})"), executed, dropped), labels
         try:

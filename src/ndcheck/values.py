@@ -16,40 +16,89 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import Counter
+from itertools import chain
 from typing import Any, Callable
 
-_SCALARS = frozenset((bool, int, float, str, bytes))
+# the kinds of value the type table tells apart: the kinds from FIELDS on
+# have parts, and the fold opens the kinds from a given one on
+SCALAR, SAME, OTHER, FIELDS, SEQUENCE, ITEMS, SET = range(7)
 
-# per type: its compared dataclass field names, or None; probed once per type
-_FIELDS: dict[type, tuple[str, ...] | None] = {}
+# a dict type's items that make its value, as a flat iterator of keys and
+# values in turn, by the type's ==: all of them for dict's (defaultdict),
+# those of nonzero count for Counter's, which counts a missing element as zero
+_DICT_ITEMS: dict[Any, Callable] = {
+    dict.__eq__: lambda v: chain.from_iterable(v.items()),
+    Counter.__eq__: lambda v: chain.from_iterable((k, x) for k, x in v.items() if x != 0),
+}
+
+# per type: its kind, and for a kind with parts how to read them: the parts
+# of a list, tuple or set are its elements (read by iter), of a dataclass the
+# fields it compares (their names), of a dict the keys and values of its
+# items in turn.  Built-in types come first; the others are added as met.
+_TYPES: dict[type, tuple[int, Any]] = dict.fromkeys((bool, int, float, str, bytes), (SCALAR, None))
+_TYPES.update({list: (SEQUENCE, iter), tuple: (SEQUENCE, iter), set: (SET, iter), frozenset: (SET, iter)})
 
 
-def _field_names(t: type) -> tuple[str, ...] | None:
-    """The names of the dataclass fields of type t that take part in ==
-    (compare=True), or None if it is no dataclass."""
+def _row(t: type) -> tuple[int, Any]:
+    """Type t's row in the type table, probed on its first value: a
+    dataclass by the fields it compares (compare=True), a dict by its items
+    if _DICT_ITEMS reads its ==; any other type has no parts, and its == is
+    object identity (a plain enum) or its own."""
+    if dataclasses.is_dataclass(t):
+        return _TYPES.setdefault(t, (FIELDS, tuple(f.name for f in dataclasses.fields(t) if f.compare)))
+    if issubclass(t, dict) and t.__eq__ in _DICT_ITEMS:
+        return _TYPES.setdefault(t, (ITEMS, _DICT_ITEMS[t.__eq__]))
+    return _TYPES.setdefault(t, (SAME if t.__eq__ is object.__eq__ else OTHER, None))
+
+
+def _fold(v: Any, leaf: Callable, node: Callable, first: int) -> Any:
+    """Fold v bottom-up on an explicit stack, at any depth: a value x whose
+    kind is first or later is opened, and its result is node(x, type, kind,
+    results), given the results for its parts in order; any other value's
+    is leaf(x, type, kind)."""
+    t = type(v)
+    kind, how = _TYPES.get(t) or _row(t)
+    if kind < first:   # most keys are of a scalar or an enum member
+        return leaf(v, t, kind)
+    stack: list = []   # per open value: it, its type and kind, its parent's results and rest
+    done, rest = [], iter((v,))
+    while True:
+        for x in rest:
+            t = type(x)
+            kind, how = _TYPES.get(t) or _row(t)
+            if kind >= first:
+                stack.append((x, t, kind, done, rest))
+                done, rest = [], iter([getattr(x, n) for n in how]) if kind == FIELDS else how(x)
+                break
+            done.append(leaf(x, t, kind))
+        else:
+            if not stack:
+                return done[0]
+            x, t, kind, up, rest = stack.pop()
+            up.append(node(x, t, kind, done))
+            done = up
+
+
+def _key_leaf(v: Any, t: type, kind: int) -> Any:
+    """canonical's key for a value without parts."""
+    if kind == SCALAR:
+        return (float, "nan") if v != v else (t, v)
     try:
-        return _FIELDS[t]
-    except KeyError:
-        dc = dataclasses.is_dataclass(t)
-        names = _FIELDS[t] = tuple(f.name for f in dataclasses.fields(t) if f.compare) if dc else None
-        return names
+        hash(v)
+    except TypeError:
+        return (t, "repr", repr(v))
+    return v if kind == SAME else (t, v)
 
 
-def _dict_items(v: dict) -> Any:
-    """The items that make dict v's value: all of them for a dict or a
-    subclass that keeps dict's == (defaultdict), those of nonzero count for
-    a Counter, whose == counts a missing element as zero; None for a
-    subclass with another ==."""
-    eq = type(v).__eq__
-    if eq is dict.__eq__:
-        return v.items()
-    if eq is Counter.__eq__:
-        return [(k, x) for k, x in v.items() if x != 0]
-    return None
-
-
-# per type: whether its == is object identity; probed once per type
-_IDENTITY_EQ: dict[type, bool] = {}
+def _key_node(v: Any, t: type, kind: int, keys: list) -> Any:
+    """canonical's key for a value with parts, given their keys."""
+    if kind == SEQUENCE:
+        return (t, tuple(keys))
+    if kind == FIELDS:
+        return (t, *keys)
+    if kind == ITEMS:
+        return (t, frozenset(zip(keys[::2], keys[1::2])))
+    return (frozenset, frozenset(keys))
 
 
 def canonical(v: Any) -> Any:
@@ -71,35 +120,11 @@ def canonical(v: Any) -> Any:
     member), and unhashable ones by type and repr.  Keys are
     compared as sets and lists compare their members, identity first, so a
     value that is not == to itself (a Decimal NaN) still keys alike with
-    itself.  Two Python frames per nesting level keep ~490 levels within
-    the default recursion limit; same_value compares two values as their
-    keys would, at any depth, without building them.
+    itself.  The key is folded from the type table on an explicit stack, so
+    nesting depth is unbounded; same_value compares two values as their
+    keys would, without building them.
     """
-    t = type(v)
-    if t in _SCALARS:
-        if t is float and v != v:
-            return (float, "nan")
-        return (t, v)
-    if t is list or t is tuple:
-        return (t, tuple([canonical(x) for x in v]))
-    names = _field_names(t)
-    if names is not None:
-        return (t, *[canonical(getattr(v, n)) for n in names])
-    if isinstance(v, dict):
-        items = _dict_items(v)
-        if items is not None:
-            return (t, frozenset([(canonical(k), canonical(x)) for k, x in items]))
-    if t is set or t is frozenset:
-        return (frozenset, frozenset([canonical(x) for x in v]))
-    try:
-        hash(v)
-    except TypeError:
-        return (t, "repr", repr(v))
-    try:
-        own = _IDENTITY_EQ[t]
-    except KeyError:
-        own = _IDENTITY_EQ[t] = t.__eq__ is object.__eq__
-    return v if own else (t, v)
+    return _fold(v, _key_leaf, _key_node, FIELDS)
 
 
 def same_value(a: Any, b: Any) -> bool:
@@ -110,70 +135,69 @@ def same_value(a: Any, b: Any) -> bool:
     an object is the same value as itself even when it is not == to itself
     (a Decimal NaN).  Identical objects match first, before the stack is
     built and at each step, so is_equal(xs, xs) is decided at once, at any
-    length.  Otherwise two scalars (bool, int, float, str, bytes) match when
-    their exact types are one and they are == or both NaN, two lists or two
+    length.  Otherwise values of two types never match (their keys differ),
+    but for a set and a frozenset; two scalars (bool, int, float, str,
+    bytes) of one type match when they are == or both NaN, two lists or two
     tuples of equal length match elementwise, and two instances of one
     dataclass match on the fields they compare; any other pair (dicts, sets,
-    enum members, mixed kinds) is decided by its two keys.  No recursion: nesting depth is
-    unbounded.
+    enum members) is decided by its two keys.  No recursion: nesting depth
+    is unbounded.
     """
     if a is b:
         return True
     stack = [(a, b)]
-    pop, push = stack.pop, stack.extend
     while stack:
-        x, y = pop()
+        x, y = stack.pop()
         if x is y:
             continue
         t = type(x)
-        if t is type(y):
-            if t in _SCALARS:
-                if x == y or (t is float and x != x and y != y):
-                    continue
-                return False
-            if t is list or t is tuple:
-                if len(x) != len(y):
-                    return False
-                push(zip(x, y))
-                continue
-            names = _field_names(t)
-            if names is not None:
-                push([(getattr(x, n), getattr(y, n)) for n in names])
-                continue
-        elif t in _SCALARS and type(y) in _SCALARS:
+        kind, how = _TYPES.get(t) or _row(t)
+        if t is not type(y) and kind != SET:   # keys of two types differ, but for set and frozenset
             return False
-        kx, ky = canonical(x), canonical(y)
-        if not (kx is ky or kx == ky):
+        if kind == SCALAR:
+            if not (x == y or t is float and x != x and y != y):
+                return False
+        elif kind == SEQUENCE:
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif kind == FIELDS:
+            stack.extend([(getattr(x, n), getattr(y, n)) for n in how])
+        elif [canonical(x)] != [canonical(y)]:
             return False
     return True
 
 
-def render(v: Any) -> str:
-    """Render a value the way it appears in reports: [1,2], "text", (a,b),
-    set{a,b}, dict{k:v}.  A set's elements and a dict's entries are sorted
-    by their rendered text, so a report does not depend on hash or insertion
-    order, as canonical keys them; the prefix tells a set value from a
-    property's value set, which reports write {a,b}.  A dict subclass that
-    canonical keys by its items is written the same way under its type's
-    name, a Counter without its zero counts (Counter{k:n}); any other is
-    written by str."""
+def _text_leaf(v: Any, t: type, kind: int) -> str:
+    """render's text for a value it does not look into."""
     if v is None:
         return "()"
     if isinstance(v, str):
         return '"%s"' % v
-    if isinstance(v, list):
-        return "[" + ",".join(render(x) for x in v) + "]"
-    if isinstance(v, tuple):
-        return "(" + ",".join(render(x) for x in v) + ")"
-    if isinstance(v, (set, frozenset)):
-        return "set{" + ",".join(sorted(render(x) for x in v)) + "}"
-    if isinstance(v, dict):
-        items = _dict_items(v)
-        if items is not None:
-            return type(v).__name__ + "{" + ",".join(sorted(render(k) + ":" + render(x) for k, x in items)) + "}"
-    if isinstance(v, enum.Enum):
-        return v.name
-    return str(v)
+    return v.name if isinstance(v, enum.Enum) else str(v)
+
+
+def _text_node(v: Any, t: type, kind: int, texts: list) -> str:
+    """render's text for a list, tuple, set or dict, given its parts' texts."""
+    if kind == SEQUENCE:
+        return ("[%s]" if t is list else "(%s)") % ",".join(texts)
+    if kind == SET:
+        return "set{" + ",".join(sorted(texts)) + "}"
+    return t.__name__ + "{" + ",".join(sorted(k + ":" + x for k, x in zip(texts[::2], texts[1::2]))) + "}"
+
+
+def render(v: Any) -> str:
+    """Render a value the way it appears in reports: [1,2], "text", (a,b),
+    set{a,b}, dict{k:v}, at any depth.  A set's elements and a dict's entries are sorted
+    by their rendered text, so a report does not depend on hash or insertion
+    order, as canonical keys them; the prefix tells a set value from a
+    property's value set, which reports write {a,b}.  A dict subclass that
+    canonical keys by its items is written the same way under its type's
+    name, a Counter without its zero counts (Counter{k:n}).  An enum member
+    is written by its name, None as (), and any other value, a dataclass or
+    a subclass of list, tuple or set included, by its own str: render does
+    not look into a value it writes so."""
+    return _fold(v, _text_leaf, _text_node, SEQUENCE)
 
 
 def render_args(args: Any, arity: int) -> str:
@@ -185,13 +209,11 @@ def render_args(args: Any, arity: int) -> str:
 
 def shown(what: str, show: Callable[..., str], *args: Any) -> str:
     """show(*args), or a placeholder naming what could not be shown: a value
-    too deep to render, or one whose own __str__ or __repr__ raises (a
-    sys.exit() included, as the runner takes it from any user code), named
-    then by the exception's type alone.  A report renders a verdict already
-    decided, so the verdict stands either way."""
+    whose own __str__ or __repr__ raises (a RecursionError or a sys.exit()
+    included, as the runner takes it from any user code), named by the
+    exception's type alone.  A report renders a verdict already decided, so
+    the verdict stands either way."""
     try:
         return show(*args)
-    except RecursionError:
-        return f"<{what} too deep to render>"
     except (Exception, SystemExit) as exc:  # noqa: BLE001 - user code that renders a value
         return f"<{what} not renderable: {type(exc).__name__}>"

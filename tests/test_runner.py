@@ -3,7 +3,6 @@
 import gc
 import json
 import sys
-import threading
 from dataclasses import replace
 
 import pytest
@@ -620,14 +619,17 @@ class TestRunSuite:
         assert verdict.message.startswith("ValueError: no constructor for True")
         assert "while drawing input" in verdict.message
 
-    def test_input_too_deep_to_key_is_an_error_verdict(self):
+    def test_deep_input_is_keyed_and_tested(self):
+        """An unmarked generator's inputs are keyed to skip duplicates; a
+        3 000-deep chain is keyed on the explicit stack and tested like any
+        other input."""
+        assert sys.getrecursionlimit() == 1000
         deep = Zero()
-        for _ in range(600):
+        for _ in range(3000):
             deep = Succ(deep)
-        verdict = self.run_after_bad_input(Generator(one_of([Zero(), deep])))
-        assert verdict.kind == ERROR
-        assert verdict.message.startswith("RecursionError: ")
-        assert "while drawing input" in verdict.message
+        spec = param_spec(Generator(one_of([Zero(), deep, Zero()])), lambda v: is_equal(v, v))
+        verdict = run_suite([spec], RunConfig()).entries[0].verdict
+        assert (verdict.kind, verdict.tests_executed) == (PASSED_EXHAUSTIVE, 2)
 
     def test_sys_exit_in_user_code_is_that_specs_error(self):
         def leave(*_):
@@ -653,50 +655,27 @@ class TestRunSuite:
         ]
 
 
-def run_on_fresh_thread(fn):
-    """fn() on a fresh thread, whose stack starts empty, so the depth of the
-    test runner's own stack does not count; its result or RecursionError."""
-    result: list = []
-
-    def target():
-        try:
-            result.append(fn())
-        except RecursionError as exc:
-            result.append(exc)
-
-    worker = threading.Thread(target=target)
-    worker.start()
-    worker.join(timeout=30)
-    assert not worker.is_alive()
-    return result[0]
-
-
 class TestDeepInputRendering:
-    """An input deep enough to key but too deep to render keeps its verdict
-    kind and counts; only its rendering becomes a placeholder."""
+    """An input of any depth renders in full, on the main thread under the
+    default recursion limit, whatever the verdict."""
 
-    # canonical keys a nested list at two frames per level, render needs
-    # three: this depth keys within the recursion limit but does not render
-    DEPTH = 400
-    TOO_DEEP = "<input too deep to render>"
+    DEPTH = 3000
+    SHOWN = "[" * (DEPTH + 1) + "]" * (DEPTH + 1)
 
     def verdict_for(self, body, **cfg):
+        assert sys.getrecursionlimit() == 1000
         deep: list = []
         for _ in range(self.DEPTH):
             deep = [deep]
         # bfs draws [] first, then the deep list
         spec = param_spec(Generator(one_of([[], deep])), body)
-        report = run_on_fresh_thread(
-            lambda: run_suite([spec], RunConfig(strategy_kind="bfs", **cfg))
-        )
-        assert isinstance(report, TestReport), report
-        return report.entries[0].verdict
+        return run_suite([spec], RunConfig(strategy_kind="bfs", **cfg)).entries[0].verdict
 
     def test_falsified(self):
         verdict = self.verdict_for(lambda v: is_equal(len(v), 0))
         assert verdict.kind == FALSIFIED_V
         assert (verdict.tests_executed, verdict.case_index) == (2, 2)
-        assert verdict.arguments == self.TOO_DEEP
+        assert verdict.arguments == self.SHOWN
         assert verdict.results == "(1,0)"
 
     def test_body_error(self):
@@ -708,7 +687,7 @@ class TestDeepInputRendering:
         verdict = self.verdict_for(body)
         assert verdict.kind == ERROR
         assert verdict.tests_executed == 1
-        assert verdict.message == f"ValueError: boom (input {self.TOO_DEEP})"
+        assert verdict.message == f"ValueError: boom (input {self.SHOWN})"
 
     def test_inconclusive(self):
         def no_values():
@@ -720,13 +699,14 @@ class TestDeepInputRendering:
         assert verdict.kind == ERROR
         assert verdict.tests_executed == 1
         assert verdict.message == (
-            f"is_equal: left side undecided (node budget exceeded) (input {self.TOO_DEEP})"
+            f"is_equal: left side undecided (node budget exceeded) (input {self.SHOWN})"
         )
 
 
 class TestDeepResultRendering:
-    """A falsification decided on values too deep to render stays Falsified;
-    the results show a placeholder for each value."""
+    """A falsification decided on values whose own str recurses past the
+    recursion limit stays Falsified; the input and each result show a
+    placeholder naming the RecursionError."""
 
     MODULE = "DeepRender"
 
@@ -736,17 +716,19 @@ class TestDeepResultRendering:
         yield
         registry.clear(self.MODULE)
 
-    def test_falsified_on_values_too_deep_to_render(self):
+    def test_falsified_on_values_whose_str_recurses(self):
         x = Zero()
-        for _ in range(600):
+        for _ in range(3000):
             x = Succ(x)
         registry.param_test(self.MODULE, "succNotSelf", Generator(value(x), distinct=True),
                             lambda v: is_equal(v, Succ(v)))
         verdict = run_suite(registry.specs_for([self.MODULE]), RunConfig()).entries[0].verdict
         assert verdict.kind == FALSIFIED_V
         assert (verdict.tests_executed, verdict.case_index) == (1, 1)
-        assert verdict.arguments == "<input too deep to render>"
-        assert verdict.results == "(<value too deep to render>,<value too deep to render>)"
+        assert verdict.arguments == "<input not renderable: RecursionError>"
+        assert verdict.results == (
+            "(<value not renderable: RecursionError>,<value not renderable: RecursionError>)"
+        )
 
 
 class Unshowable:

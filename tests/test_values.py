@@ -9,7 +9,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 from collections import Counter, OrderedDict, defaultdict
 from decimal import Decimal
 from fractions import Fraction
@@ -177,28 +176,29 @@ def nested_list(depth):
     return xs
 
 
+def flat_key(key):
+    """A key as a flat list: each tuple by its length, then its members, in
+    order; walked on an explicit stack, as == on a deep key recurses."""
+    out, todo = [], [key]
+    while todo:
+        k = todo.pop()
+        if type(k) is tuple:
+            out.append(len(k))
+            todo.extend(reversed(k))
+        else:
+            out.append(k)
+    return out
+
+
 @pytest.mark.parametrize("build", [succ_chain, nested_list])
-def test_490_levels_key_under_the_default_recursion_limit(build):
-    """Keying must stay at two Python frames per nesting level.
-
-    Runs on a fresh thread, whose stack starts empty, so the depth of the
-    test runner's own stack does not count.
-    """
+def test_3000_levels_key_under_the_default_recursion_limit(build):
+    """Keying walks a value on an explicit stack: no depth is too deep, on
+    the main thread under the default recursion limit."""
     assert sys.getrecursionlimit() == 1000
-    value = build(490)
-    result: list = []
-
-    def key():
-        try:
-            result.append(canonical(value) == canonical(build(490)))
-        except RecursionError as exc:
-            result.append(exc)
-
-    worker = threading.Thread(target=key)
-    worker.start()
-    worker.join(timeout=30)
-    assert not worker.is_alive()
-    assert result == [True]
+    key = canonical(build(3000))
+    hash(key)
+    assert flat_key(key) == flat_key(canonical(build(3000)))
+    assert flat_key(key) != flat_key(canonical(build(2999)))
 
 
 _PARENT_FIELDS: dict = {}
@@ -766,9 +766,10 @@ RENDER_TABLE = [
     (defaultdict(int, {"b": 1, "a": 2}), 'defaultdict{"a":2,"b":1}'),
     (Counter(b=2, a=0), 'Counter{"b":2}'),
     (OrderedDict(a=1), "OrderedDict([('a', 1)])"),
-    # subclasses of list, tuple and str are written as their base types
-    (Point(2, "b"), '(2,"b")'),
-    (Tagged([1, 2]), "[1,2]"),
+    # a subclass of list or tuple keys apart from its base type and is
+    # written by its own str; a str subclass is quoted as a str
+    (Point(2, "b"), "Point(x=2, y='b')"),
+    (Tagged([1, 2]), "[1, 2]"),
     (Label("xyz"), '"xyz"'),
 ]
 
