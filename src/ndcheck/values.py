@@ -15,20 +15,23 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from collections import Counter
+from collections import Counter, OrderedDict
 from itertools import chain
 from typing import Any, Callable
 
 # the kinds of value the type table tells apart: the kinds from FIELDS on
 # have parts, and the fold opens the kinds from a given one on
-SCALAR, SAME, OTHER, FIELDS, SEQUENCE, ITEMS, SET = range(7)
+SCALAR, SAME, OTHER, FIELDS, SEQUENCE, ITEMS, ORDERED, SET = range(8)
 
-# a dict type's items that make its value, as a flat iterator of keys and
-# values in turn, by the type's ==: all of them for dict's (defaultdict),
-# those of nonzero count for Counter's, which counts a missing element as zero
-_DICT_ITEMS: dict[Any, Callable] = {
-    dict.__eq__: lambda v: chain.from_iterable(v.items()),
-    Counter.__eq__: lambda v: chain.from_iterable((k, x) for k, x in v.items() if x != 0),
+# the row of a dict type by its ==, its parts a flat iterator of the keys and
+# values of the items that make its value, in turn: all of them for dict's
+# (defaultdict), in their order for OrderedDict's, which compares them so,
+# and those of nonzero count for Counter's, which counts a missing element
+# as zero
+_DICT_ROWS: dict[Any, tuple[int, Callable]] = {
+    dict.__eq__: (ITEMS, lambda v: chain.from_iterable(v.items())),
+    OrderedDict.__eq__: (ORDERED, lambda v: chain.from_iterable(v.items())),
+    Counter.__eq__: (ITEMS, lambda v: chain.from_iterable((k, x) for k, x in v.items() if x != 0)),
 }
 
 # per type: its kind, and for a kind with parts how to read them: the parts
@@ -37,17 +40,18 @@ _DICT_ITEMS: dict[Any, Callable] = {
 # items in turn.  Built-in types come first; the others are added as met.
 _TYPES: dict[type, tuple[int, Any]] = dict.fromkeys((bool, int, float, str, bytes), (SCALAR, None))
 _TYPES.update({list: (SEQUENCE, iter), tuple: (SEQUENCE, iter), set: (SET, iter), frozenset: (SET, iter)})
+_TYPES[type(None)] = (SAME, None)   # None is its own key, though NoneType has its own == from 3.12 on
 
 
 def _row(t: type) -> tuple[int, Any]:
     """Type t's row in the type table, probed on its first value: a
     dataclass by the fields it compares (compare=True), a dict by its items
-    if _DICT_ITEMS reads its ==; any other type has no parts, and its == is
+    if _DICT_ROWS holds its ==; any other type has no parts, and its == is
     object identity (a plain enum) or its own."""
     if dataclasses.is_dataclass(t):
         return _TYPES.setdefault(t, (FIELDS, tuple(f.name for f in dataclasses.fields(t) if f.compare)))
-    if issubclass(t, dict) and t.__eq__ in _DICT_ITEMS:
-        return _TYPES.setdefault(t, (ITEMS, _DICT_ITEMS[t.__eq__]))
+    if issubclass(t, dict) and t.__eq__ in _DICT_ROWS:
+        return _TYPES.setdefault(t, _DICT_ROWS[t.__eq__])
     return _TYPES.setdefault(t, (SAME if t.__eq__ is object.__eq__ else OTHER, None))
 
 
@@ -98,6 +102,8 @@ def _key_node(v: Any, t: type, kind: int, keys: list) -> Any:
         return (t, *keys)
     if kind == ITEMS:
         return (t, frozenset(zip(keys[::2], keys[1::2])))
+    if kind == ORDERED:
+        return (t, tuple(zip(keys[::2], keys[1::2])))
     return (frozenset, frozenset(keys))
 
 
@@ -109,15 +115,15 @@ def canonical(v: Any) -> Any:
     True and 1 key apart, as do 1 and 1.0; every float NaN keys alike.
     Containers are frozen recursively (set and frozenset alike; a dict
     subclass that keeps dict's ==, such as defaultdict, by its type and
-    items, and a Counter by its type and its items of nonzero count, as
-    Counter's == compares), dataclasses
-    keyed by type and the fields they compare (a field declared
+    items, an OrderedDict by its type and items in their order, and a
+    Counter by its type and its items of nonzero count, as their == compare
+    them), dataclasses keyed by type and the fields they compare (a field declared
     compare=False takes no part), whatever their own == says: one that
     defines __eq__ or has eq=False is still keyed by its fields, so values
     == by their own __eq__ may key apart, and values that are not == may
     key alike.  Other hashable values are keyed by type and value, or are
     their own key when their type compares by identity (a plain enum
-    member), and unhashable ones by type and repr.  Keys are
+    member, None), and unhashable ones by type and repr.  Keys are
     compared as sets and lists compare their members, identity first, so a
     value that is not == to itself (a Decimal NaN) still keys alike with
     itself.  The key is folded from the type table on an explicit stack, so
@@ -183,7 +189,8 @@ def _text_node(v: Any, t: type, kind: int, texts: list) -> str:
         return ("[%s]" if t is list else "(%s)") % ",".join(texts)
     if kind == SET:
         return "set{" + ",".join(sorted(texts)) + "}"
-    return t.__name__ + "{" + ",".join(sorted(k + ":" + x for k, x in zip(texts[::2], texts[1::2]))) + "}"
+    items = [k + ":" + x for k, x in zip(texts[::2], texts[1::2])]
+    return t.__name__ + "{" + ",".join(items if kind == ORDERED else sorted(items)) + "}"
 
 
 def render(v: Any) -> str:
@@ -193,7 +200,8 @@ def render(v: Any) -> str:
     order, as canonical keys them; the prefix tells a set value from a
     property's value set, which reports write {a,b}.  A dict subclass that
     canonical keys by its items is written the same way under its type's
-    name, a Counter without its zero counts (Counter{k:n}).  An enum member
+    name, an OrderedDict with its entries in their order, a Counter without
+    its zero counts (Counter{k:n}).  An enum member
     is written by its name, None as (), and any other value, a dataclass or
     a subclass of list, tuple or set included, by its own str: render does
     not look into a value it writes so."""

@@ -229,7 +229,7 @@ def recursive_canonical(v):
         hash(v)
     except TypeError:
         return (t, "repr", repr(v))
-    return v if t.__eq__ is object.__eq__ else (t, v)
+    return v if t.__eq__ is object.__eq__ or v is None else (t, v)
 
 
 class TestInlineScalarElements:
@@ -380,6 +380,17 @@ class TestDictSubclassKeys:
         assert canonical(a) == canonical(b) and render(a) == render(b)
         assert is_equal(a, b).evaluate().status == SATISFIED
         assert value_count(one_of([a, b]), 1).evaluate().status == SATISFIED
+
+    def test_ordered_dicts_key_by_their_items_in_order(self):
+        a, b = OrderedDict(x=1, y=[2]), OrderedDict(x=1, y=[2])
+        swapped = OrderedDict(y=[2], x=1)
+        assert canonical(a) == canonical(b) and same_value(a, b)
+        assert a != swapped and canonical(a) != canonical(swapped) and not same_value(a, swapped)
+        assert render(swapped) == 'OrderedDict{"y":[2],"x":1}'
+        assert is_equal(a, b).evaluate().status == SATISFIED
+        assert is_equal(a, swapped).evaluate().status == FALSIFIED
+        assert is_equal(a, {"x": 1, "y": [2]}).evaluate().status == FALSIFIED
+        assert value_count(one_of([a, b, swapped]), 2).evaluate().status == SATISFIED
 
     def test_a_defaultdict_is_no_plain_dict(self):
         assert is_equal(defaultdict(int, a=1), {"a": 1}).evaluate().status == FALSIFIED
@@ -762,10 +773,11 @@ RENDER_TABLE = [
     ({(1, 2): None}, "dict{(1,2):()}"),
     ({}, "dict{}"),
     # a dict subclass keyed by its items: written as a dict under its type's
-    # name, a Counter without its zero counts; one with its own == by str
+    # name, an OrderedDict in its order, a Counter without its zero counts
     (defaultdict(int, {"b": 1, "a": 2}), 'defaultdict{"a":2,"b":1}'),
     (Counter(b=2, a=0), 'Counter{"b":2}'),
-    (OrderedDict(a=1), "OrderedDict([('a', 1)])"),
+    (OrderedDict(a=1), 'OrderedDict{"a":1}'),
+    (OrderedDict([("b", 1), ("a", [2])]), 'OrderedDict{"b":1,"a":[2]}'),
     # a subclass of list or tuple keys apart from its base type and is
     # written by its own str; a str subclass is quoted as a str
     (Point(2, "b"), "Point(x=2, y='b')"),
