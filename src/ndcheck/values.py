@@ -133,6 +133,15 @@ def canonical(v: Any) -> Any:
     return _fold(v, _key_leaf, _key_node, FIELDS)
 
 
+def _by_key(v: dict, how: Callable) -> dict | None:
+    """The values of dict v's items (as its row reads them) by the keys of
+    their keys, or None if two of its keys key alike (two NaN keys)."""
+    parts = how(v)
+    items = [(canonical(k), x) for k, x in zip(parts, parts)]
+    by_key = dict(items)
+    return by_key if len(by_key) == len(items) else None
+
+
 def same_value(a: Any, b: Any) -> bool:
     """[canonical(a)] == [canonical(b)], decided by walking a and b in step
     on an explicit stack, without building their keys.
@@ -144,10 +153,13 @@ def same_value(a: Any, b: Any) -> bool:
     length.  Otherwise values of two types never match (their keys differ),
     but for a set and a frozenset; two scalars (bool, int, float, str,
     bytes) of one type match when they are == or both NaN, two lists or two
-    tuples of equal length match elementwise, and two instances of one
-    dataclass match on the fields they compare; any other pair (dicts, sets,
-    enum members) is decided by its two keys.  No recursion: nesting depth
-    is unbounded.
+    tuples of equal length match elementwise, two instances of one
+    dataclass match on the fields they compare, and two dicts of one type
+    keyed by their items match when their keys key alike and the values
+    under each match (unless two keys of one dict key alike, as two NaN
+    keys do); any other pair (sets, enum members, an OrderedDict) is decided
+    by its two keys.  No recursion: nesting depth is unbounded, and a deep
+    value is never compared through its key, as == on a deep key recurses.
     """
     if a is b:
         return True
@@ -169,6 +181,10 @@ def same_value(a: Any, b: Any) -> bool:
             stack.extend(zip(x, y))
         elif kind == FIELDS:
             stack.extend([(getattr(x, n), getattr(y, n)) for n in how])
+        elif kind == ITEMS and None not in (bx := _by_key(x, how), by := _by_key(y, how)):
+            if bx.keys() != by.keys():
+                return False
+            stack.extend([(bx[k], by[k]) for k in bx])
         elif [canonical(x)] != [canonical(y)]:
             return False
     return True

@@ -21,7 +21,7 @@ from ndcheck.corpus.trees import Leaf, Node, Succ, Zero
 from ndcheck.gen import Ordering
 from ndcheck.prop import FALSIFIED, SATISFIED, EvalContext, is_equal, reduces_to, same_set, value_count
 from ndcheck.searchtree import DEFAULT_NODE_BUDGET, Strategy, defer, one_of, value
-from ndcheck.values import canonical, render, same_value
+from ndcheck.values import canonical, render, same_value, shown
 
 
 class Color(enum.IntEnum):
@@ -173,6 +173,13 @@ def nested_list(depth):
     xs: list = []
     for _ in range(depth):
         xs = [xs]
+    return xs
+
+
+def dict_chain(depth):
+    xs: list = []
+    for _ in range(depth):
+        xs = [{1: xs}]
     return xs
 
 
@@ -670,6 +677,43 @@ class TestSameValue:
         assert keyed == []
         assert same_value(Color.RED, Color.BLUE) is False
         assert keyed == [Color.RED, Color.BLUE]
+
+
+class TestDeepValues:
+    """A value 3 000 levels deep keys, compares and renders on the main
+    thread under the default recursion limit.  A dataclass is written by its
+    own str, so a Succ chain's rendering fails in Succ.__str__ alone."""
+
+    @pytest.mark.parametrize("build, text", [
+        (nested_list, "[" * 3001 + "]" * 3001),
+        (dict_chain, "[dict{1:" * 3000 + "[]" + "}]" * 3000),
+        (succ_chain, "<value not renderable: RecursionError>"),
+    ], ids=["nested_list", "dict_chain", "succ_chain"])
+    def test_key_compare_and_render(self, build, text):
+        assert sys.getrecursionlimit() == 1000
+        a, b, shorter = build(3000), build(3000), build(2999)
+        assert hash(canonical(a)) == hash(canonical(b)) != hash(canonical(shorter))
+        assert same_value(a, b) is True
+        assert same_value(a, shorter) is False and same_value(shorter, a) is False
+        assert shown("value", render, a) == text
+
+    def test_dicts_whose_keys_key_alike_are_decided_by_their_keys(self):
+        """Two NaN keys, or two eq=False dataclass keys with equal fields, are
+        two keys of one dict that key alike; such dicts are compared by their
+        whole keys, as sets of item keys."""
+        n1, n2, n3, n4 = (float("nan") for _ in range(4))
+        u1, u2, u3, u4 = (Unequated(1) for _ in range(4))
+        pairs = [
+            ({n1: 1, n2: 2}, {n3: 2, n4: 1}),
+            ({n1: 1, n2: 2}, {n3: 1, n4: 1}),
+            ({n1: 1}, {n2: 1, n3: 1}),
+            ({n1: 1, 2: [3]}, {n2: 1, 2: [3]}),
+            ({u1: "a", u2: "b"}, {u3: "b", u4: "a"}),
+            ({u1: "a", u2: "b"}, {u3: "a", u4: "a"}),
+        ]
+        got = [(same_value(a, b), same_value(b, a)) for a, b in pairs]
+        assert got == [(keys_alike(a, b), keys_alike(b, a)) for a, b in pairs]
+        assert got == [(True, True), (False, False), (True, True), (True, True), (True, True), (False, False)]
 
 
 def flat_pair(a, b):
