@@ -117,8 +117,8 @@ def canonical(v: Any) -> Any:
     subclass that keeps dict's ==, such as defaultdict, by its type and
     items, an OrderedDict by its type and items in their order, and a
     Counter by its type and its items of nonzero count, as their == compare
-    them), dataclasses keyed by type and the fields they compare (a field declared
-    compare=False takes no part), whatever their own == says: one that
+    them), dataclasses keyed by type and the fields they compare (a field
+    declared compare=False takes no part), whatever their own == says: one that
     defines __eq__ or has eq=False is still keyed by its fields, so values
     == by their own __eq__ may key apart, and values that are not == may
     key alike.  Other hashable values are keyed by type and value, or are
@@ -210,17 +210,17 @@ def _text_node(v: Any, t: type, kind: int, texts: list) -> str:
 
 
 def render(v: Any) -> str:
-    """Render a value the way it appears in reports: [1,2], "text", (a,b),
-    set{a,b}, dict{k:v}, at any depth.  A set's elements and a dict's entries are sorted
-    by their rendered text, so a report does not depend on hash or insertion
-    order, as canonical keys them; the prefix tells a set value from a
-    property's value set, which reports write {a,b}.  A dict subclass that
-    canonical keys by its items is written the same way under its type's
-    name, an OrderedDict with its entries in their order, a Counter without
-    its zero counts (Counter{k:n}).  An enum member
-    is written by its name, None as (), and any other value, a dataclass or
-    a subclass of list, tuple or set included, by its own str: render does
-    not look into a value it writes so."""
+    """Render a value the way it appears in reports, at any depth: [1,2],
+    "text", (a,b), set{a,b}, dict{k:v}.  A set's elements and a dict's
+    entries are sorted by their rendered text, so a report does not depend
+    on hash or insertion order, as canonical keys them; the prefix tells a
+    set value from a property's value set, which reports write {a,b}.  A
+    dict subclass that canonical keys by its items is written the same way
+    under its type's name, an OrderedDict with its entries in their order,
+    a Counter without its zero counts (Counter{k:n}).  An enum member is
+    written by its name, None as (), and any other value, a dataclass or a
+    subclass of list, tuple or set included, by its own str: render does not
+    look into a value it writes so."""
     return _fold(v, _text_leaf, _text_node, SEQUENCE)
 
 
