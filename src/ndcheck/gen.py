@@ -6,8 +6,11 @@ types they can have.  Built-in generators enumerate every value of their type
 exactly once; generators for finite types are fully exhaustible.  A generator
 marked ``distinct`` promises that no two values of its tree have equal
 ``canonical`` keys, so the runner draws its inputs without keying them;
-combinators derive the mark only where construction proves it.  ``gen_cons``
-applies a constructor of any arity, so no combinator is numbered by arity.
+combinators derive the mark only where construction proves it.  They also
+derive a structural ``key`` for a generator whose values are immutable by
+construction, so the runner can hand the specs of one run whose generators
+have equal keys one tree.  ``gen_cons`` applies a constructor of any arity,
+so no combinator is numbered by arity.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
+from types import FunctionType
 from typing import Any, Callable, Generic, TypeVar
 
 from .searchtree import OrNode, SearchTree, ValueNode, bind, choice, defer, one_of, value
@@ -48,12 +52,36 @@ class Generator(Generic[A]):
     # values of two such types apart, except a set and a frozenset: a set is
     # recorded as frozenset.
     types: frozenset[type] | None = field(default=None, kw_only=True)
+    # Set by the combinators only, and only where every value is immutable by
+    # construction: generators with equal keys yield the same values, node
+    # counts and end flags under every strategy.  None (no key) for a
+    # hand-built generator, whatever its tree holds.
+    key: Any = field(default=None, init=False, repr=False, compare=False)
+
+
+def _keyed(g: Generator[A], key: Any) -> Generator[A]:
+    if key is not None:
+        object.__setattr__(g, "key", key)
+    return g
+
+
+def _key_of(tag: Any, gens: tuple[Generator, ...], *head: Any) -> Any:
+    """The key (tag, *head, part keys...), or None if some part has none."""
+    keys = tuple(g.key for g in gens)
+    return None if None in keys else (tag, *head, *keys)
+
+
+# the exact types of the values gen_cons0 keys, besides enum members
+_SCALARS = frozenset((type(None), bool, int, str, bytes))
 
 
 def gen_cons0(v: A) -> Generator[A]:
-    """Generator with the single value v."""
+    """Generator with the single value v; keyed for None, a bool, int, str or
+    bytes, and an enum member."""
     t = frozenset if type(v) is set else type(v)
-    return Generator(value(v), distinct=True, types=frozenset((t,)))
+    key = ((gen_cons0, t, v) if t in _SCALARS
+           else (gen_cons0, t, v.name) if isinstance(v, enum.Enum) else None)
+    return _keyed(Generator(value(v), distinct=True, types=frozenset((t,))), key)
 
 
 # Generator trees are built by module-level functions (_nested, recursive,
@@ -121,11 +149,14 @@ def gen_cons(c: Callable[..., A], *gens: Generator) -> Generator[A]:
     generated __init__ and __eq__, no __post_init__, and no InitVar,
     init=False or compare=False field): each argument tuple comes once, and
     c maps distinct tuples to values that key apart.
-    Any other callable may map two argument tuples to equal values.
+    Any other callable may map two argument tuples to equal values.  Keyed
+    when every part is and c is free: its values are frozen and hold the
+    parts' values unchanged.
     """
     free = _free(c)
-    return Generator(_nested(c, gens), distinct=free and all(g.distinct for g in gens),
-                     types=frozenset((c,)) if free else None)
+    return _keyed(Generator(_nested(c, gens), distinct=free and all(g.distinct for g in gens),
+                            types=frozenset((c,)) if free else None),
+                  _key_of(gen_cons, gens, c) if free else None)
 
 
 def alt(g1: Generator[A], g2: Generator[A]) -> Generator[A]:
@@ -137,9 +168,10 @@ def alt(g1: Generator[A], g2: Generator[A]) -> Generator[A]:
     """
     t1, t2 = g1.types, g2.types
     known = t1 is not None and t2 is not None
-    return Generator(choice(g1.tree, g2.tree),
-                     distinct=g1.distinct and g2.distinct and known and t1.isdisjoint(t2),
-                     types=t1 | t2 if known else None)
+    return _keyed(Generator(choice(g1.tree, g2.tree),
+                            distinct=g1.distinct and g2.distinct and known and t1.isdisjoint(t2),
+                            types=t1 | t2 if known else None),
+                  _key_of(alt, (g1, g2)))
 
 
 def recursive(body: Callable[[Generator[A]], Generator[A]]) -> Generator[A]:
@@ -153,11 +185,62 @@ def recursive(body: Callable[[Generator[A]], Generator[A]]) -> Generator[A]:
     unknown types alt marks no branch that yields the self-reference's
     values unchanged, so each marked combinator over it builds larger
     values injectively: two equal values would need two equal, smaller
-    values of the self-reference.  Each unfolding's thunk takes body as a
+    values of the self-reference.  The key is checked the same way, with a
+    self-reference assumed keyed; the generator's key is then body's code
+    and what body's defaults and closure hold, a generator by its key and
+    anything else by identity, so two builds of one definition over parts of
+    equal keys have equal keys.  Each unfolding's thunk takes body as a
     default argument and no closure names itself, so the generator makes
     no reference cycle.
     """
-    return body(Generator(defer(lambda body=body: recursive(body).tree), distinct=True))
+    g = body(_keyed(Generator(defer(lambda body=body: _unfold(body)), distinct=True), _SELF))
+    if g.key is None:
+        return g
+    return _keyed(Generator(g.tree, distinct=g.distinct, types=g.types), _body_key(body))
+
+
+def _unfold(body: Callable[[Generator[A]], Generator[A]]) -> SearchTree[A]:
+    """The tree of recursive(body), one level down: only the tree is used,
+    so the self-reference gets no key."""
+    return body(Generator(defer(lambda body=body: _unfold(body)), distinct=True)).tree
+
+
+_SELF = object()   # the key recursive assumes for its self-reference
+
+
+class _Same:
+    """A key part equal only to the parts of the same object."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj: Any):
+        self.obj = obj
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is _Same and other.obj is self.obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+
+def _body_key(body: Callable) -> Any:
+    """recursive's key for body, or None if body is no plain function, has
+    keyword-only defaults, or holds a generator with no key."""
+    if type(body) is not FunctionType or body.__kwdefaults__:
+        return None
+    try:
+        held = (*(body.__defaults__ or ()), *(c.cell_contents for c in body.__closure__ or ()))
+    except ValueError:   # a closure cell not yet filled
+        return None
+    parts: list = [recursive, _Same(body.__code__)]
+    for x in held:
+        if isinstance(x, Generator):
+            if x.key is None:
+                return None
+            parts.append(x.key)
+        else:
+            parts.append(_Same(x))
+    return tuple(parts)
 
 
 # -- built-in generators -------------------------------------------------
@@ -201,13 +284,13 @@ _BUILTIN_TREES: dict[BaseType, tuple[type, Callable[[], SearchTree]]] = {
 
 
 def builtin(t: BaseType) -> Generator:
-    """The built-in generator for a base type, marked distinct.
+    """The built-in generator for a base type, marked distinct and keyed.
 
     Bool and Ordering exhaust at 2 and 3 values; Int covers every integer
     exactly once; Char covers printable ASCII (0x20..0x7e) exactly once.
     """
     typ, tree = _BUILTIN_TREES[t]
-    return Generator(tree(), distinct=True, types=frozenset((typ,)))
+    return _keyed(Generator(tree(), distinct=True, types=frozenset((typ,))), (builtin, t))
 
 
 def list_of(g: Generator[A], seq: type = list) -> Generator:
@@ -223,12 +306,14 @@ def list_of(g: Generator[A], seq: type = list) -> Generator:
     tuple of the same elements in the same order, over the same tree; list
     to tuple is injective, so the tuples key apart too.  A cell refers to
     the shared element tree and to the cells above it, never to a node, so
-    the tree makes no reference cycle.
+    the tree makes no reference cycle.  Keyed with seq=tuple over a keyed
+    g; a list is never keyed, as a body may mutate it.
     """
     if seq is not list and seq is not tuple:
         raise ValueError("list_of builds a list or a tuple")
-    return Generator(_list_node(_ListCell(None, None, g.tree, seq)),
-                     distinct=g.distinct, types=frozenset((seq,)))
+    return _keyed(Generator(_list_node(_ListCell(None, None, g.tree, seq)),
+                            distinct=g.distinct, types=frozenset((seq,))),
+                  _key_of(list_of, (g,)) if seq is tuple else None)
 
 
 _NIL = object()   # the value at the end of a list: the cell maps it to the list drawn
@@ -273,9 +358,10 @@ def tuple_of(*gens: Generator) -> Generator[tuple]:
     """All tuples across the given generators, by nested binds.
 
     Used to feed multi-parameter properties from a single input stream.
-    Distinct if every part is.
+    Distinct if every part is, and keyed if every part is.
     """
     if not gens:
         raise ValueError("tuple_of needs at least one generator")
-    return Generator(_nested(lambda *args: args, gens),
-                     distinct=all(g.distinct for g in gens), types=frozenset((tuple,)))
+    return _keyed(Generator(_nested(lambda *args: args, gens),
+                            distinct=all(g.distinct for g in gens), types=frozenset((tuple,))),
+                  _key_of(tuple_of, gens))

@@ -84,8 +84,8 @@ class Prop:
     when it is built gets one property that every such case shares: is_equal,
     same_set or reduces_to on one object twice (plain or in value leaves)
     gets the shared satisfied one, and implies with a false guard the shared
-    dropped one.  So never assign to check: dataclasses.replace makes a
-    changed copy."""
+    dropped one.  A shared property refuses assignment: dataclasses.replace
+    makes a changed copy."""
 
     check: Callable[[EvalContext], Outcome]
 
@@ -93,6 +93,23 @@ class Prop:
         """Run the check under gc_paused, as ``run_suite`` does."""
         with gc_paused():
             return self.check(ctx or EvalContext())
+
+
+class _SharedProp(Prop):
+    """A property that every case decided when built shares: assigning to or
+    deleting its check raises, so no caller can change the verdicts of other
+    cases.  Only the shared properties pay for the check."""
+
+    __slots__ = ()
+
+    def __init__(self, check: Callable[[EvalContext], Outcome]):
+        object.__setattr__(self, "check", check)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"a shared property cannot be changed (setting {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"a shared property cannot be changed (deleting {name!r})")
 
 
 def not_a_prop(exc: BaseException, got: Any, what: str) -> BaseException:
@@ -195,7 +212,7 @@ def _satisfied(ctx: EvalContext) -> Outcome:
     return _SAT
 
 
-_SAT_PROP = Prop(_satisfied)   # every two-sided case decided when built
+_SAT_PROP = _SharedProp(_satisfied)   # every two-sided case decided when built
 
 
 def _two_sided(decide: Decide, l: TreeLike, r: TreeLike) -> Prop:
@@ -356,7 +373,7 @@ def _dropped(ctx: EvalContext) -> Outcome:
     return _DROP
 
 
-_DROP_PROP = Prop(_dropped)   # every case implies drops
+_DROP_PROP = _SharedProp(_dropped)   # every case implies drops
 
 
 def _implied(p: Prop | Callable[[], Prop], ctx: EvalContext) -> Outcome:

@@ -86,7 +86,10 @@ def poly_test(
 ) -> TestSpec:
     """A polymorphic property: the runner instantiates it for the configured
     base type on first use.  gen_for is cached, so each instantiation (and
-    its input memo) is built once and kept for the process."""
+    its input memo) is built once and kept for the process.  Within one
+    run, a spec whose instantiation has the key of an earlier spec's input
+    generator draws from that earlier generator instead, and replays its
+    walk; an instantiation with no key is drawn from as built."""
     return register(
         TestSpec(name=name, module=module, line=line, kind=POLY, body=body, arity=arity,
                  gen_for=cache(gen_for))

@@ -263,24 +263,31 @@ def run_suite(specs: list[TestSpec], cfg: RunConfig) -> TestReport:
     configured) gets a skipped entry; every other spec gets exactly one
     verdict.  The report names the proof files the run did not use: those
     that matched no spec, and any second file for a name another file took.
+
+    A spec whose input generator has the key of an earlier spec's draws
+    from the earlier spec's generator, so it replays that walk's record and
+    walks on only past it.  Keyed generators hold immutable values only,
+    so no body can change what a later spec draws.
     """
     files = [] if cfg.proof_dir is None else _proof_files(cfg.proof_dir)
     proofs = _first_per_name(files)
     entries: list[TestEntry] = []
+    firsts: dict[Any, Generator] = {}   # the first input generator of each key
     # Automatic GC, paused here, would only rescan the memoised generator
     # trees; a young collection after each spec frees the cycles a property
     # body makes.
     with gc_paused(), tempfile.TemporaryDirectory(prefix="ndcheck-") as scratch:
         ctx = _context(cfg, Path(scratch))
         for spec in specs:
-            entries.append(_run_spec(spec, cfg, ctx, proofs))
+            entries.append(_run_spec(spec, cfg, ctx, proofs, firsts))
             gc.collect(0)
     used = {_normalize(spec.name) for spec in specs}
     unused = tuple(f for k, f in files if k not in used or proofs[k] != f)   # files are sorted
     return TestReport(tuple(entries), unused)
 
 
-def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext, proofs: dict[str, str]) -> TestEntry:
+def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext, proofs: dict[str, str],
+              firsts: dict[Any, Generator]) -> TestEntry:
     name, module, line = spec.name, spec.module, spec.line
     labels: Counter = Counter()
     proof_file = proofs.get(_normalize(name))  # before a poly spec is renamed
@@ -294,6 +301,11 @@ def _run_spec(spec: TestSpec, cfg: RunConfig, ctx: EvalContext, proofs: dict[str
             verdict = _ended(Outcome(_ERRED, f"{_message(exc)} ({where})"), 0, 0)
         else:
             name = inst.name
+            key = getattr(inst.input_gen, "key", None)
+            if key is not None:
+                first = firsts.setdefault(key, inst.input_gen)
+                if first is not inst.input_gen:
+                    inst = replace(inst, input_gen=first)
             verdict, labels = run_param(inst, cfg, ctx)
     elif spec.kind == UNIT:
         out = _check(spec.prop, ctx, "unit test is")

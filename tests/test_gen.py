@@ -1,5 +1,7 @@
 """Generator combinators and built-in generators."""
 
+import dataclasses
+import enum
 import gc
 import itertools
 import weakref
@@ -9,6 +11,7 @@ from functools import partial
 import pytest
 
 from ndcheck.gen import (
+    _Same,
     BaseType,
     Generator,
     Ordering,
@@ -25,7 +28,7 @@ from ndcheck.cli import build_parser, config_from_options
 from ndcheck.corpus.sumup import gen_pos
 from ndcheck.corpus.trees import Leaf, Node, Succ, Zero, gen_nat, gen_tree
 from ndcheck.searchtree import (
-    OrNode, Strategy, bind, choice, defer, enumerate_tree, fail, one_of, take_values, value,
+    OrNode, SearchTree, Strategy, bind, choice, defer, enumerate_tree, fail, one_of, take_values, value,
 )
 from ndcheck.values import canonical, same_value
 
@@ -641,3 +644,134 @@ class TestNoReferenceCycles:
         # with its suspended generator (which gc.collect() would count as 0)
         assert [w() for w in walks] == [None] * len(walks)
         assert gc.collect() == 0
+
+
+class Colour(enum.Enum):
+    RED = 1
+    GREEN = 2
+
+
+# whether each generator of COMBINATORS is keyed: exactly those whose values
+# are immutable by construction, so the specs of one run may share its tree
+KEYED = {
+    "gen_cons0": True,
+    "builtin(Bool)": True,
+    "builtin(Int)": True,
+    "builtin(Char)": True,
+    "positive_ints": False,          # only builtin is keyed of the built-ins
+    "list_of": False,                # a body may mutate a list
+    "list_of(seq=tuple)": True,
+    "list_of(list_of)": False,
+    "alt": True,
+    "gen_cons": False,               # a lambda is no free constructor
+    "tuple_of": True,
+    "pair_of": False,                # its first part is a list
+    "gen_cons(Six)": True,
+    "gen_tree": True,
+    "gen_nat": False,                # gen_cons0 keys no dataclass instance
+    "gen_pos": False,                # n + 1 is no free constructor
+}
+
+# more generators the key rules decide, beyond COMBINATORS
+MORE_KEYED = {
+    "gen_cons0(None)": (lambda: gen_cons0(None), True),
+    "gen_cons0(True)": (lambda: gen_cons0(True), True),
+    "gen_cons0('a')": (lambda: gen_cons0("a"), True),
+    "gen_cons0(b'a')": (lambda: gen_cons0(b"a"), True),
+    "gen_cons0(Colour.RED)": (lambda: gen_cons0(Colour.RED), True),
+    "gen_cons0(Ordering.LT)": (lambda: gen_cons0(Ordering.LT), True),
+    "gen_cons0([1])": (lambda: gen_cons0([1]), False),
+    "gen_cons0((1,))": (lambda: gen_cons0((1,)), False),
+    "gen_cons0(1.0)": (lambda: gen_cons0(1.0), False),
+    "gen_cons0(Zero())": (lambda: gen_cons0(Zero()), False),
+    "hand-built": (lambda: Generator(one_of([1, 2]), distinct=True, types=frozenset((int,))), False),
+    "gen_cons(Point)": (lambda: gen_cons(Point, builtin(BaseType.INT), builtin(BaseType.BOOL)), True),
+    "gen_cons(Point, hand-built)": (
+        lambda: gen_cons(Point, Generator(one_of([1, 2])), builtin(BaseType.BOOL)), False),
+    "gen_cons(Mutable)": (lambda: gen_cons(Mutable, builtin(BaseType.INT)), False),
+    "gen_cons(Clamped)": (lambda: gen_cons(Clamped, builtin(BaseType.INT)), False),
+    "alt(Int, [Bool])": (lambda: alt(builtin(BaseType.INT), list_of(builtin(BaseType.BOOL))), False),
+    "tuple_of(Int, (Bool,))": (
+        lambda: tuple_of(builtin(BaseType.INT), list_of(builtin(BaseType.BOOL), seq=tuple)), True),
+    "list_of([Bool], seq=tuple)": (
+        lambda: list_of(list_of(builtin(BaseType.BOOL)), seq=tuple), False),
+    "Tree(Ordering)": (lambda: gen_tree(builtin(BaseType.ORDERING)), True),
+    "Tree(hand-built)": (lambda: gen_tree(Generator(one_of([1, 2]))), False),
+    "recursive over a partial": (
+        lambda: recursive(partial(lambda leaf, s: alt(leaf, gen_cons(Succ, s)), gen_cons0(0))),
+        False),
+    "recursive, list self": (
+        lambda: recursive(lambda s: alt(gen_cons0(0), list_of(s))), False),
+}
+
+KEY_CASES = {name: (COMBINATORS[name], keyed) for name, keyed in KEYED.items()} | MORE_KEYED
+
+_MUTABLE = (list, dict, set, bytearray)
+
+
+def mutable_part(v):
+    """A list, dict, set or bytearray inside v at any depth (through
+    tuples, frozensets and dataclass fields), or None."""
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, _MUTABLE):
+            return v
+        if isinstance(v, (tuple, frozenset)):
+            stack.extend(v)
+        elif dataclasses.is_dataclass(v) and not isinstance(v, type):
+            stack.extend(getattr(v, f.name) for f in dataclasses.fields(v))
+    return None
+
+
+def key_parts(key):
+    """Every object a key holds, through its tuples and identity parts."""
+    stack, out = [key], []
+    while stack:
+        k = stack.pop()
+        out.append(k)
+        if type(k) is tuple:
+            stack.extend(k)
+        elif type(k) is _Same:
+            stack.append(k.obj)
+    return out
+
+
+class TestKeys:
+    """A generator is keyed exactly when its values are immutable by
+    construction; two builds of one expression have equal keys."""
+
+    def test_every_combinator_is_classified(self):
+        assert set(KEYED) == set(COMBINATORS)
+
+    @pytest.mark.parametrize("name", list(KEY_CASES))
+    def test_keyed_exactly_by_the_rules(self, name):
+        make, keyed = KEY_CASES[name]
+        assert (make().key is not None) == keyed
+
+    @pytest.mark.parametrize("name", [n for n, (_, keyed) in KEY_CASES.items() if keyed])
+    def test_keyed_values_are_immutable(self, name, no_cyclic_gc):
+        g = KEY_CASES[name][0]()
+        for strategy in LAW_STRATEGIES:
+            for v in itertools.islice(enumerate_tree(g.tree, strategy), 200):
+                assert mutable_part(v) is None, (strategy, v)
+
+    @pytest.mark.parametrize("name", [n for n, (_, keyed) in KEY_CASES.items() if keyed])
+    def test_two_builds_have_equal_keys_that_hold_no_tree(self, name):
+        make = KEY_CASES[name][0]
+        first, second = make(), make()
+        assert first.key == second.key and hash(first.key) == hash(second.key)
+        assert not any(isinstance(p, (Generator, SearchTree)) for p in key_parts(first.key))
+
+    def test_different_expressions_have_different_keys(self):
+        keys = [make().key for make, keyed in KEY_CASES.values() if keyed]
+        assert len(set(keys)) == len(keys)
+        assert gen_tree(builtin(BaseType.INT)).key != gen_tree(builtin(BaseType.ORDERING)).key
+        assert gen_cons0(1).key != gen_cons0(True).key   # 1 == True, of two types
+        assert gen_cons0(Colour.RED).key != gen_cons0(Colour.GREEN).key
+
+    def test_a_key_is_no_constructor_argument(self):
+        with pytest.raises(TypeError):
+            Generator(value(1), key=(builtin, BaseType.INT))
+        g = builtin(BaseType.INT)
+        assert dataclasses.replace(g).key is None

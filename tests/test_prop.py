@@ -274,6 +274,15 @@ class TestBoolQuantifiers:
     def test_always_on_empty_falsifies(self):
         assert status(always(fail())) == FALSIFIED
 
+    @pytest.mark.parametrize("op, leaf", [(eventually, False), (always, True)])
+    def test_node_budget_end_is_inconclusive(self, op, leaf):
+        def endless():
+            return choice(value(leaf), defer(endless))
+
+        out = op(endless()).evaluate(EvalContext(strategy=Strategy(node_budget=20)))
+        assert (out.status, out.detail) == (
+            INCONCLUSIVE, f"{op.__name__}: left side undecided (node budget exceeded)")
+
     def test_duality_on_random_bool_trees(self):
         rng = random.Random(31)
         for _ in range(100):
@@ -334,6 +343,15 @@ class TestForAll:
         out = for_all(list_of(builtin(BaseType.INT)), lambda xs: is_equal(1, 1)).evaluate(ctx)
         assert out.status == INCONCLUSIVE
         assert out.detail == "for_all: left side undecided (node budget exceeded)"
+
+    def test_inconclusive_element_is_named(self):
+        def falses():
+            return choice(value(False), defer(falses))
+
+        ctx = EvalContext(strategy=Strategy(node_budget=20))
+        out = for_all([3, 4], lambda n: eventually(falses())).evaluate(ctx)
+        assert (out.status, out.detail) == (
+            INCONCLUSIVE, "eventually: left side undecided (node budget exceeded) [element 3]")
 
     def test_exhausted_finite_domain_within_budget_is_satisfied(self):
         ctx = EvalContext(strategy=Strategy(node_budget=7), for_all_limit=100)
@@ -781,6 +799,27 @@ class TestDecidedWhenBuilt:
         q = dataclasses.replace(shared, check=falsify)
         assert q.check is falsify and q.evaluate().status == FALSIFIED
         assert shared.check is _satisfied and is_equal(2, 2).evaluate().status == SATISFIED
+
+
+    @pytest.mark.parametrize("build, status", [
+        (lambda: is_equal(2, 2), SATISFIED),
+        (lambda: implies(False, is_equal(1, 2)), DROPPED),
+    ], ids=["satisfied", "dropped"])
+    def test_a_shared_property_cannot_be_changed(self, build, status):
+        shared = build()
+        check = shared.check
+
+        def falsify(ctx):
+            return Outcome(FALSIFIED)
+
+        try:
+            with pytest.raises(AttributeError, match="shared property cannot be changed"):
+                shared.check = falsify
+            with pytest.raises(AttributeError, match="shared property cannot be changed"):
+                del shared.check
+        finally:
+            object.__setattr__(shared, "check", check)   # where assignment got through
+        assert build() is shared and build().evaluate().status == status
 
 
 class TestDeepValues:

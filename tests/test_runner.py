@@ -469,6 +469,51 @@ class TestPolyOnDemand:
         assert type(entry.verdict.counterexample) is py_type
 
 
+class TestSharedInputs:
+    """A spec whose input generator has an earlier spec's key draws from the
+    earlier spec's generator and replays its walk; a generator whose values
+    a body could mutate has no key, so no body changes a later spec."""
+
+    def test_a_body_that_mutates_its_list_input_changes_no_later_spec(self):
+        def appending(xs):
+            xs.append(0)
+            return is_equal(True, True)
+
+        def short(xs):
+            return is_equal(len(xs) < 3, True)
+
+        cfg = RunConfig(max_tests=20, seed=3)
+        alone = run_suite([param_spec(list_of(builtin(BaseType.INT)), short, "short")], cfg)
+        after = run_suite([param_spec(list_of(builtin(BaseType.INT)), appending, "appending"),
+                           param_spec(list_of(builtin(BaseType.INT)), short, "short")], cfg)
+        assert alone.entries[0].verdict.kind == FALSIFIED_V
+        assert after.entries[1] == alone.entries[0]
+
+    def test_trees_specs_give_the_same_entries_in_either_order(self):
+        cfg = RunConfig(max_tests=500, seed=7)
+        trees = registry.specs_for(["Trees"])
+        assert len(trees) == 2
+
+        def fresh(specs, built):
+            # gen_for uncached, so no earlier test has walked the trees
+            def gen_for(s):
+                return lambda bt: built.append(s.gen_for.__wrapped__(bt)) or built[-1]
+
+            return [replace(s, gen_for=gen_for(s)) for s in specs]
+
+        built: list = []
+        forward = run_suite(fresh(trees, built), cfg)
+        backward = run_suite(fresh(trees[::-1], []), cfg)
+        assert {e.name: e for e in forward.entries} == {e.name: e for e in backward.entries}
+        assert [e.verdict.kind for e in forward.entries] == [PASSED, PASSED]
+        # the second spec drew the first one's recorded walk; its own tree
+        # was never walked
+        first, second = built
+        assert first.key == second.key
+        assert len(first.tree._walks[cfg.strategy].values) >= 500
+        assert getattr(second.tree, "_walks", None) is None
+
+
 class TestRunConfig:
     @pytest.mark.parametrize("field", ["max_tests", "drop_limit"])
     @pytest.mark.parametrize("bad", [0, -1])
