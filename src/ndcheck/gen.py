@@ -1,16 +1,15 @@
 """Generator combinators: search trees of test data for base and user types.
 
-A generator is a (possibly infinite) search tree of candidate values plus two
-facts that its construction proves: whether its values key apart, and which
-types they can have.  Built-in generators enumerate every value of their type
-exactly once; generators for finite types are fully exhaustible.  A generator
-marked ``distinct`` promises that no two values of its tree have equal
-``canonical`` keys, so the runner draws its inputs without keying them;
-combinators derive the mark only where construction proves it.  They also
-derive a structural ``key`` for a generator whose values are immutable by
-construction, so the runner can hand the specs of one run whose generators
-have equal keys one tree.  ``gen_cons`` applies a constructor of any arity,
-so no combinator is numbered by arity.
+A generator is a (possibly infinite) search tree of candidate values plus
+three facts that its construction proves: whether its values key apart
+(``distinct``), which types they can have (``types``), and a structural
+``key``.  Only the combinators set them, and only where construction proves
+them; a hand-built ``Generator(tree)`` has none.  Built-in generators
+enumerate every value of their type exactly once; generators for finite
+types are fully exhaustible.  The runner draws the inputs of a distinct
+generator without keying them, and hands the specs of one run whose
+generators have equal keys one tree.  ``gen_cons`` applies a constructor of
+any arity, so no combinator is numbered by arity.
 """
 
 from __future__ import annotations
@@ -47,21 +46,26 @@ class BaseType(enum.Enum):
 @dataclass(frozen=True)
 class Generator(Generic[A]):
     tree: SearchTree[A]
-    distinct: bool = field(default=False, kw_only=True)  # no two values key alike
+    # The facts below are no constructor arguments: the combinators set them
+    # through _derived, where construction proves them.
+    distinct: bool = field(default=False, init=False)  # no two values key alike
     # The exact types the values can have, or None if unknown.  canonical keys
     # values of two such types apart, except a set and a frozenset: a set is
     # recorded as frozenset.
-    types: frozenset[type] | None = field(default=None, kw_only=True)
-    # Set by the combinators only, and only where every value is immutable by
-    # construction: generators with equal keys yield the same values, node
-    # counts and end flags under every strategy.  None (no key) for a
-    # hand-built generator, whatever its tree holds.
+    types: frozenset[type] | None = field(default=None, init=False)
+    # Set only where every value is immutable by construction: generators
+    # with equal keys yield the same values, node counts and end flags under
+    # every strategy.
     key: Any = field(default=None, init=False, repr=False, compare=False)
 
 
-def _keyed(g: Generator[A], key: Any) -> Generator[A]:
-    if key is not None:
-        object.__setattr__(g, "key", key)
+def _derived(tree: SearchTree[A], distinct: bool, types: frozenset[type] | None,
+             key: Any = None) -> Generator[A]:
+    """The generator of tree with the facts a combinator derived for it."""
+    g = Generator(tree)
+    object.__setattr__(g, "distinct", distinct)
+    object.__setattr__(g, "types", types)
+    object.__setattr__(g, "key", key)
     return g
 
 
@@ -81,7 +85,7 @@ def gen_cons0(v: A) -> Generator[A]:
     t = frozenset if type(v) is set else type(v)
     key = ((gen_cons0, t, v) if t in _SCALARS
            else (gen_cons0, t, v.name) if isinstance(v, enum.Enum) else None)
-    return _keyed(Generator(value(v), distinct=True, types=frozenset((t,))), key)
+    return _derived(value(v), True, frozenset((t,)), key)
 
 
 # Generator trees are built by module-level functions (_nested, recursive,
@@ -154,9 +158,8 @@ def gen_cons(c: Callable[..., A], *gens: Generator) -> Generator[A]:
     parts' values unchanged.
     """
     free = _free(c)
-    return _keyed(Generator(_nested(c, gens), distinct=free and all(g.distinct for g in gens),
-                            types=frozenset((c,)) if free else None),
-                  _key_of(gen_cons, gens, c) if free else None)
+    return _derived(_nested(c, gens), free and all(g.distinct for g in gens),
+                    frozenset((c,)) if free else None, _key_of(gen_cons, gens, c) if free else None)
 
 
 def alt(g1: Generator[A], g2: Generator[A]) -> Generator[A]:
@@ -168,10 +171,9 @@ def alt(g1: Generator[A], g2: Generator[A]) -> Generator[A]:
     """
     t1, t2 = g1.types, g2.types
     known = t1 is not None and t2 is not None
-    return _keyed(Generator(choice(g1.tree, g2.tree),
-                            distinct=g1.distinct and g2.distinct and known and t1.isdisjoint(t2),
-                            types=t1 | t2 if known else None),
-                  _key_of(alt, (g1, g2)))
+    return _derived(choice(g1.tree, g2.tree),
+                    g1.distinct and g2.distinct and known and t1.isdisjoint(t2),
+                    t1 | t2 if known else None, _key_of(alt, (g1, g2)))
 
 
 def recursive(body: Callable[[Generator[A]], Generator[A]]) -> Generator[A]:
@@ -186,61 +188,28 @@ def recursive(body: Callable[[Generator[A]], Generator[A]]) -> Generator[A]:
     values unchanged, so each marked combinator over it builds larger
     values injectively: two equal values would need two equal, smaller
     values of the self-reference.  The key is checked the same way, with a
-    self-reference assumed keyed; the generator's key is then body's code
-    and what body's defaults and closure hold, a generator by its key and
-    anything else by identity, so two builds of one definition over parts of
-    equal keys have equal keys.  Each unfolding's thunk takes body as a
-    default argument and no closure names itself, so the generator makes
-    no reference cycle.
+    self-reference assumed keyed (_SELF): the key body derives from it then
+    records every part body read, from its closure, its defaults or a module
+    global, and how body combines them with the self-reference.  For a
+    plain function body, the generator's key is that key with body's code,
+    which tells apart the self-references of nested definitions (all keyed
+    _SELF); any other body gets no key.  Like the unfolding itself, this
+    assumes that body builds the same generator every time it is called.
+    Each unfolding's thunk takes body as a default argument and no closure
+    names itself, so the generator makes no reference cycle.
     """
-    g = body(_keyed(Generator(defer(lambda body=body: _unfold(body)), distinct=True), _SELF))
-    if g.key is None:
-        return g
-    return _keyed(Generator(g.tree, distinct=g.distinct, types=g.types), _body_key(body))
+    g = body(_derived(defer(lambda body=body: _unfold(body)), True, None, _SELF))
+    keyed = g.key is not None and type(body) is FunctionType
+    return _derived(g.tree, g.distinct, g.types, (recursive, body.__code__, g.key) if keyed else None)
 
 
 def _unfold(body: Callable[[Generator[A]], Generator[A]]) -> SearchTree[A]:
     """The tree of recursive(body), one level down: only the tree is used,
     so the self-reference gets no key."""
-    return body(Generator(defer(lambda body=body: _unfold(body)), distinct=True)).tree
+    return body(_derived(defer(lambda body=body: _unfold(body)), True, None)).tree
 
 
 _SELF = object()   # the key recursive assumes for its self-reference
-
-
-class _Same:
-    """A key part equal only to the parts of the same object."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj: Any):
-        self.obj = obj
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is _Same and other.obj is self.obj
-
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-
-def _body_key(body: Callable) -> Any:
-    """recursive's key for body, or None if body is no plain function, has
-    keyword-only defaults, or holds a generator with no key."""
-    if type(body) is not FunctionType or body.__kwdefaults__:
-        return None
-    try:
-        held = (*(body.__defaults__ or ()), *(c.cell_contents for c in body.__closure__ or ()))
-    except ValueError:   # a closure cell not yet filled
-        return None
-    parts: list = [recursive, _Same(body.__code__)]
-    for x in held:
-        if isinstance(x, Generator):
-            if x.key is None:
-                return None
-            parts.append(x.key)
-        else:
-            parts.append(_Same(x))
-    return tuple(parts)
 
 
 # -- built-in generators -------------------------------------------------
@@ -261,7 +230,7 @@ def _positive_tree(leaf: Callable[[int], SearchTree] = value, low: int = 0,
 
 def positive_ints() -> Generator[int]:
     """Every integer >= 1, exactly once, small magnitudes first."""
-    return Generator(_positive_tree(), distinct=True, types=frozenset((int,)))
+    return _derived(_positive_tree(), True, frozenset((int,)))
 
 
 def _signed(n: int) -> SearchTree[int]:
@@ -290,7 +259,7 @@ def builtin(t: BaseType) -> Generator:
     exactly once; Char covers printable ASCII (0x20..0x7e) exactly once.
     """
     typ, tree = _BUILTIN_TREES[t]
-    return _keyed(Generator(tree(), distinct=True, types=frozenset((typ,))), (builtin, t))
+    return _derived(tree(), True, frozenset((typ,)), (builtin, t))
 
 
 def list_of(g: Generator[A], seq: type = list) -> Generator:
@@ -311,9 +280,8 @@ def list_of(g: Generator[A], seq: type = list) -> Generator:
     """
     if seq is not list and seq is not tuple:
         raise ValueError("list_of builds a list or a tuple")
-    return _keyed(Generator(_list_node(_ListCell(None, None, g.tree, seq)),
-                            distinct=g.distinct, types=frozenset((seq,))),
-                  _key_of(list_of, (g,)) if seq is tuple else None)
+    return _derived(_list_node(_ListCell(None, None, g.tree, seq)), g.distinct, frozenset((seq,)),
+                    _key_of(list_of, (g,)) if seq is tuple else None)
 
 
 _NIL = object()   # the value at the end of a list: the cell maps it to the list drawn
@@ -362,6 +330,5 @@ def tuple_of(*gens: Generator) -> Generator[tuple]:
     """
     if not gens:
         raise ValueError("tuple_of needs at least one generator")
-    return _keyed(Generator(_nested(lambda *args: args, gens),
-                            distinct=all(g.distinct for g in gens), types=frozenset((tuple,))),
-                  _key_of(tuple_of, gens))
+    return _derived(_nested(lambda *args: args, gens), all(g.distinct for g in gens),
+                    frozenset((tuple,)), _key_of(tuple_of, gens))

@@ -417,11 +417,8 @@ class Enumeration(Generic[A]):
                     while True:
                         li = lev
                         while len(row) <= pos:   # grow level lev up to pos
-                            if done[li]:
-                                if li == lev:
-                                    break
-                                li += 1
-                                continue
+                            if done[li]:   # only lev can be: the walk steps down
+                                break      # only into an unfinished level
                             above = nodes[li - 1]
                             f = fed[li]
                             if f < len(above):

@@ -156,6 +156,13 @@ class TestProofDir:
         assert code == 2
         assert "proof directory" in err
 
+    def test_unreadable_proofdir_is_usage_error(self, capsys, unreadable_dir):
+        code, out, err = run_cli(capsys, f"--proofdir={unreadable_dir}", "Sort")
+        assert code == 2
+        assert out == ""
+        assert err == (f"ndcheck: proof directory not readable: {unreadable_dir} "
+                       f"([Errno 13] Permission denied: '{unreadable_dir}')\n")
+
 
 # sha256 of the report printed by
 #   ndcheck Trees Rev ConcDup SumUp BoolTest --maxtests 40 --seed S --format F

@@ -11,7 +11,6 @@ from functools import partial
 import pytest
 
 from ndcheck.gen import (
-    _Same,
     BaseType,
     Generator,
     Ordering,
@@ -598,10 +597,14 @@ class TestDistinctMark:
             vs = take_values(g.tree, DIAG, 40)
             assert len(distinct(vs)) < len(vs)
 
-    def test_distinct_is_keyword_only(self):
+    def test_distinct_and_types_are_no_constructor_arguments(self):
+        for facts in ({"distinct": True}, {"types": frozenset((int,))}):
+            with pytest.raises(TypeError):
+                Generator(value(1), **facts)
         with pytest.raises(TypeError):
             Generator(value(1), True)
-        assert Generator(value(1), distinct=True).distinct
+        g = Generator(value(1))
+        assert (g.distinct, g.types, g.key) == (False, None, None)
 
 
 COMBINATORS = {
@@ -684,7 +687,7 @@ MORE_KEYED = {
     "gen_cons0((1,))": (lambda: gen_cons0((1,)), False),
     "gen_cons0(1.0)": (lambda: gen_cons0(1.0), False),
     "gen_cons0(Zero())": (lambda: gen_cons0(Zero()), False),
-    "hand-built": (lambda: Generator(one_of([1, 2]), distinct=True, types=frozenset((int,))), False),
+    "hand-built": (lambda: Generator(one_of([1, 2])), False),
     "gen_cons(Point)": (lambda: gen_cons(Point, builtin(BaseType.INT), builtin(BaseType.BOOL)), True),
     "gen_cons(Point, hand-built)": (
         lambda: gen_cons(Point, Generator(one_of([1, 2])), builtin(BaseType.BOOL)), False),
@@ -702,6 +705,12 @@ MORE_KEYED = {
         False),
     "recursive, list self": (
         lambda: recursive(lambda s: alt(gen_cons0(0), list_of(s))), False),
+    "recursive, keyword-only default": (
+        lambda: recursive(lambda s, *, zero=gen_cons0(0): alt(zero, gen_cons(Succ, s))), True),
+    "recursive in recursive, (s, t)": (lambda: recursive(lambda s: alt(gen_cons0(1), recursive(
+        lambda t: alt(gen_cons0(0), gen_cons(Point, s, t))))), True),
+    "recursive in recursive, (t, s)": (lambda: recursive(lambda s: alt(gen_cons0(1), recursive(
+        lambda t: alt(gen_cons0(0), gen_cons(Point, t, s))))), True),
 }
 
 KEY_CASES = {name: (COMBINATORS[name], keyed) for name, keyed in KEYED.items()} | MORE_KEYED
@@ -725,15 +734,13 @@ def mutable_part(v):
 
 
 def key_parts(key):
-    """Every object a key holds, through its tuples and identity parts."""
+    """Every object a key holds, through its tuples."""
     stack, out = [key], []
     while stack:
         k = stack.pop()
         out.append(k)
         if type(k) is tuple:
             stack.extend(k)
-        elif type(k) is _Same:
-            stack.append(k.obj)
     return out
 
 
@@ -769,6 +776,20 @@ class TestKeys:
         assert gen_tree(builtin(BaseType.INT)).key != gen_tree(builtin(BaseType.ORDERING)).key
         assert gen_cons0(1).key != gen_cons0(True).key   # 1 == True, of two types
         assert gen_cons0(Colour.RED).key != gen_cons0(Colour.GREEN).key
+
+    def test_nested_self_references_key_apart(self):
+        # inside the bodies both self-references are keyed alike; only the
+        # bodies' code tells which one goes where
+        st = recursive(lambda s: recursive(lambda t: alt(gen_cons0(0), gen_cons(Point, s, t))))
+        ts = recursive(lambda s: recursive(lambda t: alt(gen_cons0(0), gen_cons(Point, t, s))))
+        assert st.key != ts.key
+        # with a value of its own in the outer body, the two differ in values:
+        # Point(1, 0) takes x from the outer generator and up from the inner
+        st = MORE_KEYED["recursive in recursive, (s, t)"][0]()
+        ts = MORE_KEYED["recursive in recursive, (t, s)"][0]()
+        assert st.key != ts.key
+        assert Point(1, 0) in take_values(st.tree, DIAG, 40)
+        assert Point(1, 0) not in take_values(ts.tree, DIAG, 40)
 
     def test_a_key_is_no_constructor_argument(self):
         with pytest.raises(TypeError):

@@ -8,10 +8,10 @@ from dataclasses import replace
 import pytest
 
 from ndcheck import registry
-from ndcheck.corpus.trees import Leaf, Succ, Zero
+from ndcheck.corpus.trees import Leaf, Node, Succ, Zero
 from ndcheck.gen import (
     BaseType, Generator, Ordering, alt, builtin, gen_cons, gen_cons0, list_of,
-    positive_ints, tuple_of,
+    positive_ints, recursive, tuple_of,
 )
 from ndcheck.prop import EvalContext, Prop, classify, collect, for_all, implies, is_equal, returns
 from ndcheck.runner import (
@@ -24,6 +24,7 @@ from ndcheck.runner import (
     POLY,
     SKIPPED_PROVED,
     UNIT,
+    ConfigError,
     RunConfig,
     TestEntry,
     TestReport,
@@ -343,7 +344,7 @@ class TestDistinctInputs:
         assert replay[: len(drawn)] == drawn
         if verdict.kind != FALSIFIED_V:  # the stream ended: so did the replay
             assert replay == drawn
-        keyed_verdict, keyed_drawn = self.run_recording(replace(MARKED[name](), distinct=False), cfg)
+        keyed_verdict, keyed_drawn = self.run_recording(Generator(MARKED[name]().tree), cfg)
         assert (verdict, drawn) == (keyed_verdict, keyed_drawn)
 
     def test_unmarked_alt_is_still_deduplicated(self):
@@ -514,6 +515,39 @@ class TestSharedInputs:
         assert getattr(second.tree, "_walks", None) is None
 
 
+# the element generator of global_elem_trees, read from the module's globals
+# each time its body runs
+ELEM = builtin(BaseType.BOOL)
+
+
+def global_elem_trees():
+    """Rose trees whose leaves hold values of the module global ELEM."""
+    return recursive(lambda t: alt(gen_cons(Leaf, ELEM), gen_cons(Node, list_of(t, seq=tuple))))
+
+
+class TestSharedRecursiveInputs:
+    """A recursive generator's key records what its body reads from module
+    globals, so a spec never draws another spec's generator built over
+    other parts."""
+
+    def test_a_spec_over_a_global_reads_the_same_after_another_global(self, monkeypatch):
+        def no_bool_leaf(t):
+            return is_equal(isinstance(t, Leaf) and type(t.payload) is bool, False)
+
+        cfg = RunConfig(max_tests=5)
+        monkeypatch.setitem(globals(), "ELEM", builtin(BaseType.INT))
+        alone = run_suite([param_spec(global_elem_trees(), no_bool_leaf, "ints")], cfg)
+        monkeypatch.setitem(globals(), "ELEM", builtin(BaseType.BOOL))
+        bools = global_elem_trees()
+        monkeypatch.setitem(globals(), "ELEM", builtin(BaseType.INT))
+        ints = global_elem_trees()
+        assert bools.key != ints.key
+        both = run_suite([param_spec(bools, lambda t: is_equal(t, t), "bools"),
+                          param_spec(ints, no_bool_leaf, "ints")], cfg)
+        assert alone.entries[0].verdict.kind == PASSED
+        assert both.entries[1] == alone.entries[0]
+
+
 class TestRunConfig:
     @pytest.mark.parametrize("field", ["max_tests", "drop_limit"])
     @pytest.mark.parametrize("bad", [0, -1])
@@ -615,6 +649,13 @@ class TestRunSuite:
         assert report.entries[0].verdict.kind == SKIPPED_PROVED
         assert report.entries[0].verdict.proof_file == "proof-u1.agda"
         assert report.entries[1].verdict.kind == PASSED
+
+    def test_unreadable_proof_dir_is_a_config_error(self, unreadable_dir):
+        specs = [TestSpec(name="u1", module="M", line=1, kind=UNIT, prop=is_equal(1, 2))]
+        with pytest.raises(ConfigError) as info:
+            run_suite(specs, RunConfig(proof_dir=unreadable_dir))
+        assert str(info.value) == (f"proof directory not readable: {unreadable_dir} "
+                                   f"([Errno 13] Permission denied: '{unreadable_dir}')")
 
     def test_report_names_proof_files_no_spec_matched(self, tmp_path):
         for f in ("proof-zz.txt", "proof-U_1.agda", "proof-b.txt"):
@@ -765,7 +806,7 @@ class TestDeepResultRendering:
         x = Zero()
         for _ in range(3000):
             x = Succ(x)
-        registry.param_test(self.MODULE, "succNotSelf", Generator(value(x), distinct=True),
+        registry.param_test(self.MODULE, "succNotSelf", gen_cons0(x),
                             lambda v: is_equal(v, Succ(v)))
         verdict = run_suite(registry.specs_for([self.MODULE]), RunConfig()).entries[0].verdict
         assert verdict.kind == FALSIFIED_V

@@ -985,6 +985,19 @@ class TestDefer:
         assert sorted(enumerate_tree(shared)) == [1, 2]
         assert runs == [1]
 
+    def test_bind_over_a_normalized_defer_node_reads_its_normal_form(self):
+        """A walk normalizes a defer node in one branch and then meets it,
+        normalized, under a bind in the other: the bind resolves through the
+        node's normal form, and the thunk does not run again."""
+        for strategy in ALL_STRATEGIES:
+            runs = []
+            d = defer(lambda: runs.append(1) or one_of([1, 2]))
+            vs = list(enumerate_tree(choice(d, bind(d, lambda x: value(x + 10))), strategy))
+            if strategy.kind == BFS:
+                assert vs == [1, 2, 11, 12]
+            assert sorted(vs) == [1, 2, 11, 12]
+            assert runs == [1]
+
     def test_thunk_is_not_rerun_after_a_failed_normalisation(self):
         runs, calls = [], []
 
