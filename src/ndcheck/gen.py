@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from types import FunctionType
 from typing import Any, Callable, Generic, TypeVar
 
 from .searchtree import OrNode, SearchTree, ValueNode, bind, choice, defer, one_of, value
@@ -188,19 +187,25 @@ def recursive(body: Callable[[Generator[A]], Generator[A]]) -> Generator[A]:
     values unchanged, so each marked combinator over it builds larger
     values injectively: two equal values would need two equal, smaller
     values of the self-reference.  The key is checked the same way, with a
-    self-reference assumed keyed (_SELF): the key body derives from it then
-    records every part body read, from its closure, its defaults or a module
-    global, and how body combines them with the self-reference.  For a
-    plain function body, the generator's key is that key with body's code,
-    which tells apart the self-references of nested definitions (all keyed
-    _SELF); any other body gets no key.  Like the unfolding itself, this
-    assumes that body builds the same generator every time it is called.
+    self-reference keyed (_SELF, level), where level counts the recursive
+    calls whose body is running: the key body derives from it then records
+    every part body read, from its closure, its defaults or a module global,
+    and where each self-reference goes, nested ones too.  The generator's
+    key is that key with the level it binds, so a keyed generator built at
+    one level and used in a body at another keeps its own self-references
+    apart from the body's.  This assumes that body builds the same
+    generator every time it is called, as the unfolding itself does, and
+    that no generator built from the self-reference is used outside body.
     Each unfolding's thunk takes body as a default argument and no closure
     names itself, so the generator makes no reference cycle.
     """
-    g = body(_derived(defer(lambda body=body: _unfold(body)), True, None, _SELF))
-    keyed = g.key is not None and type(body) is FunctionType
-    return _derived(g.tree, g.distinct, g.types, (recursive, body.__code__, g.key) if keyed else None)
+    global _level
+    level, _level = _level, _level + 1
+    try:
+        g = body(_derived(defer(lambda body=body: _unfold(body)), True, None, (_SELF, level)))
+    finally:
+        _level = level
+    return _derived(g.tree, g.distinct, g.types, None if g.key is None else (recursive, level, g.key))
 
 
 def _unfold(body: Callable[[Generator[A]], Generator[A]]) -> SearchTree[A]:
@@ -209,7 +214,8 @@ def _unfold(body: Callable[[Generator[A]], Generator[A]]) -> SearchTree[A]:
     return body(_derived(defer(lambda body=body: _unfold(body)), True, None)).tree
 
 
-_SELF = object()   # the key recursive assumes for its self-reference
+_SELF = object()   # the key part that names a self-reference, with its level
+_level = 0         # the recursive calls whose body is running; built on one thread
 
 
 # -- built-in generators -------------------------------------------------

@@ -701,8 +701,8 @@ MORE_KEYED = {
     "Tree(Ordering)": (lambda: gen_tree(builtin(BaseType.ORDERING)), True),
     "Tree(hand-built)": (lambda: gen_tree(Generator(one_of([1, 2]))), False),
     "recursive over a partial": (
-        lambda: recursive(partial(lambda leaf, s: alt(leaf, gen_cons(Succ, s)), gen_cons0(0))),
-        False),
+        lambda: recursive(partial(lambda leaf, s: alt(leaf, gen_cons(Succ, s)), gen_cons0(1))),
+        True),
     "recursive, list self": (
         lambda: recursive(lambda s: alt(gen_cons0(0), list_of(s))), False),
     "recursive, keyword-only default": (
@@ -778,8 +778,7 @@ class TestKeys:
         assert gen_cons0(Colour.RED).key != gen_cons0(Colour.GREEN).key
 
     def test_nested_self_references_key_apart(self):
-        # inside the bodies both self-references are keyed alike; only the
-        # bodies' code tells which one goes where
+        # each self-reference is keyed by the level of its recursive call
         st = recursive(lambda s: recursive(lambda t: alt(gen_cons0(0), gen_cons(Point, s, t))))
         ts = recursive(lambda s: recursive(lambda t: alt(gen_cons0(0), gen_cons(Point, t, s))))
         assert st.key != ts.key
@@ -790,6 +789,42 @@ class TestKeys:
         assert st.key != ts.key
         assert Point(1, 0) in take_values(st.tree, DIAG, 40)
         assert Point(1, 0) not in take_values(ts.tree, DIAG, 40)
+
+    def test_self_references_routed_by_a_value_key_apart(self):
+        # the same code routes the self-references by a closure variable
+        def mk(flip):
+            return recursive(lambda s: alt(gen_cons0(1), recursive(lambda t: alt(
+                gen_cons0(0), gen_cons(Point, *((t, s) if flip else (s, t)))))))
+        assert mk(False).key != mk(True).key
+        assert mk(False).key == MORE_KEYED["recursive in recursive, (s, t)"][0]().key
+        assert mk(True).key == MORE_KEYED["recursive in recursive, (t, s)"][0]().key
+        assert Point(1, 0) in take_values(mk(False).tree, DIAG, 40)
+        assert Point(1, 0) not in take_values(mk(True).tree, DIAG, 40)
+
+    def test_a_keyed_recursive_used_at_another_level_keeps_its_self_reference(self):
+        # nats is built at level 0 and used in a body at level 0; the inner
+        # definition of ref is built at level 1 and refers to the outer one
+        nats = recursive(lambda t: alt(gen_cons0(0), gen_cons(Succ, t)))
+        own = recursive(lambda s: alt(nats, gen_cons(Point, s, s)))
+        ref = recursive(lambda s: alt(recursive(lambda t: alt(gen_cons0(0), gen_cons(Succ, s))),
+                                      gen_cons(Point, s, s)))
+        assert own.key != ref.key
+        assert Succ(Point(0, 0)) in take_values(ref.tree, DIAG, 40)
+        assert Succ(Point(0, 0)) not in take_values(own.tree, DIAG, 40)
+
+    def test_a_failing_body_restores_the_level(self):
+        def nats():
+            return recursive(lambda t: alt(gen_cons0(0), gen_cons(Succ, t)))
+        before = nats().key
+        with pytest.raises(ZeroDivisionError):
+            recursive(lambda s: 1 // 0)
+        assert nats().key == before == (recursive, 0, before[2])
+
+    def test_one_generator_spelled_two_ways_has_one_key(self):
+        # the key follows what body built, not how body is written
+        by_partial = recursive(partial(lambda leaf, s: alt(leaf, gen_cons(Succ, s)), gen_cons0(0)))
+        by_default = MORE_KEYED["recursive, keyword-only default"][0]()
+        assert by_partial.key == by_default.key
 
     def test_a_key_is_no_constructor_argument(self):
         with pytest.raises(TypeError):
